@@ -27,6 +27,7 @@ of sigmoid mask logits, the backward pass uses the sigmoid path
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyBatch, NumericError, ShapeError
-from .kernels import LowRankFactor, svd
+from .kernels import LowRankFactor
 from .merge import MergePlan, TaskVectorSet, merge
 from .origin import OriginMode
 from .tensor_store import TensorMap
@@ -303,23 +304,16 @@ def ste_masked_singulars(
 def _masked_tvs(
     tvs: TaskVectorSet, masks: dict[tuple[int, str], SteMask]
 ) -> TaskVectorSet:
-    deltas: list[dict[str, LowRankFactor | np.ndarray]] = []
-    for t in range(tvs.task_count):
-        layer: dict[str, LowRankFactor | np.ndarray] = {}
-        for name in tvs.matrix_names():
-            factor = tvs.deltas[t][name]
-            if not isinstance(factor, LowRankFactor):
-                factor = svd(np.asarray(factor))
-            masked, _ = ste_masked_singulars(factor.singulars, masks[(t, name)].logits)
-            layer[name] = LowRankFactor(factor.left, masked, factor.right)
-        deltas.append(layer)
-    return TaskVectorSet(
-        origin=tvs.origin,
-        deltas=deltas,
-        nonmatrix_mean=tvs.nonmatrix_mean,
-        output_dtypes=tvs.output_dtypes,
-        nonmatrix_policy=tvs.nonmatrix_policy,
-    )
+    deltas = [
+        {
+            name: LowRankFactor(
+                f.left, ste_masked_singulars(f.singulars, masks[(t, name)].logits)[0], f.right
+            )
+            for name, f in per_task.items()
+        }
+        for t, per_task in enumerate(tvs.deltas)
+    ]
+    return dataclasses.replace(tvs, deltas=deltas)
 
 
 def adarank_adapt(
@@ -341,16 +335,12 @@ def adarank_adapt(
     """
     if not batches:
         raise EmptyBatch("need at least one adaptation batch")
-    factors: dict[tuple[int, str], LowRankFactor] = {}
     masks: dict[tuple[int, str], SteMask] = {}
     for t in range(tvs.task_count):
         for name in tvs.matrix_names():
             f = tvs.deltas[t][name]
-            if not isinstance(f, LowRankFactor):
-                f = svd(np.asarray(f))
             if init_k > f.k:
                 raise ShapeError(f"init_k={init_k} exceeds available rank {f.k} at {name}")
-            factors[(t, name)] = f
             logits = -np.ones(f.k)
             logits[:init_k] = 1.0
             masks[(t, name)] = SteMask(logits)
@@ -369,7 +359,7 @@ def adarank_adapt(
         for l, name in enumerate(table.layer_names):
             g = weight_grads[model.layer_names.index(name)]
             for t in range(tvs.task_count):
-                f = factors[(t, name)]
+                f = tvs.deltas[t][name]
                 # d loss / d masked_singular_j = lambda * u_j^T g v_j
                 per_singular = np.einsum("mj,mn,jn->j", f.left, g, f.right)
                 _, soft_path = ste_masked_singulars(f.singulars, masks[(t, name)].logits)

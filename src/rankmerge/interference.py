@@ -17,6 +17,10 @@ Two scalar diagnostics drive the analysis:
   which equals the tail singular-value energy
   :math:`\sum_t \sum_{i>k} \sigma_{t,i}^2`.
 
+Both come from one SVD per (task, layer): ``interference_report`` reads
+the factors ``build_task_vectors`` stored, so ``analyze`` factors each
+delta once however many k it reports.
+
 ``rank_sweep`` drives a (ratio, lambda) grid through the merge pipeline and
 an accuracy evaluator; ``sample_size`` is the Popoviciu/CLT planning
 formula for how many evaluation samples an accuracy estimate needs.
@@ -41,7 +45,7 @@ from .errors import (
     ShapeError,
     ZeroTaskVector,
 )
-from .kernels import reconstruct, svd, truncate
+from .kernels import LowRankFactor, reconstruct, svd, truncate
 from .merge import MergePlan, TaskVectorSet, build_task_vectors, merge, prune_ranks
 from .origin import OriginMode, select_origin
 from .tensor_store import TensorMap
@@ -74,26 +78,34 @@ def row_space_interference(deltas: Sequence[np.ndarray], k: int) -> float:
             raise ShapeError(f"delta shapes differ: {m.shape} vs {shape}")
     if not 1 <= k <= min(shape):
         raise RankError(f"k={k} outside [1, {min(shape)}]")
+    return _interference([svd(m) for m in mats], [k])[0]
 
-    scaled: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    for idx, mat in enumerate(mats):
-        f = svd(mat)
+
+def _interference(factors: Sequence[LowRankFactor], ks: Sequence[int]) -> list[float]:
+    """I(k) for each of ``ks`` from one layer's factors. Each pair's weighted
+    overlap is built once and every k x k block norm read from its 2-D
+    prefix sums; (j, i) is the transpose of (i, j), so pairs count twice."""
+    if not ks:
+        return []
+    if len(factors) < 2:
+        raise InsufficientTasks("interference is defined over task pairs")
+    weighted: list[np.ndarray] = []
+    for idx, f in enumerate(factors):
         norm = float(np.linalg.norm(f.singulars))
         if norm == 0.0:
             raise ZeroTaskVector(f"delta {idx} is identically zero")
-        scaled.append(f.singulars[:k] / norm)
-        rows.append(f.right[:k, :])
+        weighted.append((f.singulars / norm)[:, None] * f.right)
 
-    total = 0.0
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            if i == j:
-                continue
-            overlap = rows[i] @ rows[j].T
-            weighted = scaled[i][:, None] * overlap * scaled[j][None, :]
-            total += float(np.linalg.norm(weighted))
-    return total
+    totals = np.zeros(len(ks))
+    for i in range(len(weighted)):
+        for j in range(i + 1, len(weighted)):
+            overlap = weighted[i] @ weighted[j].T
+            energy = np.zeros((overlap.shape[0] + 1, overlap.shape[1] + 1))
+            energy[1:, 1:] = np.cumsum(np.cumsum(overlap**2, axis=0), axis=1)
+            rows = np.minimum(ks, overlap.shape[0])
+            cols = np.minimum(ks, overlap.shape[1])
+            totals += 2.0 * np.sqrt(energy[rows, cols])
+    return [float(v) for v in totals]
 
 
 def reconstruction_error(
@@ -167,21 +179,22 @@ def interference_report(
     """Compute I(k), R(k), and spectra for every Matrix layer of ``tvs``.
 
     ``ks`` defaults to every k from 1 to the layer's full rank for I and
-    from 0 for R. R is assembled from the spectra via the tail-energy
-    identity; the definitional residual form is exercised separately by
+    from 0 for R. All are read from the stored factors, whose spectra are
+    zero-padded to full rank for a pruned set; R uses the tail-energy
+    identity, and the definitional residual form is exercised separately by
     :func:`reconstruction_error`.
     """
     interference: dict[str, list[tuple[int, float]]] = {}
     recon: dict[str, list[tuple[int, float]]] = {}
     spectra: dict[str, list[list[float]]] = {}
     for name in tvs.matrix_names():
-        deltas = [tvs.dense_delta(t, name) for t in range(tvs.task_count)]
-        full = min(deltas[0].shape)
+        factors = [tvs.deltas[t][name] for t in range(tvs.task_count)]
+        full = min(factors[0].shape)
         i_ks = [k for k in (ks if ks is not None else range(1, full + 1)) if 1 <= k <= full]
         r_ks = [k for k in (ks if ks is not None else range(0, full + 1)) if 0 <= k <= full]
-        layer_spectra = [np.linalg.svd(d, compute_uv=False) for d in deltas]
+        layer_spectra = [np.pad(f.singulars, (0, full - f.k)) for f in factors]
         spectra[name] = [[float(x) for x in s] for s in layer_spectra]
-        interference[name] = [(k, row_space_interference(deltas, k)) for k in i_ks]
+        interference[name] = list(zip(i_ks, _interference(factors, i_ks)))
         recon[name] = [
             (k, float(sum(np.sum(s[k:] ** 2) for s in layer_spectra))) for k in r_ks
         ]

@@ -131,8 +131,11 @@ def nuclear_subgradient(a: np.ndarray) -> np.ndarray:
     above ``RANK_EPS * sigma_max``. At the zero matrix this is the zero
     matrix, which lies in the subdifferential there.
     """
-    a = _require_finite(a)
-    f = svd(a)
+    return _factor_subgradient(svd(a))
+
+
+def _factor_subgradient(f: LowRankFactor) -> np.ndarray:
+    """:func:`nuclear_subgradient` at the matrix ``f`` factors."""
     if f.k == 0 or f.singulars[0] <= 0.0:
         return np.zeros(f.shape, dtype=np.float64)
     keep = f.singulars > RANK_EPS * f.singulars[0]

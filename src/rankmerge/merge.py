@@ -1,9 +1,9 @@
 r"""Merge engine: task vectors, rank pruning, and checkpoint assembly.
 
 The pipeline is ``build_task_vectors`` (deltas against a chosen origin),
-``prune_ranks`` (per-layer truncated SVD), then ``merge`` (origin plus a
+``prune_ranks`` (per-layer rank truncation), then ``merge`` (origin plus a
 coefficient-weighted sum of deltas). ``cart_merge`` composes the three with
-a mean origin and a global coefficient:
+the weight-average origin and a global coefficient:
 
 .. math::
     \bar{A}_k(\lambda)
@@ -11,19 +11,21 @@ a mean origin and a global coefficient:
     + \lambda \sum_t \mathrm{SVD}_k(\theta_t^l - \theta_{\text{avg}}^l).
 
 Matrix parameters take the SVD path; everything else is merged by plain
-averaging of the fine-tuned values. All internal arithmetic is float64; the
-output checkpoint restores the input dtype.
+averaging of the fine-tuned values. Each Matrix delta is stored as its thin
+SVD, computed once: pruning slices it and merging reconstructs from it.
+All internal arithmetic is float64; the output restores the input dtype.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ArchitectureMismatch, EmptyInput, PlanError
+from .errors import ArchitectureMismatch, EmptyInput, NumericError, PlanError
 from .kernels import LowRankFactor, reconstruct, svd, truncate
 from .origin import OriginMode, mean_origin
 from .tensor_store import ParamClass, TensorMap, classify, validate_aligned
@@ -44,29 +46,22 @@ __all__ = [
 Classifier = Callable[[str, np.ndarray], ParamClass]
 
 
-def _dense(delta: np.ndarray | LowRankFactor) -> np.ndarray:
-    if isinstance(delta, LowRankFactor):
-        return reconstruct(delta)
-    return delta
-
-
 @dataclass
 class TaskVectorSet:
     """A chosen origin plus per-task, per-layer deviations.
 
     ``deltas[t][name]`` holds task ``t``'s deviation on Matrix layer
-    ``name``, either dense or as a truncated-SVD factor. Non-matrix
-    parameters carry no deltas; their merge policy is recorded in
-    ``nonmatrix_policy`` and the precomputed mean of the fine-tuned values
-    is kept for assembly. ``output_dtypes`` remembers the checkpoint dtype
-    that merged outputs are cast back to.
+    ``name`` as its float64 thin SVD: all ``min(m, n)`` triples after
+    :func:`build_task_vectors`, the leading ``k`` after :func:`prune_ranks`.
+    Non-matrix parameters carry no deltas; the mean of their fine-tuned
+    values is kept for assembly. ``output_dtypes`` remembers the checkpoint
+    dtype that merged outputs are cast back to.
     """
 
     origin: TensorMap
-    deltas: list[dict[str, np.ndarray | LowRankFactor]]
+    deltas: list[dict[str, LowRankFactor]]
     nonmatrix_mean: dict[str, np.ndarray]
     output_dtypes: dict[str, np.dtype]
-    nonmatrix_policy: str = "mean"
 
     @property
     def task_count(self) -> int:
@@ -76,7 +71,7 @@ class TaskVectorSet:
         return sorted(self.deltas[0]) if self.deltas else []
 
     def dense_delta(self, task: int, name: str) -> np.ndarray:
-        return _dense(self.deltas[task][name])
+        return reconstruct(self.deltas[task][name])
 
 
 @dataclass(frozen=True)
@@ -149,11 +144,12 @@ def build_task_vectors(
     finetuned: list[TensorMap],
     classifier: Classifier = classify,
 ) -> TaskVectorSet:
-    """Compute per-task deviations from ``origin`` for every Matrix layer.
+    """Factor each task's float64 deviation from ``origin`` on every Matrix layer.
 
     Non-matrix parameters are recorded for averaging only. The origin may
     carry a different dtype than the checkpoints (it is often a float64
-    intermediate); names and shapes must match exactly.
+    intermediate); names and shapes must match exactly. A NaN or infinity
+    in any parameter raises :class:`NumericError`.
     """
     if not finetuned:
         raise EmptyInput("build_task_vectors needs at least one checkpoint")
@@ -168,7 +164,7 @@ def build_task_vectors(
                 name, f"origin shape {origin[name].shape} vs checkpoint {ref[name].shape}"
             )
 
-    deltas: list[dict[str, np.ndarray | LowRankFactor]] = [{} for _ in finetuned]
+    deltas: list[dict[str, LowRankFactor]] = [{} for _ in finetuned]
     nonmatrix_mean: dict[str, np.ndarray] = {}
     output_dtypes: dict[str, np.dtype] = {}
     for name, arr in ref.items():
@@ -176,8 +172,10 @@ def build_task_vectors(
         if classifier(name, arr) is ParamClass.MATRIX:
             base = origin[name].astype(np.float64)
             for t, fmap in enumerate(finetuned):
-                deltas[t][name] = fmap[name].astype(np.float64) - base
+                deltas[t][name] = svd(fmap[name].astype(np.float64) - base)
         else:
+            if not all(np.all(np.isfinite(fmap[name])) for fmap in finetuned):
+                raise NumericError(f"{name}: a checkpoint holds NaN or infinite values")
             nonmatrix_mean[name] = mean_origin([fmap[name] for fmap in finetuned])
     return TaskVectorSet(
         origin=origin,
@@ -204,31 +202,25 @@ def prune_rank(rank_ratio: float, m: int, n: int) -> int:
 def prune_ranks(tvs: TaskVectorSet, rank_ratio: float) -> TaskVectorSet:
     """Replace every Matrix delta with its best rank-k approximation.
 
+    Slices the stored factors (a pruned set keeps at most what it holds).
     Ratio 1 keeps the full SVD (lossless up to floating error); ratio 0
     zeroes every delta.
     """
-    pruned: list[dict[str, np.ndarray | LowRankFactor]] = []
-    for per_task in tvs.deltas:
-        row: dict[str, np.ndarray | LowRankFactor] = {}
-        for name, delta in per_task.items():
-            dense = _dense(delta)
-            k = prune_rank(rank_ratio, *dense.shape)
-            row[name] = truncate(svd(dense), k)
-        pruned.append(row)
-    return TaskVectorSet(
-        origin=tvs.origin,
-        deltas=pruned,
-        nonmatrix_mean=tvs.nonmatrix_mean,
-        output_dtypes=tvs.output_dtypes,
-        nonmatrix_policy=tvs.nonmatrix_policy,
-    )
+    pruned = [
+        {
+            name: truncate(f, min(f.k, prune_rank(rank_ratio, *f.shape)))
+            for name, f in per_task.items()
+        }
+        for per_task in tvs.deltas
+    ]
+    return dataclasses.replace(tvs, deltas=pruned)
 
 
 def merge(tvs: TaskVectorSet, plan: MergePlan) -> TensorMap:
     r"""Assemble :math:`\theta_*^l = \text{origin}^l + \sum_t \lambda_t^l \delta_t^l`.
 
-    Matrix layers combine the stored deltas (dense or factored) with the
-    plan's coefficients; non-matrix parameters are the elementwise mean of
+    Matrix layers combine the deltas reconstructed from their factors with
+    the plan's coefficients; non-matrix parameters are the elementwise mean of
     the fine-tuned values. Raises :class:`PlanError` when a per-task/layer
     table misses a required coefficient.
     """
@@ -246,14 +238,6 @@ def merge(tvs: TaskVectorSet, plan: MergePlan) -> TensorMap:
         entries[name] = acc.astype(tvs.output_dtypes[name])
     for name, mean in tvs.nonmatrix_mean.items():
         entries[name] = mean.astype(tvs.output_dtypes[name])
-    return TensorMap(entries)
-
-
-def _mean_origin_map(finetuned: list[TensorMap]) -> TensorMap:
-    entries = {
-        name: mean_origin([fmap[name] for fmap in finetuned])
-        for name in finetuned[0].names()
-    }
     return TensorMap(entries)
 
 
@@ -280,14 +264,14 @@ def cart_merge(
 ) -> TensorMap:
     """Centered arithmetic with rank-reduced task vectors, in one call.
 
-    Composes mean origin, delta construction, rank pruning, and a global-
-    coefficient merge. ``pretrained`` participates only in alignment
-    validation; the centered pipeline never reads its values.
+    Composes the :func:`weight_average` origin, delta construction, rank
+    pruning, and a global-coefficient merge. ``pretrained`` participates
+    only in alignment validation; the centered pipeline never reads it.
     """
     if not finetuned:
         raise EmptyInput("cart_merge needs at least one checkpoint")
     validate_aligned([pretrained, *finetuned])
-    tvs = build_task_vectors(_mean_origin_map(finetuned), finetuned, classifier)
+    tvs = build_task_vectors(weight_average(finetuned), finetuned, classifier)
     tvs = prune_ranks(tvs, rank_ratio)
     plan = MergePlan(OriginMode.mean(), rank_ratio, lam=lam)
     return merge(tvs, plan)
@@ -300,7 +284,7 @@ def cart_indexing(
     task_index: int,
     classifier: Classifier = classify,
 ) -> TensorMap:
-    """Per-task reconstruction: mean origin plus one task's pruned delta.
+    """Per-task reconstruction: weight-average origin plus one task's pruned delta.
 
     At ratio 1 this returns task ``task_index``'s Matrix parameters exactly
     (up to floating error); at ratio 0 it collapses to the weight average.
@@ -313,7 +297,7 @@ def cart_indexing(
             f"task_index {task_index} outside [0, {len(finetuned)})"
         )
     validate_aligned([pretrained, *finetuned])
-    tvs = build_task_vectors(_mean_origin_map(finetuned), finetuned, classifier)
+    tvs = build_task_vectors(weight_average(finetuned), finetuned, classifier)
     tvs = prune_ranks(tvs, rank_ratio)
     table = {
         t: {name: 1.0 if t == task_index else 0.0 for name in tvs.matrix_names()}

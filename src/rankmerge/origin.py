@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, EmptyInput, InsufficientTasks, ShapeError
-from .kernels import frobenius_inner, nuclear_norm, nuclear_subgradient
+from .kernels import _factor_subgradient, frobenius_inner, svd
 from .tensor_store import ParamClass, TensorMap, classify, validate_aligned
 
 __all__ = [
@@ -139,6 +139,9 @@ def rankmin_origin(
     the returned objective never exceeds the initial one. Raises
     :class:`DivergenceError` if the running objective exceeds ten times the
     initial value.
+
+    Each iterate factors every task vector once: the singular values give
+    the objective there and the singular vectors the next subgradient.
     """
     if len(layers) < 2:
         raise InsufficientTasks("rankmin_origin needs at least two layers")
@@ -147,31 +150,28 @@ def rankmin_origin(
     thetas = [np.asarray(l, dtype=np.float64) for l in layers]
     theta = mean_origin(thetas)
 
-    def objective(point: np.ndarray) -> float:
-        return sum(nuclear_norm(t - point) for t in thetas)
-
-    initial = objective(theta)
+    deltas = [t - theta for t in thetas]
+    factors = [svd(d) for d in deltas]
+    initial = sum(float(np.sum(f.singulars)) for f in factors)
     trace = SolverTrace()
-    trace.records.append((0, initial, _abs_fip_sum([t - theta for t in thetas])))
+    trace.records.append((0, initial, _abs_fip_sum(deltas)))
     if initial == 0.0:
         return theta, trace
 
     if step_size is None:
-        spectra = np.concatenate(
-            [np.linalg.svd(t - theta, compute_uv=False) for t in thetas]
-        )
-        step_size = 0.1 * float(np.mean(spectra))
+        step_size = 0.1 * float(np.mean(np.concatenate([f.singulars for f in factors])))
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
 
     best_theta, best_obj = theta.copy(), initial
     for s in range(1, steps + 1):
         grad = np.zeros_like(theta)
-        for t in thetas:
-            grad += nuclear_subgradient(t - theta)
+        for f in factors:
+            grad += _factor_subgradient(f)
         theta = theta + (step_size / np.sqrt(s)) * (grad / len(thetas))
         deltas = [t - theta for t in thetas]
-        obj = sum(nuclear_norm(d) for d in deltas)
+        factors = [svd(d) for d in deltas]
+        obj = sum(float(np.sum(f.singulars)) for f in factors)
         if obj > 10.0 * initial:
             raise DivergenceError(s, obj, initial)
         trace.records.append((s, obj, _abs_fip_sum(deltas)))

@@ -10,7 +10,9 @@ A checkpoint is stored as a single file:
 
 Offsets are relative to the start of the data section. Tensors are written
 in lexicographic name order with contiguous buffers, so saving the same map
-twice produces byte-identical files.
+twice produces byte-identical files. The reader accepts exactly this
+layout: header keys are unique, and the buffers, sorted by offset, tile
+the data section with no gap, overlap or trailing byte.
 """
 
 from __future__ import annotations
@@ -165,12 +167,23 @@ def save_checkpoint(tmap: TensorMap, path: str | Path) -> None:
             fh.write(raw)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise FormatError(f"header repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_checkpoint(path: str | Path) -> TensorMap:
     """Read a checkpoint file, materializing every tensor.
 
-    Raises :class:`FormatError` for malformed or inconsistent headers,
-    :class:`UnsupportedDtype` for dtypes outside {float32, float64}, and
-    :class:`TruncationError` when a declared buffer extends past the file.
+    Raises :class:`FormatError` for malformed or inconsistent headers
+    (including repeated keys and buffers that do not tile the data section
+    exactly), :class:`UnsupportedDtype` for dtypes outside
+    {float32, float64}, and :class:`TruncationError` when a declared buffer
+    extends past the file.
     """
     blob = Path(path).read_bytes()
     if len(blob) < 8:
@@ -181,7 +194,9 @@ def load_checkpoint(path: str | Path) -> TensorMap:
             f"declared header length {header_len} exceeds file size {len(blob)}"
         )
     try:
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(
+            blob[8 : 8 + header_len].decode("utf-8"), object_pairs_hook=_unique_keys
+        )
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"header is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(header, dict):
@@ -235,6 +250,15 @@ def load_checkpoint(path: str | Path) -> TensorMap:
             )
         arr = np.frombuffer(data, dtype=dtype, count=int(np.prod(shape)), offset=start)
         entries[name] = arr.reshape(shape).copy()
+    cursor = 0
+    for start, end in sorted(spec["data_offsets"] for spec in header.values()):
+        if start != cursor:
+            raise FormatError(
+                f"tensor buffers overlap or leave a gap at byte {min(start, cursor)}"
+            )
+        cursor = end
+    if cursor != len(data):
+        raise FormatError(f"{len(data) - cursor} bytes follow the last tensor buffer")
     return TensorMap(entries, metadata)
 
 

@@ -55,6 +55,20 @@ def rng() -> np.random.Generator:
     return stream(0, "tests")
 
 
+@pytest.fixture
+def svd_calls(monkeypatch) -> list:
+    """Count calls to ``numpy.linalg.svd``; the list grows by one per call."""
+    calls: list = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 def random_tensor_map(g: np.random.Generator, shapes: dict, dtype=np.float64, offset=0.0) -> TensorMap:
     return TensorMap(
         {name: (g.standard_normal(shape) + offset).astype(dtype) for name, shape in shapes.items()}

@@ -187,7 +187,7 @@ def test_adapt_coefficients_requires_batches():
 
 def test_adapt_coefficients_flags_non_finite_losses():
     model, tvs, batch = _bed(8)
-    tvs.deltas[0][LAYERS[0]][0, 0] = np.nan
+    tvs.deltas[0][LAYERS[0]].singulars[0] = np.nan
     with pytest.raises(NumericError):
         adapt_coefficients(tvs, model, [batch], steps=3)
 

@@ -77,6 +77,18 @@ def test_out_of_range_task_index_is_a_domain_error(checkpoints, tmp_path, capsys
     capsys.readouterr()
 
 
+def test_non_finite_bias_is_a_domain_error(checkpoints, tmp_path, capsys):
+    pretrained, tasks = checkpoints
+    task = load_checkpoint(tasks[1])
+    bias = task["enc.0.bias"].copy()
+    bias[3] = np.nan
+    save_checkpoint(TensorMap({**dict(task.items()), "enc.0.bias": bias}), tasks[1])
+    out = tmp_path / "out"
+    assert main(_merge_args(pretrained, tasks, out)) == 1
+    assert "enc.0.bias" in capsys.readouterr().err
+    assert not (out / "merged.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # merge / index / analyze on real files
 

@@ -26,6 +26,7 @@ from rankmerge import (
     ZeroTaskVector,
     build_task_vectors,
     interference_report,
+    prune_ranks,
     rank_sweep,
     reconstruction_error,
     row_space_interference,
@@ -168,6 +169,27 @@ def test_report_curves_match_the_scalar_routes(rng):
         )
 
 
+def test_report_on_a_pruned_set_matches_its_dense_deltas(rng):
+    tvs, _ = _report_tvs(rng)
+    pruned = prune_ranks(tvs, 0.4)
+    report = interference_report(pruned)
+    for name in pruned.matrix_names():
+        deltas = [pruned.dense_delta(t, name) for t in range(pruned.task_count)]
+        for spec, delta in zip(report.spectra[name], deltas):
+            kept = pruned.deltas[0][name].k
+            assert len(spec) == min(delta.shape) and spec[kept:] == [0.0] * (len(spec) - kept)
+            np.testing.assert_allclose(spec, np.linalg.svd(delta, compute_uv=False), atol=1e-12)
+        for k, value in report.interference[name]:
+            assert value == pytest.approx(row_space_interference(deltas, k), rel=1e-9)
+
+
+@pytest.mark.parametrize("ks", [None, [1], [0, 2, 3, 5]])
+def test_report_factors_each_delta_once(rng, svd_calls, ks):
+    finetuned = [random_tensor_map(rng, SHAPES) for _ in range(3)]
+    interference_report(build_task_vectors(weight_average(finetuned), finetuned), ks)
+    assert len(svd_calls) == 3 * 2  # tasks x matrix layers
+
+
 def test_report_honors_explicit_ks(rng):
     tvs, _ = _report_tvs(rng)
     report = interference_report(tvs, ks=[0, 2, 99])
@@ -229,6 +251,14 @@ def test_sweep_endpoints_reduce_to_weight_averaging(rng):
     baseline = _toy_evaluator(weight_average(finetuned))
     for row in rows:
         assert row.accuracies == pytest.approx(baseline, abs=1e-9)
+
+
+@pytest.mark.parametrize("ratios", [[0.5], [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]])
+def test_sweep_factors_each_delta_once(rng, svd_calls, ratios):
+    finetuned = [random_tensor_map(rng, SHAPES) for _ in range(3)]
+    pretrained = random_tensor_map(rng, SHAPES)
+    rank_sweep(pretrained, finetuned, _toy_evaluator, [0.5, 1.0], ratios, OriginMode.mean())
+    assert len(svd_calls) == 3 * 2  # tasks x matrix layers
 
 
 def test_sweep_wraps_evaluator_failures(rng):

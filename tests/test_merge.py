@@ -19,10 +19,11 @@ from rankmerge import (
     merge,
     prune_rank,
     prune_ranks,
+    select_origin,
     storage_cost,
     weight_average,
 )
-from rankmerge.kernels import LowRankFactor
+from rankmerge.kernels import LowRankFactor, svd
 
 from conftest import random_tensor_map
 from oracles import reference_tail_energy
@@ -46,10 +47,14 @@ def test_deltas_are_float64_checkpoint_minus_origin(rng):
     assert tvs.matrix_names() == ["layers.0.weight", "layers.1.weight"]
     for t, fmap in enumerate(finetuned):
         for name in tvs.matrix_names():
-            delta = tvs.deltas[t][name]
-            assert delta.dtype == np.float64
-            expected = fmap[name].astype(np.float64) - origin[name].astype(np.float64)
-            np.testing.assert_array_equal(delta, expected)
+            factor = tvs.deltas[t][name]
+            expected = svd(fmap[name].astype(np.float64) - origin[name].astype(np.float64))
+            for got, want in zip(
+                (factor.left, factor.singulars, factor.right),
+                (expected.left, expected.singulars, expected.right),
+            ):
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(got, want)
 
 
 def test_vectors_are_averaged_not_diffed(rng):
@@ -259,6 +264,16 @@ def test_cart_merge_never_reads_pretrained_values(rng):
     b = cart_merge(shifted, finetuned, 0.4, 0.7)
     for name in a.names():
         np.testing.assert_array_equal(a[name], b[name])
+
+
+def test_cart_merge_is_the_long_form_pipeline_bit_for_bit(rng):
+    shapes = {"a.weight": (12, 9), "b.weight": (8, 8), "a.bias": (12,)}
+    pretrained = random_tensor_map(rng, shapes, dtype=np.float32)
+    finetuned = [random_tensor_map(rng, shapes, dtype=np.float32) for _ in range(3)]
+    origin = select_origin(OriginMode.mean(), pretrained, finetuned)
+    tvs = prune_ranks(build_task_vectors(origin, finetuned), 0.4)
+    long_form = merge(tvs, MergePlan(OriginMode.mean(), 0.4, lam=0.7))
+    assert cart_merge(pretrained, finetuned, 0.4, 0.7) == long_form
 
 
 def test_cart_merge_requires_alignment(rng):

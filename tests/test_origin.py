@@ -132,6 +132,12 @@ def test_rankmin_trace_shape(rng):
     )
 
 
+def test_rankmin_factors_each_task_once_per_iterate(rng, svd_calls):
+    layers = _shared_plus_lowrank(rng, tasks=3)
+    rankmin_origin(layers, steps=7)
+    assert len(svd_calls) == (7 + 1) * 3
+
+
 def test_rankmin_identical_layers_return_immediately(rng):
     layer = rng.standard_normal((5, 5))
     theta, trace = rankmin_origin([layer, layer.copy()], steps=50)

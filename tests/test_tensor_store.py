@@ -124,6 +124,29 @@ def test_load_rejects_unknown_dtype(tmap, tmp_path):
         load_checkpoint(path)
 
 
+def _spec(start: int) -> str:
+    return json.dumps({"dtype": "F32", "shape": [2], "data_offsets": [start, start + 8]})
+
+
+@pytest.mark.parametrize(
+    "header, data_len",
+    [
+        # The last of two equal keys used to win silently.
+        (f'{{"a":{_spec(0)},"a":{_spec(0)}}}', 8),
+        (f'{{"a":{_spec(0)},"b":{_spec(4)}}}', 12),
+        (f'{{"a":{_spec(0)},"b":{_spec(12)}}}', 20),
+        (f'{{"a":{_spec(0)}}}', 12),
+    ],
+    ids=["duplicate-key", "overlapping-offsets", "gapped-offsets", "trailing-bytes"],
+)
+def test_load_rejects_malformed_layout(tmp_path, header, data_len):
+    path = tmp_path / "bad.ckpt"
+    raw = header.encode()
+    path.write_bytes(struct.pack("<Q", len(raw)) + raw + bytes(data_len))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
 def test_int_tensors_rejected_on_construction():
     with pytest.raises(UnsupportedDtype):
         TensorMap({"counts": np.arange(6).reshape(2, 3)})
