@@ -13,7 +13,6 @@ import numpy as np
 
 from rankmerge import (
     MergePlan,
-    OriginMode,
     TensorMap,
     build_task_vectors,
     cart_merge,
@@ -58,7 +57,7 @@ def main() -> None:
     # shape you want when reusing the deltas across many merge settings.
     tvs = build_task_vectors(avg, finetuned)
     tvs = prune_ranks(tvs, 0.08)
-    plan = MergePlan(OriginMode.mean(), rank_ratio=0.08, lam=0.3)
+    plan = MergePlan(lam=0.3)
     merged = merge(tvs, plan)
     print(f"\nlong-form pipeline produced {len(list(merged.names()))} tensors; "
           f"plan serializes to {plan.to_json()}")

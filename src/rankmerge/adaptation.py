@@ -14,7 +14,10 @@ The adapted parameters are per-(task, layer) merging coefficients
 so the exact gradient is the Frobenius inner product of the entropy's
 weight gradient with the task's delta:
 :math:`\partial L / \partial \lambda_t^l =
-\langle \partial L / \partial W_l, \Delta_t^l \rangle_F`. Plain
+\langle \partial L / \partial W_l, \Delta_t^l \rangle_F`. With the
+delta stored as :math:`U \Sigma V^\top` that is :math:`p \cdot \sigma`
+for the projection :math:`p = \mathrm{diag}(U^\top (\partial L /
+\partial W_l) V)`, so no delta is rebuilt densely for its gradient. Plain
 full-batch gradient descent; each step rebuilds the merged model through
 the same merge routine the rest of the package uses.
 
@@ -37,7 +40,6 @@ import numpy as np
 from .errors import EmptyBatch, NumericError, ShapeError
 from .kernels import LowRankFactor
 from .merge import MergePlan, TaskVectorSet, merge
-from .origin import OriginMode
 from .tensor_store import TensorMap
 
 __all__ = [
@@ -189,23 +191,26 @@ class CoefficientTable:
 
 
 def _merge_at(tvs: TaskVectorSet, table: CoefficientTable) -> TensorMap:
-    # Only the coefficient table matters to merge(); origin mode and ratio
-    # on the plan are descriptive.
-    plan = MergePlan(OriginMode.mean(), rank_ratio=1.0, table=table.as_mapping())
-    return merge(tvs, plan)
+    return merge(tvs, MergePlan(table=table.as_mapping()))
 
 
 def _coefficient_grads(
     table: CoefficientTable, tvs: TaskVectorSet, model: ToyClassifier, batch: Batch
-) -> tuple[float, np.ndarray, list[np.ndarray]]:
+) -> tuple[float, np.ndarray, dict[tuple[int, str], np.ndarray]]:
+    """Loss, coefficient gradient ``p · σ`` and, per (task, layer), the
+    projection ``p = diag(Uᵀ g V)`` of the weight gradient onto the factor."""
     merged = model.with_backbone(_merge_at(tvs, table))
     loss, weight_grads = _entropy_and_weight_grads(merged, batch)
     grid = np.zeros_like(table.values)
+    projections: dict[tuple[int, str], np.ndarray] = {}
     for l, name in enumerate(table.layer_names):
         g = weight_grads[model.layer_names.index(name)]
         for t in range(tvs.task_count):
-            grid[t, l] = float(np.sum(g * tvs.dense_delta(t, name)))
-    return loss, grid, weight_grads
+            f = tvs.deltas[t][name]
+            p = np.sum(f.left * (g @ f.right.T), axis=0)
+            grid[t, l] = float(np.sum(p * f.singulars))
+            projections[(t, name)] = p
+    return loss, grid, projections
 
 
 def coefficient_gradient(
@@ -350,21 +355,17 @@ def adarank_adapt(
     for step in range(steps):
         batch = batches[step % len(batches)]
         masked = _masked_tvs(tvs, masks)
-        loss, grid, weight_grads = _coefficient_grads(table, masked, model, batch)
+        loss, grid, projections = _coefficient_grads(table, masked, model, batch)
         if not np.isfinite(loss) or not np.all(np.isfinite(grid)):
             raise NumericError(f"non-finite entropy gradient at step {step}")
         history.append((step, loss, table.mean()))
 
-        logit_grads: dict[tuple[int, str], np.ndarray] = {}
-        for l, name in enumerate(table.layer_names):
-            g = weight_grads[model.layer_names.index(name)]
-            for t in range(tvs.task_count):
-                f = tvs.deltas[t][name]
-                # d loss / d masked_singular_j = lambda * u_j^T g v_j
-                per_singular = np.einsum("mj,mn,jn->j", f.left, g, f.right)
-                _, soft_path = ste_masked_singulars(f.singulars, masks[(t, name)].logits)
-                logit_grads[(t, name)] = float(table.values[t, l]) * per_singular * soft_path
-        for key, grad in logit_grads.items():
+        for key, p in projections.items():
+            t, name = key
+            # d loss / d masked_singular_j = lambda * u_j^T g v_j
+            lam = float(table.values[t, table.layer_names.index(name)])
+            _, soft_path = ste_masked_singulars(tvs.deltas[t][name].singulars, masks[key].logits)
+            grad = lam * p * soft_path
             if not np.all(np.isfinite(grad)):
                 raise NumericError(f"non-finite mask gradient at step {step}")
             masks[key] = SteMask(masks[key].logits - lr * grad)

@@ -30,9 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantError, ParamError
-from .interference import row_space_interference
-from .kernels import numerical_rank
+from .errors import InvariantError, ParamError, RankError
+from .interference import _interference
+from .kernels import LowRankFactor, _singular_rank, svd
 from .rng import orthonormal, stream
 
 __all__ = [
@@ -147,12 +147,13 @@ def task_interference_L(suite: SyntheticTaskSuite) -> float:
 _SLACK = 1e-9
 
 
-def _validate_suite(suite: SyntheticTaskSuite) -> None:
-    """Check the realized draws against the generation contract."""
-    for t, tau in enumerate(suite.taus):
+def _validate_suite(suite: SyntheticTaskSuite, factors: list[LowRankFactor]) -> None:
+    """Check the realized draws, factored as ``factors``, against the
+    generation contract."""
+    for t, (tau, f) in enumerate(zip(suite.taus, factors)):
         if tau.shape != (suite.d, suite.d):
             raise InvariantError(f"tau {t} has shape {tau.shape}, expected ({suite.d}, {suite.d})")
-        sv = np.linalg.svd(tau, compute_uv=False)
+        sv = f.singulars
         nonzero = sv[sv > _SLACK * max(sv[0], 1.0)]
         if len(nonzero) > suite.r:
             raise InvariantError(f"tau {t} has rank {len(nonzero)} > r={suite.r}")
@@ -186,17 +187,22 @@ class BoundCertificate:
 def certify_bound(suite: SyntheticTaskSuite, k_for_I: int | None = None) -> BoundCertificate:
     """Evaluate the interference bound on one suite.
 
-    ``k_for_I`` defaults to the largest numerical rank among the task
-    updates and must not be smaller — the bound's derivation needs the
-    top-k row spaces to cover each update entirely. A suite whose realized
-    draws violate the generation contract raises :class:`InvariantError`.
+    Each task update is factored once; the contract checks, the largest
+    numerical rank ``r_max`` and ``I(k)`` all read that one SVD.
+    ``k_for_I`` defaults to ``r_max`` and must not be smaller — the bound's
+    derivation needs the top-k row spaces to cover each update entirely —
+    nor exceed ``d`` (:class:`RankError`). A suite whose realized draws
+    violate the generation contract raises :class:`InvariantError`.
     """
-    _validate_suite(suite)
-    r_max = max(numerical_rank(tau) for tau in suite.taus)
+    factors = [svd(tau) for tau in suite.taus]
+    _validate_suite(suite, factors)
+    r_max = max(_singular_rank(f.singulars) for f in factors)
     k = r_max if k_for_I is None else k_for_I
     if k < r_max:
         raise ParamError(f"k_for_I={k} is below the largest task-update rank {r_max}")
-    interference = row_space_interference(suite.taus, k)
+    if not 1 <= k <= suite.d:
+        raise RankError(f"k={k} outside [1, {suite.d}]")
+    interference = _interference(factors, [k])[0]
     k3 = suite.s_max**2 * suite.c * (r_max * suite.s_max**2 / suite.alpha**2)
     k4 = suite.s_max
     bound = suite.n * (k3 * interference + suite.T * (suite.T - 1) * k4 * suite.eta) ** 2

@@ -40,7 +40,7 @@ from .merge import (
 )
 from .origin import OriginMode, SolverTrace, select_origin
 from .rng import stream
-from .tensor_store import ParamClass, classify, load_checkpoint, save_checkpoint
+from .tensor_store import ParamClass, _atomic_write, classify, load_checkpoint, save_checkpoint
 from .toysuites import classification_sweep_suite, signal_noise_suite
 
 __all__ = ["main"]
@@ -180,7 +180,8 @@ def _write_manifest(
         "inputs": {str(p): _sha256(Path(p)) for p in input_paths},
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    _atomic_write(out / "manifest.json", lambda fh: fh.write(text.encode()))
 
 
 def _trace_path(out: Path, layer: str) -> Path:
@@ -191,11 +192,12 @@ def _cmd_merge(params: dict) -> int:
     pretrained, tasks, paths = _load_inputs(params)
     out = _out_dir(params)
     clf = _classifier(params["matrix_include"], params["matrix_exclude"])
-    mode = _origin_mode(params)
     traces: dict[str, SolverTrace] = {}
-    origin = select_origin(mode, pretrained, tasks, trace_out=traces)
+    origin = select_origin(
+        _origin_mode(params), pretrained, tasks, trace_out=traces, classifier=clf
+    )
     tvs = prune_ranks(build_task_vectors(origin, tasks, clf), float(params["ratio"]))
-    plan = MergePlan(mode, float(params["ratio"]), lam=float(params["lam"]))
+    plan = MergePlan(lam=float(params["lam"]))
     merged = merge(tvs, plan)
 
     outputs = [out / "merged.ckpt", out / "plan.json"]
@@ -228,7 +230,7 @@ def _cmd_analyze(params: dict) -> int:
     pretrained, tasks, paths = _load_inputs(params)
     out = _out_dir(params)
     clf = _classifier(params["matrix_include"], params["matrix_exclude"])
-    origin = select_origin(_origin_mode(params), pretrained, tasks)
+    origin = select_origin(_origin_mode(params), pretrained, tasks, classifier=clf)
     tvs = build_task_vectors(origin, tasks, clf)
     ks = None if params["ks"] is None else _ints(params["ks"])
     report = interference_report(tvs, ks)
@@ -296,7 +298,7 @@ def _cmd_adapt(params: dict) -> int:
     )
     outputs = [out / "adaptation.csv", out / "coefficients.json"]
     write_adaptation_csv(history, outputs[0])
-    plan = MergePlan(OriginMode.mean(), float(params["ratio"]), table=table.as_mapping())
+    plan = MergePlan(table=table.as_mapping())
     outputs[1].write_text(json.dumps(plan.to_json(), sort_keys=True, indent=2) + "\n")
     _write_manifest(out, "adapt", params, [], outputs)
     print(f"entropy {history[0][1]:.4f} -> {history[-1][1]:.4f} over "

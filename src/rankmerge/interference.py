@@ -246,7 +246,7 @@ def rank_sweep(
     for ratio in ratios:
         pruned = prune_ranks(tvs, ratio)
         for lam in lambdas:
-            merged = merge(pruned, MergePlan(origin_mode, ratio, lam=lam))
+            merged = merge(pruned, MergePlan(lam=lam))
             try:
                 accs = [float(a) for a in evaluator(merged)]
             except Exception as exc:

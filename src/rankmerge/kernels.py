@@ -144,7 +144,11 @@ def _factor_subgradient(f: LowRankFactor) -> np.ndarray:
 
 def numerical_rank(a: np.ndarray) -> int:
     """Count singular values above ``RANK_EPS * sigma_max``."""
-    s = np.linalg.svd(_require_finite(a), compute_uv=False)
+    return _singular_rank(np.linalg.svd(_require_finite(a), compute_uv=False))
+
+
+def _singular_rank(s: np.ndarray) -> int:
+    """:func:`numerical_rank` of a matrix with nonincreasing singular values ``s``."""
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.sum(s > RANK_EPS * s[0]))

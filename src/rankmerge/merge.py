@@ -21,14 +21,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ArchitectureMismatch, EmptyInput, NumericError, PlanError
 from .kernels import LowRankFactor, reconstruct, svd, truncate
-from .origin import OriginMode, mean_origin
-from .tensor_store import ParamClass, TensorMap, classify, validate_aligned
+from .origin import OriginMode, mean_origin, select_origin
+from .tensor_store import Classifier, ParamClass, TensorMap, classify, validate_aligned
 
 __all__ = [
     "TaskVectorSet",
@@ -42,9 +42,6 @@ __all__ = [
     "storage_cost",
     "weight_average",
 ]
-
-Classifier = Callable[[str, np.ndarray], ParamClass]
-
 
 @dataclass
 class TaskVectorSet:
@@ -76,22 +73,18 @@ class TaskVectorSet:
 
 @dataclass(frozen=True)
 class MergePlan:
-    """Origin mode, rank-retention ratio, and merge coefficients.
+    """The merge coefficients, and nothing else.
 
     Exactly one of ``lam`` (global coefficient) or ``table`` (per-task,
     per-layer coefficients keyed ``table[task][layer_name]``) must be set.
-    ``rank_ratio`` documents the pruning the deltas were built with; pruning
-    itself is applied by :func:`prune_ranks`, not re-applied at merge time.
+    The origin and the pruning ratio are fixed when the task vectors are
+    built and pruned, so a plan does not carry them.
     """
 
-    origin_mode: OriginMode
-    rank_ratio: float
     lam: float | None = None
     table: Mapping[int, Mapping[str, float]] | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.rank_ratio <= 1.0:
-            raise PlanError(f"rank_ratio must lie in [0, 1], got {self.rank_ratio}")
         if (self.lam is None) == (self.table is None):
             raise PlanError("set exactly one of lam (global) or table (per-task/layer)")
 
@@ -105,10 +98,6 @@ class MergePlan:
             raise PlanError(f"no coefficient for task {task}, layer {layer!r}") from exc
 
     def to_json(self) -> dict:
-        mode: dict[str, object] = {"kind": self.origin_mode.kind}
-        if self.origin_mode.kind == "rankmin":
-            mode["steps"] = self.origin_mode.steps
-            mode["step_size"] = self.origin_mode.step_size
         coeffs: dict[str, object]
         if self.lam is not None:
             coeffs = {"global": self.lam}
@@ -119,24 +108,20 @@ class MergePlan:
                     str(t): dict(sorted(layers.items())) for t, layers in sorted(self.table.items())
                 }
             }
-        return {"origin_mode": mode, "rank_ratio": self.rank_ratio, "coefficients": coeffs}
+        return {"coefficients": coeffs}
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "MergePlan":
-        mode_spec = payload["origin_mode"]
-        mode = OriginMode(
-            mode_spec["kind"],
-            steps=int(mode_spec.get("steps", 200)),
-            step_size=mode_spec.get("step_size"),
-        )
+        """Read ``payload["coefficients"]``; other keys (older plans also
+        recorded the origin mode and the ratio) are ignored."""
         coeffs = payload["coefficients"]
         if "global" in coeffs:
-            return cls(mode, float(payload["rank_ratio"]), lam=float(coeffs["global"]))
+            return cls(lam=float(coeffs["global"]))
         table = {
             int(t): {str(l): float(v) for l, v in layers.items()}
             for t, layers in coeffs["per_task_layer"].items()
         }
-        return cls(mode, float(payload["rank_ratio"]), table=table)
+        return cls(table=table)
 
 
 def build_task_vectors(
@@ -193,10 +178,14 @@ def prune_rank(rank_ratio: float, m: int, n: int) -> int:
     product is rounded to 9 decimals before the ceiling so that binary
     float artifacts (e.g. 0.1 * 120 = 12.000000000000002) cannot inflate k.
     """
-    if not 0.0 <= rank_ratio <= 1.0:
-        raise ValueError(f"rank_ratio must lie in [0, 1], got {rank_ratio}")
+    _check_ratio(rank_ratio)
     full = min(m, n)
     return min(full, math.ceil(round(rank_ratio * full, 9)))
+
+
+def _check_ratio(rank_ratio: float) -> None:
+    if not 0.0 <= rank_ratio <= 1.0:
+        raise ValueError(f"rank_ratio must lie in [0, 1], got {rank_ratio}")
 
 
 def prune_ranks(tvs: TaskVectorSet, rank_ratio: float) -> TaskVectorSet:
@@ -204,8 +193,10 @@ def prune_ranks(tvs: TaskVectorSet, rank_ratio: float) -> TaskVectorSet:
 
     Slices the stored factors (a pruned set keeps at most what it holds).
     Ratio 1 keeps the full SVD (lossless up to floating error); ratio 0
-    zeroes every delta.
+    zeroes every delta. A ratio outside [0, 1] raises ``ValueError`` even
+    when there is no Matrix layer to prune.
     """
+    _check_ratio(rank_ratio)
     pruned = [
         {
             name: truncate(f, min(f.k, prune_rank(rank_ratio, *f.shape)))
@@ -224,10 +215,6 @@ def merge(tvs: TaskVectorSet, plan: MergePlan) -> TensorMap:
     the fine-tuned values. Raises :class:`PlanError` when a per-task/layer
     table misses a required coefficient.
     """
-    if plan.table is not None:
-        for t in range(tvs.task_count):
-            for name in tvs.matrix_names():
-                plan.coefficient(t, name)  # raises PlanError if missing
     entries: dict[str, np.ndarray] = {}
     for name in tvs.matrix_names():
         acc = tvs.origin[name].astype(np.float64).copy()
@@ -242,17 +229,14 @@ def merge(tvs: TaskVectorSet, plan: MergePlan) -> TensorMap:
 
 
 def weight_average(finetuned: list[TensorMap]) -> TensorMap:
-    """Elementwise mean of the checkpoints, cast back to their dtype."""
+    """Elementwise mean of the checkpoints, cast back to their dtype.
+
+    The mean-mode :func:`select_origin` with the first checkpoint standing
+    in for the pretrained one.
+    """
     if not finetuned:
         raise EmptyInput("weight_average needs at least one checkpoint")
-    if len(finetuned) >= 2:
-        validate_aligned(finetuned)
-    ref = finetuned[0]
-    entries = {
-        name: mean_origin([fmap[name] for fmap in finetuned]).astype(ref[name].dtype)
-        for name in ref.names()
-    }
-    return TensorMap(entries)
+    return select_origin(OriginMode.mean(), finetuned[0], finetuned)
 
 
 def cart_merge(
@@ -264,17 +248,13 @@ def cart_merge(
 ) -> TensorMap:
     """Centered arithmetic with rank-reduced task vectors, in one call.
 
-    Composes the :func:`weight_average` origin, delta construction, rank
-    pruning, and a global-coefficient merge. ``pretrained`` participates
-    only in alignment validation; the centered pipeline never reads it.
+    Composes the mean origin, delta construction, rank pruning, and a
+    global-coefficient merge. ``pretrained`` participates only in alignment
+    validation; the centered pipeline never reads it.
     """
-    if not finetuned:
-        raise EmptyInput("cart_merge needs at least one checkpoint")
-    validate_aligned([pretrained, *finetuned])
-    tvs = build_task_vectors(weight_average(finetuned), finetuned, classifier)
-    tvs = prune_ranks(tvs, rank_ratio)
-    plan = MergePlan(OriginMode.mean(), rank_ratio, lam=lam)
-    return merge(tvs, plan)
+    origin = select_origin(OriginMode.mean(), pretrained, finetuned)
+    tvs = prune_ranks(build_task_vectors(origin, finetuned, classifier), rank_ratio)
+    return merge(tvs, MergePlan(lam=lam))
 
 
 def cart_indexing(
@@ -296,15 +276,13 @@ def cart_indexing(
         raise IndexError(
             f"task_index {task_index} outside [0, {len(finetuned)})"
         )
-    validate_aligned([pretrained, *finetuned])
-    tvs = build_task_vectors(weight_average(finetuned), finetuned, classifier)
-    tvs = prune_ranks(tvs, rank_ratio)
+    origin = select_origin(OriginMode.mean(), pretrained, finetuned)
+    tvs = prune_ranks(build_task_vectors(origin, finetuned, classifier), rank_ratio)
     table = {
         t: {name: 1.0 if t == task_index else 0.0 for name in tvs.matrix_names()}
         for t in range(tvs.task_count)
     }
-    plan = MergePlan(OriginMode.mean(), rank_ratio, table=table)
-    return merge(tvs, plan)
+    return merge(tvs, MergePlan(table=table))
 
 
 def storage_cost(

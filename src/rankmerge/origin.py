@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DivergenceError, EmptyInput, InsufficientTasks, ShapeError
 from .kernels import _factor_subgradient, frobenius_inner, svd
-from .tensor_store import ParamClass, TensorMap, classify, validate_aligned
+from .tensor_store import Classifier, ParamClass, TensorMap, classify, validate_aligned
 
 __all__ = [
     "OriginMode",
@@ -109,19 +109,12 @@ def simmin_objective(origin: np.ndarray, layers: list[np.ndarray]) -> float:
     if len(layers) < 2:
         raise InsufficientTasks("simmin_objective is defined over task pairs")
     deltas = [np.asarray(l, dtype=np.float64) - np.asarray(origin, dtype=np.float64) for l in layers]
-    total = 0.0
-    for t in range(len(deltas)):
-        for t2 in range(t):
-            total += frobenius_inner(deltas[t], deltas[t2])
-    return total
+    return sum(_pair_fips(deltas))
 
 
-def _abs_fip_sum(deltas: list[np.ndarray]) -> float:
-    total = 0.0
-    for t in range(len(deltas)):
-        for t2 in range(t):
-            total += abs(frobenius_inner(deltas[t], deltas[t2]))
-    return total
+def _pair_fips(deltas: list[np.ndarray]) -> list[float]:
+    """Frobenius inner product of every task pair (t, t') with t' < t."""
+    return [frobenius_inner(deltas[t], deltas[t2]) for t in range(len(deltas)) for t2 in range(t)]
 
 
 def rankmin_origin(
@@ -154,7 +147,7 @@ def rankmin_origin(
     factors = [svd(d) for d in deltas]
     initial = sum(float(np.sum(f.singulars)) for f in factors)
     trace = SolverTrace()
-    trace.records.append((0, initial, _abs_fip_sum(deltas)))
+    trace.records.append((0, initial, sum(map(abs, _pair_fips(deltas)))))
     if initial == 0.0:
         return theta, trace
 
@@ -174,7 +167,7 @@ def rankmin_origin(
         obj = sum(float(np.sum(f.singulars)) for f in factors)
         if obj > 10.0 * initial:
             raise DivergenceError(s, obj, initial)
-        trace.records.append((s, obj, _abs_fip_sum(deltas)))
+        trace.records.append((s, obj, sum(map(abs, _pair_fips(deltas)))))
         if obj < best_obj:
             best_theta, best_obj = theta.copy(), obj
     return best_theta, trace
@@ -185,14 +178,20 @@ def select_origin(
     pretrained: TensorMap,
     finetuned: list[TensorMap],
     trace_out: dict[str, SolverTrace] | None = None,
+    classifier: Classifier = classify,
 ) -> TensorMap:
     """Assemble a per-layer origin checkpoint under ``mode``.
 
-    Matrix layers use the chosen solver; non-matrix parameters always take
-    the elementwise mean (or the pretrained values in pretrained mode). With
-    a single fine-tuned checkpoint both solvers degenerate to that
-    checkpoint. Pass ``trace_out`` to collect the rank-minimization trace of
-    each Matrix layer by name.
+    This is the only code that builds origin maps:
+    :func:`~rankmerge.merge.weight_average` and the CART entry points call
+    it in mean mode. Every tensor is cast to
+    the checkpoint dtype. Layers that ``classifier`` puts on the SVD path use
+    the chosen solver; all others take the elementwise mean (or the
+    pretrained values in pretrained mode), so the rank-minimization solver
+    never runs on a layer whose merged value is the plain mean. With a
+    single fine-tuned checkpoint both solvers degenerate to that checkpoint.
+    Pass ``trace_out`` to collect the rank-minimization trace of each solved
+    layer by name.
     """
     if not finetuned:
         raise EmptyInput("select_origin needs at least one fine-tuned checkpoint")
@@ -206,7 +205,7 @@ def select_origin(
         if (
             mode.kind == "rankmin"
             and len(stacked) >= 2
-            and classify(name, ref) is ParamClass.MATRIX
+            and classifier(name, ref) is ParamClass.MATRIX
         ):
             solved, trace = rankmin_origin(stacked, mode.steps, mode.step_size)
             if trace_out is not None:

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 import struct
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -142,8 +143,27 @@ def classify(name: str, tensor: np.ndarray) -> ParamClass:
     return ParamClass.NON_MATRIX
 
 
+# A per-parameter merge treatment; callers narrow ``classify`` by name.
+Classifier = Callable[[str, np.ndarray], ParamClass]
+
+
+def _atomic_write(path: str | Path, write: Callable[[BinaryIO], None]) -> None:
+    """Let ``write`` fill a new file next to ``path``, then move it onto
+    ``path`` in one step: a write that fails leaves ``path`` as it was and
+    no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(tmap: TensorMap, path: str | Path) -> None:
-    """Write ``tmap`` to ``path`` in the container format."""
+    """Write ``tmap`` to ``path`` in the container format, atomically."""
     header: dict[str, object] = {}
     if tmap.metadata:
         header["__metadata__"] = tmap.metadata
@@ -160,11 +180,14 @@ def save_checkpoint(tmap: TensorMap, path: str | Path) -> None:
         offset += len(raw)
         buffers.append(raw)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+
+    def write(fh: BinaryIO) -> None:
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
         for raw in buffers:
             fh.write(raw)
+
+    _atomic_write(path, write)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -177,7 +200,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def load_checkpoint(path: str | Path) -> TensorMap:
-    """Read a checkpoint file, materializing every tensor.
+    """Read a checkpoint file, reading each tensor straight into its array.
+
+    The file's bytes are never held whole, so loading needs about one file
+    size of memory; the arrays are aligned and read-only, and
+    :class:`TensorMap` stores them as they are.
 
     Raises :class:`FormatError` for malformed or inconsistent headers
     (including repeated keys and buffers that do not tile the data section
@@ -185,24 +212,26 @@ def load_checkpoint(path: str | Path) -> TensorMap:
     {float32, float64}, and :class:`TruncationError` when a declared buffer
     extends past the file.
     """
-    blob = Path(path).read_bytes()
-    if len(blob) < 8:
+    with open(path, "rb") as fh:
+        return _read_container(fh, os.fstat(fh.fileno()).st_size)
+
+
+def _read_container(fh: BinaryIO, size: int) -> TensorMap:
+    if size < 8:
         raise FormatError("file shorter than the 8-byte header length")
-    (header_len,) = struct.unpack("<Q", blob[:8])
-    if 8 + header_len > len(blob):
+    (header_len,) = struct.unpack("<Q", fh.read(8))
+    if 8 + header_len > size:
         raise FormatError(
-            f"declared header length {header_len} exceeds file size {len(blob)}"
+            f"declared header length {header_len} exceeds file size {size}"
         )
     try:
-        header = json.loads(
-            blob[8 : 8 + header_len].decode("utf-8"), object_pairs_hook=_unique_keys
-        )
+        header = json.loads(fh.read(header_len).decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"header is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError("header JSON must be an object")
 
-    data = blob[8 + header_len :]
+    data_len = size - 8 - header_len
     metadata = header.pop("__metadata__", {})
     if not isinstance(metadata, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
@@ -243,13 +272,17 @@ def load_checkpoint(path: str | Path) -> TensorMap:
                 f"entry '{name}': offsets span {end - start} bytes but shape "
                 f"{shape} at {tag} needs {expected}"
             )
-        if end > len(data):
+        if end > data_len:
             raise TruncationError(
                 f"entry '{name}' declares bytes up to {end} but the data "
-                f"section holds only {len(data)}"
+                f"section holds only {data_len}"
             )
-        arr = np.frombuffer(data, dtype=dtype, count=int(np.prod(shape)), offset=start)
-        entries[name] = arr.reshape(shape).copy()
+        arr = np.empty(shape, dtype=dtype)
+        fh.seek(8 + header_len + start)
+        if fh.readinto(memoryview(arr).cast("B")) != expected:
+            raise TruncationError(f"entry '{name}': the file ended while it was read")
+        arr.flags.writeable = False
+        entries[name] = arr
     cursor = 0
     for start, end in sorted(spec["data_offsets"] for spec in header.values()):
         if start != cursor:
@@ -257,8 +290,8 @@ def load_checkpoint(path: str | Path) -> TensorMap:
                 f"tensor buffers overlap or leave a gap at byte {min(start, cursor)}"
             )
         cursor = end
-    if cursor != len(data):
-        raise FormatError(f"{len(data) - cursor} bytes follow the last tensor buffer")
+    if cursor != data_len:
+        raise FormatError(f"{data_len - cursor} bytes follow the last tensor buffer")
     return TensorMap(entries, metadata)
 
 

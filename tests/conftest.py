@@ -69,6 +69,42 @@ def svd_calls(monkeypatch) -> list:
     return calls
 
 
+class _FailsMidway:
+    """A file that takes half of the first write and then fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.fixture
+def fail_writes_to(monkeypatch):
+    """``fail_writes_to(name)`` makes every file that the container module
+    opens for writing under a path containing ``name`` fail midway through
+    its first write."""
+    from rankmerge import tensor_store
+
+    real_open = open
+
+    def arm(name: str) -> None:
+        def fake(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return _FailsMidway(fh) if name in str(path) and "r" not in mode else fh
+
+        monkeypatch.setattr(tensor_store, "open", fake, raising=False)
+
+    return arm
+
+
 def random_tensor_map(g: np.random.Generator, shapes: dict, dtype=np.float64, offset=0.0) -> TensorMap:
     return TensorMap(
         {name: (g.standard_normal(shape) + offset).astype(dtype) for name, shape in shapes.items()}

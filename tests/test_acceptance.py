@@ -93,7 +93,7 @@ def test_rank_ratio_endpoints_collapse():
     # Pretrained origin at ratio 0: every delta is zeroed, so Matrix layers
     # come back bit-for-bit; vector parameters follow the averaging policy.
     tvs = prune_ranks(build_task_vectors(pretrained, finetuned), 0.0)
-    back = merge(tvs, MergePlan(OriginMode.pretrained(), 0.0, lam=0.3))
+    back = merge(tvs, MergePlan(lam=0.3))
     exact = all(
         np.array_equal(back[name], pretrained[name])
         for name in ("enc.0.weight", "enc.1.weight")

@@ -9,6 +9,7 @@ finite-difference check of its soft backward path.
 from __future__ import annotations
 
 import csv
+import importlib
 
 import numpy as np
 import pytest
@@ -176,6 +177,23 @@ def test_adapt_coefficients_descends_on_the_toy_suite():
     assert history[-1][1] < history[0][1]
     means = table.task_means()
     assert means[0] > means[1]  # signal checkpoint outranks the noise one
+
+
+def test_adapt_coefficients_rebuilds_each_delta_once_per_merge(monkeypatch):
+    """Only the merges rebuild dense deltas: one per (task, layer) for each
+    step plus the final evaluation; the gradient reads the factors."""
+    merge_module = importlib.import_module("rankmerge.merge")
+    model, tvs, batch = _bed(9)
+    real, calls = merge_module.reconstruct, []
+
+    def counted(f):
+        calls.append(None)
+        return real(f)
+
+    monkeypatch.setattr(merge_module, "reconstruct", counted)
+    steps = 5
+    adapt_coefficients(tvs, model, [batch], steps=steps)
+    assert len(calls) == tvs.task_count * len(tvs.matrix_names()) * (steps + 1)
 
 
 def test_adapt_coefficients_requires_batches():

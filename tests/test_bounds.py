@@ -177,6 +177,13 @@ def test_certify_propagates_oversized_k():
         certify_bound(suite, k_for_I=suite.d + 1)
 
 
+def test_certify_factors_each_task_update_once(svd_calls):
+    suite = generate_suite(**{**ARGS, "T": 4})
+    svd_calls.clear()
+    certify_bound(suite)
+    assert len(svd_calls) == suite.T
+
+
 def test_certify_rejects_corrupted_suites():
     inflated = generate_suite(**ARGS)
     inflated.taus[0] = inflated.taus[0] * 10.0  # spectra escape [alpha, s_max]

@@ -105,10 +105,10 @@ def test_merge_writes_checkpoint_plan_and_manifest(checkpoints, tmp_path, capsys
         np.testing.assert_allclose(merged[name], expected[name], atol=1e-12)
 
     plan = MergePlan.from_json(json.loads((out / "plan.json").read_text()))
-    assert plan.rank_ratio == 1.0
     assert plan.lam == 0.3
 
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["ratio"] == 1.0
     assert set(manifest) == {"command", "version", "parameters", "inputs", "outputs"}
     assert manifest["command"] == "merge"
     assert set(manifest["outputs"]) == {"merged.ckpt", "plan.json"}
@@ -168,6 +168,51 @@ def test_analyze_respects_matrix_excludes(checkpoints, tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads((out / "interference.json").read_text())
     assert set(payload["layers"]) == {"enc.0.weight"}
+
+
+def test_merge_rankmin_skips_the_solver_on_excluded_layers(checkpoints, tmp_path, capsys):
+    pretrained, tasks = checkpoints
+    rankmin = ["--origin", "rankmin", "--rankmin-steps", "10"]
+    full, narrowed = tmp_path / "full", tmp_path / "narrowed"
+    assert main(_merge_args(pretrained, tasks, full, rankmin)) == 0
+    assert main(_merge_args(pretrained, tasks, narrowed,
+                            [*rankmin, "--matrix-exclude", "enc.1.*"])) == 0
+    capsys.readouterr()
+    assert (narrowed / "trace_enc.0.weight.csv").exists()
+    assert not (narrowed / "trace_enc.1.weight.csv").exists()
+    manifest = json.loads((narrowed / "manifest.json").read_text())
+    assert "trace_enc.1.weight.csv" not in manifest["outputs"]
+
+    merged = load_checkpoint(narrowed / "merged.ckpt")
+    mean = weight_average([load_checkpoint(p) for p in tasks])
+    np.testing.assert_array_equal(merged["enc.1.weight"], mean["enc.1.weight"])
+    np.testing.assert_array_equal(
+        merged["enc.0.weight"], load_checkpoint(full / "merged.ckpt")["enc.0.weight"]
+    )
+
+
+def test_out_of_range_ratio_is_a_domain_error_without_matrix_layers(checkpoints, tmp_path,
+                                                                    capsys):
+    pretrained, tasks = checkpoints
+    out = tmp_path / "out"
+    argv = _merge_args(pretrained, tasks, out, ["--ratio", "1.5", "--matrix-exclude", "*"])
+    assert main(argv) == 1
+    capsys.readouterr()
+    assert not (out / "merged.ckpt").exists()
+
+
+def test_failed_manifest_write_keeps_the_previous_one(checkpoints, tmp_path, capsys,
+                                                      fail_writes_to):
+    pretrained, tasks = checkpoints
+    out = tmp_path / "merged"
+    assert main(_merge_args(pretrained, tasks, out)) == 0
+    before = sorted(out.iterdir())
+    manifest = (out / "manifest.json").read_bytes()
+    fail_writes_to("manifest.json")
+    assert main(_merge_args(pretrained, tasks, out, ["--lam", "0.5"])) == 1
+    capsys.readouterr()
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert sorted(out.iterdir()) == before
 
 
 # ---------------------------------------------------------------------------

@@ -155,17 +155,15 @@ def test_prune_residual_is_the_spectral_tail(rng):
 
 def test_plan_requires_exactly_one_coefficient_source():
     with pytest.raises(PlanError):
-        MergePlan(OriginMode.mean(), 0.5)
+        MergePlan()
     with pytest.raises(PlanError):
-        MergePlan(OriginMode.mean(), 0.5, lam=1.0, table={0: {"w": 1.0}})
-    with pytest.raises(PlanError):
-        MergePlan(OriginMode.mean(), 1.5, lam=1.0)
+        MergePlan(lam=1.0, table={0: {"w": 1.0}})
 
 
 def test_plan_coefficient_lookup():
-    plan = MergePlan(OriginMode.mean(), 0.1, lam=0.7)
+    plan = MergePlan(lam=0.7)
     assert plan.coefficient(3, "anything") == 0.7
-    table_plan = MergePlan(OriginMode.mean(), 0.1, table={0: {"w": 0.25}})
+    table_plan = MergePlan(table={0: {"w": 0.25}})
     assert table_plan.coefficient(0, "w") == 0.25
     with pytest.raises(PlanError):
         table_plan.coefficient(1, "w")
@@ -174,17 +172,25 @@ def test_plan_coefficient_lookup():
 @pytest.mark.parametrize(
     "plan",
     [
-        MergePlan(OriginMode.mean(), 0.08, lam=0.3),
-        MergePlan(
-            OriginMode.rankmin(steps=50, step_size=0.05),
-            1.0,
-            table={0: {"a": 1.0, "b": 0.5}, 1: {"a": -0.25, "b": 0.0}},
-        ),
+        MergePlan(lam=0.3),
+        MergePlan(table={0: {"a": 1.0, "b": 0.5}, 1: {"a": -0.25, "b": 0.0}}),
     ],
 )
 def test_plan_json_round_trip(plan):
     clone = MergePlan.from_json(plan.to_json())
     assert clone == plan
+
+
+def test_plan_from_json_reads_older_plans():
+    old = {
+        "origin_mode": {"kind": "rankmin", "steps": 50, "step_size": 0.05},
+        "rank_ratio": 0.08,
+        "coefficients": {"per_task_layer": {"0": {"a": 1.0}, "1": {"a": -0.25}}},
+    }
+    assert MergePlan.from_json(old) == MergePlan(table={0: {"a": 1.0}, 1: {"a": -0.25}})
+    old = {"origin_mode": {"kind": "mean"}, "rank_ratio": 1.0, "coefficients": {"global": 0.3}}
+    assert MergePlan.from_json(old) == MergePlan(lam=0.3)
+    assert MergePlan(lam=0.3).to_json() == {"coefficients": {"global": 0.3}}
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +200,7 @@ def test_plan_json_round_trip(plan):
 def test_merge_matches_manual_sum(rng):
     origin, finetuned = _fleet(rng)
     tvs = build_task_vectors(origin, finetuned)
-    out = merge(tvs, MergePlan(OriginMode.mean(), 1.0, lam=0.4))
+    out = merge(tvs, MergePlan(lam=0.4))
     for name in tvs.matrix_names():
         expected = origin[name].astype(np.float64)
         for t in range(tvs.task_count):
@@ -208,7 +214,7 @@ def test_merge_matches_manual_sum(rng):
 def test_merge_zero_lambda_returns_origin(rng):
     origin, finetuned = _fleet(rng)
     tvs = build_task_vectors(origin, finetuned)
-    out = merge(tvs, MergePlan(OriginMode.mean(), 0.5, lam=0.0))
+    out = merge(tvs, MergePlan(lam=0.0))
     for name in tvs.matrix_names():
         np.testing.assert_array_equal(out[name], origin[name])
 
@@ -216,7 +222,7 @@ def test_merge_zero_lambda_returns_origin(rng):
 def test_merge_casts_to_checkpoint_dtype(rng):
     origin, finetuned = _fleet(rng, dtype=np.float32)
     tvs = build_task_vectors(origin, finetuned)
-    out = merge(tvs, MergePlan(OriginMode.mean(), 1.0, lam=1.0))
+    out = merge(tvs, MergePlan(lam=1.0))
     assert all(out[name].dtype == np.float32 for name in out.names())
 
 
@@ -225,7 +231,7 @@ def test_merge_validates_table_before_assembling(rng):
     tvs = build_task_vectors(origin, finetuned)
     table = {t: {"layers.0.weight": 1.0} for t in range(3)}  # misses layers.1
     with pytest.raises(PlanError):
-        merge(tvs, MergePlan(OriginMode.mean(), 1.0, table=table))
+        merge(tvs, MergePlan(table=table))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +278,7 @@ def test_cart_merge_is_the_long_form_pipeline_bit_for_bit(rng):
     finetuned = [random_tensor_map(rng, shapes, dtype=np.float32) for _ in range(3)]
     origin = select_origin(OriginMode.mean(), pretrained, finetuned)
     tvs = prune_ranks(build_task_vectors(origin, finetuned), 0.4)
-    long_form = merge(tvs, MergePlan(OriginMode.mean(), 0.4, lam=0.7))
+    long_form = merge(tvs, MergePlan(lam=0.7))
     assert cart_merge(pretrained, finetuned, 0.4, 0.7) == long_form
 
 

@@ -13,6 +13,7 @@ from rankmerge import (
     EmptyInput,
     InsufficientTasks,
     OriginMode,
+    ParamClass,
     ShapeError,
     TensorMap,
 )
@@ -221,6 +222,29 @@ def test_select_origin_rankmin_solves_matrices_and_averages_vectors(rng):
     mean_obj = sum(nuclear_norm(w - mean_origin(weights)) for w in weights)
     solved_obj = sum(nuclear_norm(w - out["blocks.0.weight"]) for w in weights)
     assert solved_obj < mean_obj
+
+
+def test_select_origin_classifier_keeps_excluded_layers_off_the_solver(rng):
+    rest = [
+        TensorMap({"a.weight": w, "b.weight": v})
+        for w, v in zip(
+            _shared_plus_lowrank(rng, tasks=3, shape=(8, 6)),
+            _shared_plus_lowrank(rng, tasks=3, shape=(5, 5)),
+        )
+    ]
+    pre = TensorMap({k: np.zeros_like(v) for k, v in rest[0].items()})
+
+    def only_a(name, tensor):
+        return ParamClass.MATRIX if name == "a.weight" else ParamClass.NON_MATRIX
+
+    traces: dict[str, SolverTrace] = {}
+    out = select_origin(
+        OriginMode.rankmin(steps=5), pre, rest, trace_out=traces, classifier=only_a
+    )
+    assert set(traces) == {"a.weight"}
+    np.testing.assert_array_equal(out["b.weight"], mean_origin([m["b.weight"] for m in rest]))
+    full = select_origin(OriginMode.rankmin(steps=5), pre, rest)
+    np.testing.assert_array_equal(out["a.weight"], full["a.weight"])
 
 
 def test_select_origin_single_task_degenerates_to_it(rng):

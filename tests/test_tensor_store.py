@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,3 +204,38 @@ def test_validate_aligned_needs_two():
     g = stream(8, "store-tests")
     with pytest.raises(ValueError):
         validate_aligned([random_tensor_map(g, {"w": (2, 2)})])
+
+
+def test_load_copies_each_tensor_once(tmp_path):
+    g = stream(9, "store-tests")
+    tmap = TensorMap({
+        "a.weight": g.standard_normal((1024, 512)).astype(np.float32),
+        "b.weight": g.standard_normal((512, 512)),
+        "b.bias": g.standard_normal(7),
+    })
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(tmap, path)
+    size = path.stat().st_size
+    assert size > 4_000_000
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size
+    for _, arr in loaded.items():
+        assert arr.flags.aligned and not arr.flags.writeable
+    assert loaded == tmap
+
+
+def test_failed_save_leaves_the_target_untouched(tmap, tmp_path, fail_writes_to):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tmap, path)
+    before = path.read_bytes()
+    fail_writes_to("model.ckpt")
+    other = TensorMap({"w": np.ones((3, 3))})
+    with pytest.raises(OSError):
+        save_checkpoint(other, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
