@@ -174,8 +174,9 @@ class CoefficientTable:
     values: np.ndarray
 
     @classmethod
-    def constant(cls, task_count: int, layer_names: Sequence[str], value: float = INIT_COEFFICIENT):
-        return cls(tuple(layer_names), np.full((task_count, len(layer_names)), float(value)))
+    def constant(cls, task_count: int, layer_names: Sequence[str]):
+        """Every coefficient at ``INIT_COEFFICIENT``, where adaptation starts."""
+        return cls(tuple(layer_names), np.full((task_count, len(layer_names)), INIT_COEFFICIENT))
 
     def as_mapping(self) -> dict[int, dict[str, float]]:
         return {

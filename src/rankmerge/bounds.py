@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantError, ParamError, RankError
+from .errors import InvariantError, ParamError
 from .interference import _interference
 from .kernels import LowRankFactor, _singular_rank, svd
 from .rng import orthonormal, stream
@@ -155,6 +155,8 @@ def _validate_suite(suite: SyntheticTaskSuite, factors: list[LowRankFactor]) -> 
             raise InvariantError(f"tau {t} has shape {tau.shape}, expected ({suite.d}, {suite.d})")
         sv = f.singulars
         nonzero = sv[sv > _SLACK * max(sv[0], 1.0)]
+        if len(nonzero) == 0:
+            raise InvariantError(f"tau {t} is zero (no singular value above {_SLACK})")
         if len(nonzero) > suite.r:
             raise InvariantError(f"tau {t} has rank {len(nonzero)} > r={suite.r}")
         lo, hi = float(nonzero.min()), float(nonzero.max())
@@ -184,25 +186,20 @@ class BoundCertificate:
     holds: bool
 
 
-def certify_bound(suite: SyntheticTaskSuite, k_for_I: int | None = None) -> BoundCertificate:
+def certify_bound(suite: SyntheticTaskSuite) -> BoundCertificate:
     """Evaluate the interference bound on one suite.
 
     Each task update is factored once; the contract checks, the largest
-    numerical rank ``r_max`` and ``I(k)`` all read that one SVD.
-    ``k_for_I`` defaults to ``r_max`` and must not be smaller — the bound's
-    derivation needs the top-k row spaces to cover each update entirely —
-    nor exceed ``d`` (:class:`RankError`). A suite whose realized draws
-    violate the generation contract raises :class:`InvariantError`.
+    numerical rank ``r_max`` and ``I`` all read that one SVD. ``I`` is
+    evaluated at ``k = r_max``: the bound's derivation needs the top-k row
+    spaces to cover each update entirely, and every larger k gives the same
+    value. A suite whose realized draws violate the generation contract,
+    including an all-zero task update, raises :class:`InvariantError`.
     """
     factors = [svd(tau) for tau in suite.taus]
     _validate_suite(suite, factors)
     r_max = max(_singular_rank(f.singulars) for f in factors)
-    k = r_max if k_for_I is None else k_for_I
-    if k < r_max:
-        raise ParamError(f"k_for_I={k} is below the largest task-update rank {r_max}")
-    if not 1 <= k <= suite.d:
-        raise RankError(f"k={k} outside [1, {suite.d}]")
-    interference = _interference(factors, [k])[0]
+    interference = _interference(factors, [r_max])[0]
     k3 = suite.s_max**2 * suite.c * (r_max * suite.s_max**2 / suite.alpha**2)
     k4 = suite.s_max
     bound = suite.n * (k3 * interference + suite.T * (suite.T - 1) * k4 * suite.eta) ** 2

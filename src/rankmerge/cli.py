@@ -4,6 +4,7 @@ Seven subcommands cover the pipeline: ``merge`` and ``index`` operate on
 checkpoint files, ``analyze`` reports overlap diagnostics for a set of
 checkpoints, ``sweep``/``certify``/``adapt`` run the built-in synthetic
 studies, and ``samplesize`` prints the evaluation-set planning number.
+Only the three studies draw random numbers, so only they take ``--seed``.
 
 Every run resolves its parameters as CLI flag > ``--config`` JSON entry >
 built-in default, and commands that write files also write a
@@ -54,16 +55,16 @@ _DEFAULTS: dict[str, dict[str, object]] = {
     "merge": {
         "pretrained": None, "task": [], "ratio": 0.08, "lam": 0.3,
         "origin": "mean", "rankmin_steps": 200, "rankmin_step_size": None,
-        "matrix_include": [], "matrix_exclude": [], "seed": 0, "out_dir": ".",
+        "matrix_include": [], "matrix_exclude": [], "out_dir": ".",
     },
     "index": {
         "pretrained": None, "task": [], "ratio": 0.08, "task_index": 0,
-        "matrix_include": [], "matrix_exclude": [], "seed": 0, "out_dir": ".",
+        "matrix_include": [], "matrix_exclude": [], "out_dir": ".",
     },
     "analyze": {
         "pretrained": None, "task": [], "origin": "mean", "ks": None,
         "rankmin_steps": 200, "rankmin_step_size": None,
-        "matrix_include": [], "matrix_exclude": [], "seed": 0, "out_dir": ".",
+        "matrix_include": [], "matrix_exclude": [], "out_dir": ".",
     },
     "sweep": {
         "ratios": [0.0, 0.04, 0.08, 0.16, 0.32, 1.0], "lambdas": [1.0],
@@ -71,7 +72,7 @@ _DEFAULTS: dict[str, dict[str, object]] = {
     },
     "certify": {"suites": 100, "seed": 0, "out_dir": "."},
     "adapt": {"iters": 30, "lr": 0.01, "ratio": 1.0, "seed": 0, "out_dir": "."},
-    "samplesize": {"a": 0.0, "b": 1.0, "epsilon": 0.05, "z": 1.96, "seed": 0, "out_dir": None},
+    "samplesize": {"a": 0.0, "b": 1.0, "epsilon": 0.05, "z": 1.96, "out_dir": None},
 }
 
 
@@ -251,7 +252,6 @@ def _cmd_sweep(params: dict) -> int:
         suite.evaluator,
         lambdas=_floats(params["lambdas"]),
         ratios=_floats(params["ratios"]),
-        origin_mode=OriginMode.mean(),
     )
     target = out / "sweep.csv"
     write_sweep_csv(rows, target)
@@ -331,8 +331,11 @@ _COMMANDS: dict[str, Callable[[dict], int]] = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="base seed for all randomness")
+def _add_common(sub: argparse.ArgumentParser, seeded: bool = False) -> None:
+    """``--config`` and ``--out-dir``; ``--seed`` only for the synthetic
+    studies, the commands that draw random numbers."""
+    if seeded:
+        sub.add_argument("--seed", type=int, default=None, help="base seed for all randomness")
     sub.add_argument("--config", default=None, help="JSON file of parameter defaults")
     sub.add_argument("--out-dir", dest="out_dir", default=None, help="directory for outputs")
 
@@ -380,17 +383,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sweep", help="accuracy over a (ratio, lambda) grid on a synthetic suite")
     p.add_argument("--ratios", default=None, help="comma list of rank ratios")
     p.add_argument("--lambdas", default=None, help="comma list of merging coefficients")
-    _add_common(p)
+    _add_common(p, seeded=True)
 
     p = subs.add_parser("certify", help="evaluate the interference bound on random suites")
     p.add_argument("--suites", type=int, default=None, help="number of synthetic instances")
-    _add_common(p)
+    _add_common(p, seeded=True)
 
     p = subs.add_parser("adapt", help="entropy-descend merging coefficients on a synthetic suite")
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--ratio", type=float, default=None, help="rank ratio for the adapted deltas")
-    _add_common(p)
+    _add_common(p, seeded=True)
 
     p = subs.add_parser("samplesize", help="evaluation samples needed for a CLT interval")
     p.add_argument("--a", type=float, default=None, help="metric lower bound")

@@ -129,25 +129,30 @@ def reconstruction_error(
     return total
 
 
+# The two definitional choices that differ across writeups, recorded in
+# every serialized report: ordered-pair summation and full-spectrum
+# normalization.
+_CONVENTIONS = {
+    "pair_summation": "ordered pairs i != j (each unordered pair counted twice)",
+    "sigma_normalization": "top-k singular values divided by the l2 norm of the full spectrum",
+}
+
+
 @dataclass
 class InterferenceReport:
     """Per-layer I(k) and R(k) curves plus per-(task, layer) spectra.
 
     ``interference[layer]`` and ``reconstruction[layer]`` are (k, value)
-    lists; ``spectra[layer][task]`` is that delta's singular values. The
-    ``conventions`` block records the two definitional choices that differ
-    across writeups: ordered-pair summation and full-spectrum
-    normalization.
+    lists; ``spectra[layer][task]`` is that delta's singular values.
     """
 
     interference: dict[str, list[tuple[int, float]]]
     reconstruction: dict[str, list[tuple[int, float]]]
     spectra: dict[str, list[list[float]]]
-    conventions: dict[str, str]
 
     def to_json(self) -> dict:
         return {
-            "conventions": self.conventions,
+            "conventions": _CONVENTIONS,
             "layers": {
                 name: {
                     "interference": [[k, v] for k, v in self.interference[name]],
@@ -198,15 +203,7 @@ def interference_report(
         recon[name] = [
             (k, float(sum(np.sum(s[k:] ** 2) for s in layer_spectra))) for k in r_ks
         ]
-    return InterferenceReport(
-        interference=interference,
-        reconstruction=recon,
-        spectra=spectra,
-        conventions={
-            "pair_summation": "ordered pairs i != j (each unordered pair counted twice)",
-            "sigma_normalization": "top-k singular values divided by the l2 norm of the full spectrum",
-        },
-    )
+    return InterferenceReport(interference=interference, reconstruction=recon, spectra=spectra)
 
 
 @dataclass(frozen=True)
@@ -231,16 +228,16 @@ def rank_sweep(
     evaluator: Evaluator,
     lambdas: Sequence[float],
     ratios: Sequence[float],
-    origin_mode: OriginMode,
 ) -> list[SweepRow]:
     """Merge and evaluate every (ratio, lambda) grid cell, in grid order.
 
-    The evaluator maps a merged checkpoint to per-task accuracies in
-    [0, 1]; anything else (or an evaluator exception) raises
-    :class:`EvaluationError`. With a mean origin the ratio-0 and ratio-1
-    rows reproduce plain weight averaging, independent of lambda.
+    The task vectors are centered on the mean origin (the weight average),
+    so the ratio-0 and ratio-1 rows reproduce plain weight averaging,
+    independent of lambda. The evaluator maps a merged checkpoint to
+    per-task accuracies in [0, 1]; anything else (or an evaluator
+    exception) raises :class:`EvaluationError`.
     """
-    origin = select_origin(origin_mode, pretrained, finetuned)
+    origin = select_origin(OriginMode.mean(), pretrained, finetuned)
     tvs = build_task_vectors(origin, finetuned)
     rows: list[SweepRow] = []
     for ratio in ratios:

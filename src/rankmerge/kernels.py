@@ -86,12 +86,13 @@ def truncate(f: LowRankFactor, k: int) -> LowRankFactor:
     """Keep the ``k`` largest singular triples of ``f``.
 
     The result is the best rank-k Frobenius approximation of the matrix the
-    factor represents (Eckart-Young). ``k`` must satisfy 0 <= k <= f.k.
+    factor represents (Eckart-Young). ``k`` must satisfy 0 <= k <= f.k. The
+    kept triples are copied, so the result does not hold ``f`` in memory.
     """
     if not 0 <= k <= f.k:
         raise RankError(f"rank {k} outside [0, {f.k}]")
     return LowRankFactor(
-        left=f.left[:, :k], singulars=f.singulars[:k], right=f.right[:k, :]
+        left=f.left[:, :k].copy(), singulars=f.singulars[:k].copy(), right=f.right[:k, :].copy()
     )
 
 

@@ -268,7 +268,8 @@ def cart_indexing(
 
     At ratio 1 this returns task ``task_index``'s Matrix parameters exactly
     (up to floating error); at ratio 0 it collapses to the weight average.
-    Non-matrix parameters follow the averaging policy either way.
+    Non-matrix parameters follow the averaging policy either way. Only the
+    requested task's deltas are factored.
     """
     if not finetuned:
         raise EmptyInput("cart_indexing needs at least one checkpoint")
@@ -277,12 +278,15 @@ def cart_indexing(
             f"task_index {task_index} outside [0, {len(finetuned)})"
         )
     origin = select_origin(OriginMode.mean(), pretrained, finetuned)
-    tvs = prune_ranks(build_task_vectors(origin, finetuned, classifier), rank_ratio)
-    table = {
-        t: {name: 1.0 if t == task_index else 0.0 for name in tvs.matrix_names()}
-        for t in range(tvs.task_count)
-    }
-    return merge(tvs, MergePlan(table=table))
+    tvs = build_task_vectors(origin, [finetuned[task_index]], classifier)
+    for name in tvs.nonmatrix_mean:
+        if not np.all(np.isfinite(origin[name])):
+            raise NumericError(f"{name}: a checkpoint holds NaN or infinite values")
+    tvs = dataclasses.replace(
+        prune_ranks(tvs, rank_ratio),
+        nonmatrix_mean={name: origin[name] for name in tvs.nonmatrix_mean},
+    )
+    return merge(tvs, MergePlan(lam=1.0))
 
 
 def storage_cost(

@@ -57,27 +57,18 @@ class ClassificationSuite:
         return accs
 
 
-def classification_sweep_suite(
-    seed: int,
-    tasks: int = 3,
-    dim: int = 24,
-    hidden: int = 24,
-    features: int = 16,
-    classes: int = 4,
-    per_task: int = 160,
-    signal: float = 2.0,
-    base_scale: float = 1.2,
-    w2_jitter: float = 0.02,
-    input_noise: float = 0.25,
-) -> ClassificationSuite:
-    """One planted-signal suite; identical arguments give identical draws.
+def classification_sweep_suite(seed: int) -> ClassificationSuite:
+    """One planted-signal suite; identical seeds give identical draws.
 
     Task t's first-layer weight is ``W1 + signal * u_t v_t^T`` with the
     ``u_t`` and ``v_t`` orthonormal across tasks, its evaluation inputs lie
     along ``v_t`` (plus isotropic noise), and its labels come from task t's
     own checkpoint — so a merged backbone scores well on task t exactly
-    when it carries that task's planted component.
+    when it carries that task's planted component. Three tasks share a
+    24 -> 24 -> 16 backbone with 4-class heads; 160 evaluation samples each.
     """
+    tasks, dim, hidden, features, classes, per_task = 3, 24, 24, 16, 4, 160
+    signal, base_scale, w2_jitter, input_noise = 2.0, 1.2, 0.02, 0.25
     rng = stream(seed, "classification-suite")
     w1_base = base_scale * rng.standard_normal((hidden, dim)) / np.sqrt(dim)
     w2_base = rng.standard_normal((features, hidden)) / np.sqrt(hidden)
@@ -113,23 +104,17 @@ class AdaptationSuite:
     batch: Batch
 
 
-def signal_noise_suite(
-    seed: int,
-    dim: int = 16,
-    hidden: int = 16,
-    features: int = 8,
-    classes: int = 3,
-    samples: int = 96,
-    confidence: float = 2.5,
-    noise_scale: float = 1.0,
-) -> AdaptationSuite:
+def signal_noise_suite(seed: int) -> AdaptationSuite:
     """A two-task adaptation bed with one helpful and one useless checkpoint.
 
     Checkpoint 0 routes each input cluster to its own class logit at high
     gain (low entropy on the batch); checkpoint 1 is an unstructured
     Gaussian backbone. Both tasks share the same head, so any entropy gap
-    between coefficient settings is attributable to the backbone mix.
+    between coefficient settings is attributable to the backbone mix. A
+    16 -> 16 -> 8 backbone with a 3-class head; 96 unlabeled samples.
     """
+    dim, hidden, features, classes, samples = 16, 16, 8, 3, 96
+    confidence = 2.5
     rng = stream(seed, "signal-noise-suite")
     mu = orthonormal(rng, dim, classes)
     w = orthonormal(rng, hidden, classes)
@@ -143,7 +128,7 @@ def signal_noise_suite(
     # rescaling the logits: same Frobenius norm per layer, random direction.
     def noise_like(ref: np.ndarray) -> np.ndarray:
         g = rng.standard_normal(ref.shape)
-        return noise_scale * g * (np.linalg.norm(ref) / np.linalg.norm(g))
+        return g * (np.linalg.norm(ref) / np.linalg.norm(g))
 
     w1_noise = noise_like(w1_good)
     w2_noise = noise_like(w2_good)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from rankmerge import (
-    OriginMode,
     TensorMap,
     build_task_vectors,
     cart_merge,
@@ -269,9 +268,7 @@ def test_rank_sweep_is_interior_peaked():
     start = time.perf_counter()
     suite = classification_sweep_suite(seed=0)
     ratios = [0.0, 0.04, 0.08, 0.16, 0.32, 1.0]
-    rows = rank_sweep(
-        suite.pretrained, suite.finetuned, suite.evaluator, [1.0], ratios, OriginMode.mean()
-    )
+    rows = rank_sweep(suite.pretrained, suite.finetuned, suite.evaluator, [1.0], ratios)
     by_ratio = {row.ratio: row.mean_accuracy for row in rows}
     interior_best = max(v for r, v in by_ratio.items() if r not in (0.0, 1.0))
     margin = interior_best - max(by_ratio[0.0], by_ratio[1.0])

@@ -17,7 +17,6 @@ import pytest
 from rankmerge import (
     InvariantError,
     ParamError,
-    RankError,
     SyntheticTaskSuite,
     certificate_json_line,
     certify_bound,
@@ -165,16 +164,11 @@ def test_bound_holds_across_random_suites(seed):
     assert certify_bound(suite).holds
 
 
-def test_certify_rejects_undersized_k():
+def test_certify_rejects_an_all_zero_task_update():
     suite = generate_suite(**ARGS)
-    with pytest.raises(ParamError):
-        certify_bound(suite, k_for_I=1)
-
-
-def test_certify_propagates_oversized_k():
-    suite = generate_suite(**ARGS)
-    with pytest.raises(RankError):
-        certify_bound(suite, k_for_I=suite.d + 1)
+    suite.taus[0] = np.zeros_like(suite.taus[0])
+    with pytest.raises(InvariantError, match="tau 0 is zero"):
+        certify_bound(suite)
 
 
 def test_certify_factors_each_task_update_once(svd_calls):

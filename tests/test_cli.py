@@ -250,6 +250,33 @@ def test_unreadable_config_is_a_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["merge", "index", "analyze", "samplesize"])
+def test_seed_is_a_usage_error_where_nothing_is_random(command, checkpoints, tmp_path, capsys):
+    pretrained, tasks = checkpoints
+    argv = [command, "--out-dir", str(tmp_path / "out")]
+    if command != "samplesize":
+        argv += ["--pretrained", pretrained] + [x for t in tasks for x in ("--task", t)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert "seed" not in manifest["parameters"]
+
+    assert main(argv + ["--seed", "1"]) == 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1}))
+    assert main(argv + ["--config", str(config)]) == 2
+    assert "['seed']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["sweep", "--ratios", "0.0,1.0"], ["certify", "--suites", "2"], ["adapt", "--iters", "2"]]
+)
+def test_studies_take_a_seed(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--seed", "3", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "manifest.json").read_text())["parameters"]["seed"] == 3
+
+
 def test_config_file_is_hashed_into_the_manifest(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"epsilon": 0.1}))

@@ -18,7 +18,6 @@ import pytest
 from rankmerge import (
     EvaluationError,
     InsufficientTasks,
-    OriginMode,
     RangeError,
     RankError,
     ShapeError,
@@ -237,7 +236,7 @@ def test_sweep_runs_the_grid_in_order(rng):
     _, finetuned = _report_tvs(rng)
     pretrained = random_tensor_map(rng, SHAPES)
     ratios, lambdas = [0.0, 0.5, 1.0], [0.3, 1.0]
-    rows = rank_sweep(pretrained, finetuned, _toy_evaluator, lambdas, ratios, OriginMode.mean())
+    rows = rank_sweep(pretrained, finetuned, _toy_evaluator, lambdas, ratios)
     assert [(r.ratio, r.lam) for r in rows] == [(r, l) for r in ratios for l in lambdas]
     assert all(len(r.accuracies) == 2 for r in rows)
 
@@ -246,7 +245,7 @@ def test_sweep_endpoints_reduce_to_weight_averaging(rng):
     _, finetuned = _report_tvs(rng)
     pretrained = random_tensor_map(rng, SHAPES)
     rows = rank_sweep(
-        pretrained, finetuned, _toy_evaluator, [0.0, 0.7, 2.0], [0.0, 1.0], OriginMode.mean()
+        pretrained, finetuned, _toy_evaluator, [0.0, 0.7, 2.0], [0.0, 1.0]
     )
     baseline = _toy_evaluator(weight_average(finetuned))
     for row in rows:
@@ -257,7 +256,7 @@ def test_sweep_endpoints_reduce_to_weight_averaging(rng):
 def test_sweep_factors_each_delta_once(rng, svd_calls, ratios):
     finetuned = [random_tensor_map(rng, SHAPES) for _ in range(3)]
     pretrained = random_tensor_map(rng, SHAPES)
-    rank_sweep(pretrained, finetuned, _toy_evaluator, [0.5, 1.0], ratios, OriginMode.mean())
+    rank_sweep(pretrained, finetuned, _toy_evaluator, [0.5, 1.0], ratios)
     assert len(svd_calls) == 3 * 2  # tasks x matrix layers
 
 
@@ -269,7 +268,7 @@ def test_sweep_wraps_evaluator_failures(rng):
         raise ValueError("no data loaded")
 
     with pytest.raises(EvaluationError):
-        rank_sweep(pretrained, finetuned, broken, [1.0], [0.5], OriginMode.mean())
+        rank_sweep(pretrained, finetuned, broken, [1.0], [0.5])
 
 
 @pytest.mark.parametrize("payload", [[], [1.5], [0.5, -0.01]])
@@ -277,7 +276,7 @@ def test_sweep_rejects_out_of_range_accuracies(rng, payload):
     _, finetuned = _report_tvs(rng)
     pretrained = random_tensor_map(rng, SHAPES)
     with pytest.raises(EvaluationError):
-        rank_sweep(pretrained, finetuned, lambda ckpt: payload, [1.0], [0.5], OriginMode.mean())
+        rank_sweep(pretrained, finetuned, lambda ckpt: payload, [1.0], [0.5])
 
 
 def test_sweep_csv_layout(tmp_path):

@@ -10,6 +10,7 @@ from rankmerge import (
     ArchitectureMismatch,
     EmptyInput,
     MergePlan,
+    NumericError,
     OriginMode,
     PlanError,
     TensorMap,
@@ -135,6 +136,17 @@ def test_prune_zero_ratio_kills_every_delta(rng):
     for t in range(pruned.task_count):
         for name in pruned.matrix_names():
             assert np.all(pruned.dense_delta(t, name) == 0.0)
+
+
+def test_pruned_factor_holds_only_its_retained_triples(rng):
+    shape = (300, 200)
+    origin = TensorMap({"w": rng.standard_normal(shape)})
+    tvs = build_task_vectors(origin, [TensorMap({"w": rng.standard_normal(shape)})])
+    f = prune_ranks(tvs, 0.08).deltas[0]["w"]
+    assert f.k == 16
+    for part in (f.left, f.singulars, f.right):
+        assert part.base is None
+    assert f.left.nbytes == 300 * 16 * 8 and f.right.nbytes == 16 * 200 * 8
 
 
 def test_prune_residual_is_the_spectral_tail(rng):
@@ -310,6 +322,37 @@ def test_indexing_zero_rank_is_the_average(rng):
     rebuilt = cart_indexing(pretrained, finetuned, 0.0, 1)
     for name in rebuilt.names():
         np.testing.assert_allclose(rebuilt[name], avg[name], atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_indexing_is_the_one_hot_merge_bit_for_bit(rng, dtype):
+    pretrained, finetuned = _fleet(rng, dtype=dtype)
+    origin = select_origin(OriginMode.mean(), pretrained, finetuned)
+    tvs = build_task_vectors(origin, finetuned)
+    for ratio in (0.0, 0.08, 1.0):
+        pruned = prune_ranks(tvs, ratio)
+        for t in range(len(finetuned)):
+            one_hot = {
+                s: {name: float(s == t) for name in tvs.matrix_names()}
+                for s in range(len(finetuned))
+            }
+            long_form = merge(pruned, MergePlan(table=one_hot))
+            assert cart_indexing(pretrained, finetuned, ratio, t) == long_form
+
+
+def test_indexing_factors_only_the_requested_task(rng, svd_calls):
+    pretrained, finetuned = _fleet(rng, tasks=4)
+    cart_indexing(pretrained, finetuned, 0.4, 2)
+    assert len(svd_calls) == 2  # matrix layers of the one task
+
+
+def test_indexing_rejects_a_non_finite_bias_in_any_checkpoint(rng):
+    pretrained, finetuned = _fleet(rng)
+    bias = finetuned[2]["layers.0.bias"].copy()
+    bias[3] = np.nan
+    finetuned[2] = TensorMap({**dict(finetuned[2].items()), "layers.0.bias": bias})
+    with pytest.raises(NumericError, match="layers.0.bias"):
+        cart_indexing(pretrained, finetuned, 0.4, 0)
 
 
 def test_indexing_rejects_bad_task_index(rng):
