@@ -6,11 +6,12 @@ checkpoints, ``sweep``/``certify``/``adapt`` run the built-in synthetic
 studies, and ``samplesize`` prints the evaluation-set planning number.
 Only the three studies draw random numbers, so only they take ``--seed``.
 
-Every run resolves its parameters as CLI flag > ``--config`` JSON entry >
-built-in default, and commands that write files also write a
-``manifest.json`` recording the resolved parameters and the SHA-256 of
-every input and output — no timestamps, so identical runs produce
-byte-identical artifacts.
+Each parameter is one flag with its default and a checking type. A
+``--config`` JSON entry is parsed by the flag it names and becomes the
+default, so CLI flag > config entry > built-in default. Commands that write
+files also write a ``manifest.json`` recording the parsed parameters and
+the SHA-256 of every input and output — no timestamps, so identical runs
+produce byte-identical artifacts.
 
 Exit codes: 0 on success, 1 on a domain error (bad inputs, failed
 certificate), 2 on usage errors.
@@ -22,9 +23,10 @@ import argparse
 import fnmatch
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .adaptation import adapt_coefficients, write_adaptation_csv
@@ -51,66 +53,93 @@ class _UsageError(Exception):
     pass
 
 
-_DEFAULTS: dict[str, dict[str, object]] = {
-    "merge": {
-        "pretrained": None, "task": [], "ratio": 0.08, "lam": 0.3,
-        "origin": "mean", "rankmin_steps": 200, "rankmin_step_size": None,
-        "matrix_include": [], "matrix_exclude": [], "out_dir": ".",
-    },
-    "index": {
-        "pretrained": None, "task": [], "ratio": 0.08, "task_index": 0,
-        "matrix_include": [], "matrix_exclude": [], "out_dir": ".",
-    },
-    "analyze": {
-        "pretrained": None, "task": [], "origin": "mean", "ks": None,
-        "rankmin_steps": 200, "rankmin_step_size": None,
-        "matrix_include": [], "matrix_exclude": [], "out_dir": ".",
-    },
-    "sweep": {
-        "ratios": [0.0, 0.04, 0.08, 0.16, 0.32, 1.0], "lambdas": [1.0],
-        "seed": 0, "out_dir": ".",
-    },
-    "certify": {"suites": 100, "seed": 0, "out_dir": "."},
-    "adapt": {"iters": 30, "lr": 0.01, "ratio": 1.0, "seed": 0, "out_dir": "."},
-    "samplesize": {"a": 0.0, "b": 1.0, "epsilon": 0.05, "z": 1.96, "out_dir": None},
-}
+def _finite(text: str) -> float:
+    """Type of a number flag: NaN and the infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
-def _floats(value: object) -> list[float]:
-    if isinstance(value, str):
-        return [float(x) for x in value.split(",") if x.strip() != ""]
-    if isinstance(value, Sequence):
-        return [float(x) for x in value]
-    return [float(value)]  # type: ignore[arg-type]
+class _CommaList:
+    """Type of a comma-list flag: each non-empty item is parsed by ``item``."""
+
+    def __init__(self, item: Callable[[str], object]):
+        self.item = item
+        self.__name__ = f"comma list of {item.__name__}"
+
+    def __call__(self, text: str) -> list:
+        return [self.item(x) for x in text.split(",") if x.strip()]
 
 
-def _ints(value: object) -> list[int]:
-    return [int(x) for x in _floats(value)]
+class _Repeatable(argparse.Action):
+    """A flag that may be given many times. The first use replaces the
+    default, so ``--task`` on the command line replaces a config's list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, [*([] if items is self.default else items), values])
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: ``--config`` entries, each parsed by the flag
+    it names, become defaults, and the command line is parsed on top."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags: dict[str, argparse.Action] = {}
+        super().__init__(*args, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if parsed.config:
+            self.set_defaults(**self._config_defaults(parsed.config))
+            parsed, extras = super().parse_known_args(args, namespace)
+        return parsed, extras
+
+    def _config_defaults(self, path: str) -> dict:
+        try:
+            entries = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            self.error(f"cannot read config {path}: {exc}")
+        if not isinstance(entries, dict):
+            self.error(f"config {path} does not hold a JSON object")
+        unknown = sorted(set(entries) - (set(self.flags) - {"help", "config"}))
+        if unknown:
+            self.error(f"config keys {unknown} are not parameters of this command")
+        given = {key: value for key, value in entries.items() if value is not None}
+        words = [word for key, value in given.items() for word in self._words(key, value)]
+        parsed, _ = super().parse_known_args(words)
+        return {key: getattr(parsed, key) for key in given}
+
+    def _words(self, key: str, value: object) -> list[str]:
+        """Command-line words giving ``value`` to the flag ``key`` names."""
+        action = self.flags[key]
+        flag = action.option_strings[0]
+        items = value if isinstance(value, list) else [value]
+        lists = isinstance(action, _Repeatable) or isinstance(action.type, _CommaList)
+        if (isinstance(value, list) and not lists) or any(isinstance(x, (list, dict)) for x in items):
+            self.error(f"config entry {key!r}: {json.dumps(value)} is not a value of {flag}")
+        texts = [x if isinstance(x, str) else json.dumps(x) for x in items]
+        if isinstance(action, _Repeatable):
+            return [f"{flag}={text}" for text in texts]
+        return [f"{flag}={','.join(texts)}"]
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _resolve(command: str, args: argparse.Namespace) -> dict:
-    """CLI flag > config entry > default, per parameter."""
-    defaults = _DEFAULTS[command]
-    config: Mapping = {}
-    if args.config:
-        try:
-            config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _UsageError(f"cannot read config {args.config}: {exc}") from exc
-        unknown = sorted(set(config) - set(defaults))
-        if unknown:
-            raise _UsageError(f"config keys {unknown} are not parameters of '{command}'")
-    params: dict = {"config": args.config}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value == []:  # repeatable flags: absent means fall through
-            cli_value = None
-        params[key] = cli_value if cli_value is not None else config.get(key, default)
-    return params
+def _write_json(path: Path, payload: object, indent: int | None = 2) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=indent) + "\n"
+    _atomic_write(path, lambda fh: fh.write(text.encode()))
 
 
 def _classifier(includes: Sequence[str], excludes: Sequence[str]):
@@ -135,138 +164,108 @@ def _classifier(includes: Sequence[str], excludes: Sequence[str]):
     return clf
 
 
-def _origin_mode(params: dict) -> OriginMode:
-    kind = str(params["origin"])
-    if kind == "rankmin":
-        step_size = params.get("rankmin_step_size")
-        return OriginMode.rankmin(
-            steps=int(params["rankmin_steps"]),
-            step_size=None if step_size is None else float(step_size),
-        )
-    return OriginMode(kind)
-
-
-def _load_inputs(params: dict) -> tuple:
-    if not params["pretrained"] or not params["task"]:
+def _load_inputs(args: argparse.Namespace) -> tuple:
+    if not args.pretrained or not args.task:
         raise _UsageError("--pretrained and at least one --task checkpoint are required")
-    paths = [Path(params["pretrained"])] + [Path(p) for p in params["task"]]
+    paths = [Path(args.pretrained)] + [Path(p) for p in args.task]
     pretrained = load_checkpoint(paths[0])
     tasks = [load_checkpoint(p) for p in paths[1:]]
     return pretrained, tasks, paths
 
 
-def _out_dir(params: dict) -> Path:
-    out = Path(str(params["out_dir"]))
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _jsonable(params: dict) -> dict:
-    return {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in sorted(params.items())
-    }
-
-
-def _write_manifest(
-    out: Path, command: str, params: dict, inputs: Sequence[Path], outputs: Sequence[Path]
-) -> None:
-    input_paths = list(inputs)
-    if params.get("config"):
-        input_paths.append(Path(str(params["config"])))
+def _write_manifest(out: Path, args: argparse.Namespace, inputs: list[Path],
+                    outputs: list[Path]) -> None:
+    input_paths = inputs + ([Path(args.config)] if args.config else [])
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "parameters": _jsonable(params),
+        "parameters": {k: v for k, v in vars(args).items() if k != "command"},
         "inputs": {str(p): _sha256(Path(p)) for p in input_paths},
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
-    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    _atomic_write(out / "manifest.json", lambda fh: fh.write(text.encode()))
+    _write_json(out / "manifest.json", manifest)
 
 
-def _trace_path(out: Path, layer: str) -> Path:
-    return out / f"trace_{layer.replace('/', '__')}.csv"
-
-
-def _cmd_merge(params: dict) -> int:
-    pretrained, tasks, paths = _load_inputs(params)
-    out = _out_dir(params)
-    clf = _classifier(params["matrix_include"], params["matrix_exclude"])
+def _cmd_merge(args: argparse.Namespace) -> int:
+    pretrained, tasks, paths = _load_inputs(args)
+    out = _out_dir(args)
+    clf = _classifier(args.matrix_include, args.matrix_exclude)
     traces: dict[str, SolverTrace] = {}
-    origin = select_origin(
-        _origin_mode(params), pretrained, tasks, trace_out=traces, classifier=clf
-    )
-    tvs = prune_ranks(build_task_vectors(origin, tasks, clf), float(params["ratio"]))
-    plan = MergePlan(lam=float(params["lam"]))
+    mode = OriginMode(args.origin, args.rankmin_steps, args.rankmin_step_size)
+    origin = select_origin(mode, pretrained, tasks, trace_out=traces, classifier=clf)
+    tvs = prune_ranks(build_task_vectors(origin, tasks, clf), args.ratio)
+    plan = MergePlan(lam=args.lam)
     merged = merge(tvs, plan)
 
     outputs = [out / "merged.ckpt", out / "plan.json"]
     save_checkpoint(merged, outputs[0])
-    outputs[1].write_text(json.dumps(plan.to_json(), sort_keys=True, indent=2) + "\n")
+    _write_json(outputs[1], plan.to_json())
     for layer in sorted(traces):
-        path = _trace_path(out, layer)
+        path = out / f"trace_{layer.replace('/', '__')}.csv"
         traces[layer].write_csv(path)
         outputs.append(path)
-    _write_manifest(out, "merge", params, paths, outputs)
+    _write_manifest(out, args, paths, outputs)
     print(f"merged {len(tasks)} checkpoints -> {outputs[0]}")
     return 0
 
 
-def _cmd_index(params: dict) -> int:
-    pretrained, tasks, paths = _load_inputs(params)
-    out = _out_dir(params)
-    clf = _classifier(params["matrix_include"], params["matrix_exclude"])
-    indexed = cart_indexing(
-        pretrained, tasks, float(params["ratio"]), int(params["task_index"]), clf
-    )
+def _cmd_index(args: argparse.Namespace) -> int:
+    pretrained, tasks, paths = _load_inputs(args)
+    out = _out_dir(args)
+    clf = _classifier(args.matrix_include, args.matrix_exclude)
+    indexed = cart_indexing(pretrained, tasks, args.ratio, args.task_index, clf)
     target = out / "indexed.ckpt"
     save_checkpoint(indexed, target)
-    _write_manifest(out, "index", params, paths, [target])
-    print(f"reconstructed task {params['task_index']} -> {target}")
+    _write_manifest(out, args, paths, [target])
+    print(f"reconstructed task {args.task_index} -> {target}")
     return 0
 
 
-def _cmd_analyze(params: dict) -> int:
-    pretrained, tasks, paths = _load_inputs(params)
-    out = _out_dir(params)
-    clf = _classifier(params["matrix_include"], params["matrix_exclude"])
-    origin = select_origin(_origin_mode(params), pretrained, tasks, classifier=clf)
-    tvs = build_task_vectors(origin, tasks, clf)
-    ks = None if params["ks"] is None else _ints(params["ks"])
-    report = interference_report(tvs, ks)
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    pretrained, tasks, paths = _load_inputs(args)
+    out = _out_dir(args)
+    clf = _classifier(args.matrix_include, args.matrix_exclude)
+    mode = OriginMode(args.origin, args.rankmin_steps, args.rankmin_step_size)
+    origin = select_origin(mode, pretrained, tasks, classifier=clf)
+    report = interference_report(build_task_vectors(origin, tasks, clf), args.ks)
     outputs = [out / "interference.json", out / "interference.csv"]
     report.write_json(outputs[0])
     report.write_csv(outputs[1])
-    _write_manifest(out, "analyze", params, paths, outputs)
+    _write_manifest(out, args, paths, outputs)
     print(f"analyzed {len(report.interference)} matrix layers -> {outputs[0]}")
     return 0
 
 
-def _cmd_sweep(params: dict) -> int:
-    out = _out_dir(params)
-    suite = classification_sweep_suite(int(params["seed"]))
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
+    suite = classification_sweep_suite(args.seed)
     rows = rank_sweep(
         suite.pretrained,
         suite.finetuned,
         suite.evaluator,
-        lambdas=_floats(params["lambdas"]),
-        ratios=_floats(params["ratios"]),
+        lambdas=args.lambdas,
+        ratios=args.ratios,
     )
     target = out / "sweep.csv"
     write_sweep_csv(rows, target)
-    _write_manifest(out, "sweep", params, [], [target])
+    _write_manifest(out, args, [], [target])
     best = max(rows, key=lambda r: r.mean_accuracy)
     print(f"{len(rows)} grid cells -> {target} (best mean accuracy "
           f"{best.mean_accuracy:.4f} at ratio={best.ratio}, lambda={best.lam})")
     return 0
 
 
-def _cmd_certify(params: dict) -> int:
-    out = _out_dir(params)
-    rng = stream(int(params["seed"]), "certify-params")
+def _cmd_certify(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
+    rng = stream(args.seed, "certify-params")
     pairs = []
-    for _ in range(int(params["suites"])):
+    for _ in range(args.suites):
         d = int(rng.integers(4, 9))
         t = int(rng.integers(3, 5))
         n = int(rng.integers(1, 6))
@@ -281,46 +280,41 @@ def _cmd_certify(params: dict) -> int:
         pairs.append((suite, certify_bound(suite)))
     target = out / "certificates.jsonl"
     write_certificates(pairs, target)
-    _write_manifest(out, "certify", params, [], [target])
+    _write_manifest(out, args, [], [target])
     failures = sum(1 for _, cert in pairs if not cert.holds)
     print(f"{len(pairs) - failures}/{len(pairs)} certificates hold -> {target}")
     return 1 if failures else 0
 
 
-def _cmd_adapt(params: dict) -> int:
-    out = _out_dir(params)
-    suite = signal_noise_suite(int(params["seed"]))
+def _cmd_adapt(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
+    suite = signal_noise_suite(args.seed)
     origin = weight_average(suite.finetuned)
-    tvs = prune_ranks(build_task_vectors(origin, suite.finetuned), float(params["ratio"]))
+    tvs = prune_ranks(build_task_vectors(origin, suite.finetuned), args.ratio)
     table, history = adapt_coefficients(
-        tvs, suite.template, [suite.batch],
-        steps=int(params["iters"]), lr=float(params["lr"]),
+        tvs, suite.template, [suite.batch], steps=args.iters, lr=args.lr
     )
     outputs = [out / "adaptation.csv", out / "coefficients.json"]
     write_adaptation_csv(history, outputs[0])
-    plan = MergePlan(table=table.as_mapping())
-    outputs[1].write_text(json.dumps(plan.to_json(), sort_keys=True, indent=2) + "\n")
-    _write_manifest(out, "adapt", params, [], outputs)
+    _write_json(outputs[1], MergePlan(table=table.as_mapping()).to_json())
+    _write_manifest(out, args, [], outputs)
     print(f"entropy {history[0][1]:.4f} -> {history[-1][1]:.4f} over "
-          f"{params['iters']} steps; coefficients in {outputs[1]}")
+          f"{args.iters} steps; coefficients in {outputs[1]}")
     return 0
 
 
-def _cmd_samplesize(params: dict) -> int:
-    m = sample_size(
-        float(params["a"]), float(params["b"]),
-        float(params["epsilon"]), float(params["z"]),
-    )
+def _cmd_samplesize(args: argparse.Namespace) -> int:
+    m = sample_size(args.a, args.b, args.epsilon, args.z)
     print(m)
-    if params["out_dir"] is not None:
-        out = _out_dir(params)
+    if args.out_dir is not None:
+        out = _out_dir(args)
         target = out / "samplesize.json"
-        target.write_text(json.dumps({"m": m}, sort_keys=True) + "\n")
-        _write_manifest(out, "samplesize", params, [], [target])
+        _write_json(target, {"m": m}, indent=None)
+        _write_manifest(out, args, [], [target])
     return 0
 
 
-_COMMANDS: dict[str, Callable[[dict], int]] = {
+_COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
     "merge": _cmd_merge,
     "index": _cmd_index,
     "analyze": _cmd_analyze,
@@ -331,22 +325,33 @@ _COMMANDS: dict[str, Callable[[dict], int]] = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser, seeded: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, out_dir: str | None = ".",
+                seeded: bool = False) -> None:
     """``--config`` and ``--out-dir``; ``--seed`` only for the synthetic
     studies, the commands that draw random numbers."""
     if seeded:
-        sub.add_argument("--seed", type=int, default=None, help="base seed for all randomness")
-    sub.add_argument("--config", default=None, help="JSON file of parameter defaults")
-    sub.add_argument("--out-dir", dest="out_dir", default=None, help="directory for outputs")
+        sub.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
+    sub.add_argument("--config", help="JSON file of parameter defaults")
+    sub.add_argument("--out-dir", dest="out_dir", default=out_dir, help="directory for outputs")
 
 
 def _add_checkpoint_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--pretrained", default=None, help="pretrained checkpoint path")
-    sub.add_argument("--task", action="append", default=[], help="fine-tuned checkpoint (repeatable)")
-    sub.add_argument("--matrix-include", action="append", default=[], dest="matrix_include",
+    sub.add_argument("--pretrained", help="pretrained checkpoint path")
+    sub.add_argument("--task", action=_Repeatable, default=[],
+                     help="fine-tuned checkpoint (repeatable)")
+    sub.add_argument("--matrix-include", action=_Repeatable, default=[], dest="matrix_include",
                      help="glob of names to keep on the SVD path")
-    sub.add_argument("--matrix-exclude", action="append", default=[], dest="matrix_exclude",
+    sub.add_argument("--matrix-exclude", action=_Repeatable, default=[], dest="matrix_exclude",
                      help="glob of names to force onto the averaging path")
+
+
+def _add_origin_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--origin", choices=["mean", "pretrained", "rankmin"], default="mean",
+                     help="origin the task vectors are taken from")
+    sub.add_argument("--rankmin-steps", dest="rankmin_steps", type=int, default=200,
+                     help="solver steps of the rankmin origin")
+    sub.add_argument("--rankmin-step-size", dest="rankmin_step_size", type=_finite,
+                     help="solver step size; none scales it from the spectra")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,71 +360,65 @@ def build_parser() -> argparse.ArgumentParser:
         description="Training-free model merging with rank-reduced, re-centered task vectors.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = subs.add_parser("merge", help="merge checkpoints around a chosen origin")
     _add_checkpoint_flags(p)
-    p.add_argument("--ratio", type=float, default=None, help="retained rank ratio (default 0.08)")
-    p.add_argument("--lam", type=float, default=None, help="global merging coefficient")
-    p.add_argument("--origin", choices=["mean", "pretrained", "rankmin"], default=None)
-    p.add_argument("--rankmin-steps", dest="rankmin_steps", type=int, default=None)
-    p.add_argument("--rankmin-step-size", dest="rankmin_step_size", type=float, default=None)
+    p.add_argument("--ratio", type=_finite, default=0.08, help="retained rank ratio")
+    p.add_argument("--lam", type=_finite, default=0.3, help="global merging coefficient")
+    _add_origin_flags(p)
     _add_common(p)
 
     p = subs.add_parser("index", help="reconstruct one task's model from the shared origin")
     _add_checkpoint_flags(p)
-    p.add_argument("--ratio", type=float, default=None)
-    p.add_argument("--task-index", dest="task_index", type=int, default=None)
+    p.add_argument("--ratio", type=_finite, default=0.08, help="retained rank ratio")
+    p.add_argument("--task-index", dest="task_index", type=int, default=0, help="task to rebuild")
     _add_common(p)
 
     p = subs.add_parser("analyze", help="interference and reconstruction diagnostics")
     _add_checkpoint_flags(p)
-    p.add_argument("--origin", choices=["mean", "pretrained", "rankmin"], default=None)
-    p.add_argument("--rankmin-steps", dest="rankmin_steps", type=int, default=None)
-    p.add_argument("--rankmin-step-size", dest="rankmin_step_size", type=float, default=None)
-    p.add_argument("--ks", default=None, help="comma list of ranks to evaluate (default: all)")
+    _add_origin_flags(p)
+    p.add_argument("--ks", type=_CommaList(int),
+                   help="comma list of ranks to evaluate; none means every rank")
     _add_common(p)
 
     p = subs.add_parser("sweep", help="accuracy over a (ratio, lambda) grid on a synthetic suite")
-    p.add_argument("--ratios", default=None, help="comma list of rank ratios")
-    p.add_argument("--lambdas", default=None, help="comma list of merging coefficients")
+    p.add_argument("--ratios", type=_CommaList(_finite),
+                   default=[0.0, 0.04, 0.08, 0.16, 0.32, 1.0], help="comma list of rank ratios")
+    p.add_argument("--lambdas", type=_CommaList(_finite), default=[1.0],
+                   help="comma list of merging coefficients")
     _add_common(p, seeded=True)
 
     p = subs.add_parser("certify", help="evaluate the interference bound on random suites")
-    p.add_argument("--suites", type=int, default=None, help="number of synthetic instances")
+    p.add_argument("--suites", type=int, default=100, help="number of synthetic instances")
     _add_common(p, seeded=True)
 
     p = subs.add_parser("adapt", help="entropy-descend merging coefficients on a synthetic suite")
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=None, help="rank ratio for the adapted deltas")
+    p.add_argument("--iters", type=int, default=30, help="descent steps")
+    p.add_argument("--lr", type=_finite, default=0.01, help="descent step size")
+    p.add_argument("--ratio", type=_finite, default=1.0, help="rank ratio for the adapted deltas")
     _add_common(p, seeded=True)
 
     p = subs.add_parser("samplesize", help="evaluation samples needed for a CLT interval")
-    p.add_argument("--a", type=float, default=None, help="metric lower bound")
-    p.add_argument("--b", type=float, default=None, help="metric upper bound")
-    p.add_argument("--epsilon", type=float, default=None, help="interval half-width")
-    p.add_argument("--z", type=float, default=None, help="standard-error multiplier")
-    _add_common(p)
+    p.add_argument("--a", type=_finite, default=0.0, help="metric lower bound")
+    p.add_argument("--b", type=_finite, default=1.0, help="metric upper bound")
+    p.add_argument("--epsilon", type=_finite, default=0.05, help="interval half-width")
+    p.add_argument("--z", type=_finite, default=1.96, help="standard-error multiplier")
+    _add_common(p, out_dir=None)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        params = _resolve(args.command, args)
-        return _COMMANDS[args.command](params)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except RankmergeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, IndexError, OSError) as exc:
+    except (RankmergeError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

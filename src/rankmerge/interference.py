@@ -275,9 +275,16 @@ def sample_size(a: float, b: float, epsilon: float, z: float) -> int:
     interval of half-width ``epsilon`` at ``z`` standard errors then needs
     :math:`m = \lceil (z \sigma / \epsilon)^2 \rceil` samples.
     """
+    if not all(math.isfinite(v) for v in (a, b, epsilon, z)):
+        raise RangeError(f"need finite arguments, got a={a}, b={b}, epsilon={epsilon}, z={z}")
     if b <= a:
         raise RangeError(f"need b > a, got a={a}, b={b}")
     if epsilon <= 0 or z <= 0:
         raise RangeError("epsilon and z must be positive")
     sigma = (b - a) / 2.0
-    return int(math.ceil((z * sigma / epsilon) ** 2))
+    try:
+        return int(math.ceil((z * sigma / epsilon) ** 2))
+    except OverflowError as exc:
+        raise RangeError(
+            f"the sample size overflows a float for a={a}, b={b}, epsilon={epsilon}, z={z}"
+        ) from exc

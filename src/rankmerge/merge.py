@@ -76,7 +76,8 @@ class MergePlan:
     """The merge coefficients, and nothing else.
 
     Exactly one of ``lam`` (global coefficient) or ``table`` (per-task,
-    per-layer coefficients keyed ``table[task][layer_name]``) must be set.
+    per-layer coefficients keyed ``table[task][layer_name]``) must be set,
+    and every coefficient must be finite.
     The origin and the pruning ratio are fixed when the task vectors are
     built and pruned, so a plan does not carry them.
     """
@@ -87,6 +88,12 @@ class MergePlan:
     def __post_init__(self):
         if (self.lam is None) == (self.table is None):
             raise PlanError("set exactly one of lam (global) or table (per-task/layer)")
+        if self.lam is not None and not math.isfinite(self.lam):
+            raise PlanError(f"lam must be finite, got {self.lam}")
+        for task, layers in (self.table or {}).items():
+            for layer, value in layers.items():
+                if not math.isfinite(value):
+                    raise PlanError(f"coefficient for task {task}, layer {layer!r} is {value}")
 
     def coefficient(self, task: int, layer: str) -> float:
         if self.lam is not None:

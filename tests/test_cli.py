@@ -39,6 +39,16 @@ def _merge_args(pretrained, tasks, out, extra=()):
     return argv + ["--out-dir", str(out), *extra]
 
 
+def _config(tmp_path, entries) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+def _parameters(out) -> dict:
+    return json.loads((out / "manifest.json").read_text())["parameters"]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -87,6 +97,43 @@ def test_non_finite_bias_is_a_domain_error(checkpoints, tmp_path, capsys):
     assert main(_merge_args(pretrained, tasks, out)) == 1
     assert "enc.0.bias" in capsys.readouterr().err
     assert not (out / "merged.ckpt").exists()
+
+
+def test_samplesize_overflow_is_a_domain_error(tmp_path, capsys):
+    out = tmp_path / "ss"
+    assert main(["samplesize", "--epsilon", "1e-300", "--out-dir", str(out)]) == 1
+    assert "overflows" in capsys.readouterr().err
+    assert not (out / "samplesize.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["merge", "--lam", "nan"], None),
+        (["merge", "--lam", "inf"], None),
+        (["samplesize", "--z", "inf"], None),
+        (["certify"], {"suites": 2.5}),
+        (["index"], {"task_index": 1.7}),
+        (["adapt"], {"iters": True}),
+        (["merge"], {"origin": "bogus"}),
+        (["analyze", "--ks", "1.5"], None),
+        (["merge"], {"lam": float("nan")}),
+        (["merge"], {"ratio": [0.1]}),
+    ],
+    ids=["lam-nan", "lam-inf", "z-inf", "config-suites-2.5", "config-task-index-1.7",
+         "config-iters-true", "config-origin-bogus", "ks-1.5", "config-lam-nan",
+         "config-ratio-list"],
+)
+def test_bad_parameter_values_are_usage_errors(argv, config, checkpoints, tmp_path, capsys):
+    pretrained, tasks = checkpoints
+    if argv[0] in ("merge", "index", "analyze"):
+        argv = argv + ["--pretrained", pretrained] + [x for t in tasks for x in ("--task", t)]
+    if config is not None:
+        argv = argv + ["--config", _config(tmp_path, config)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +262,19 @@ def test_failed_manifest_write_keeps_the_previous_one(checkpoints, tmp_path, cap
     assert sorted(out.iterdir()) == before
 
 
+def test_failed_plan_write_keeps_the_previous_one(checkpoints, tmp_path, capsys,
+                                                  fail_writes_to):
+    pretrained, tasks = checkpoints
+    out = tmp_path / "merged"
+    assert main(_merge_args(pretrained, tasks, out)) == 0
+    plan = (out / "plan.json").read_bytes()
+    fail_writes_to("plan.json")
+    assert main(_merge_args(pretrained, tasks, out, ["--lam", "0.5"])) == 1
+    capsys.readouterr()
+    assert (out / "plan.json").read_bytes() == plan
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "merged.ckpt", "plan.json"]
+
+
 # ---------------------------------------------------------------------------
 # parameter resolution
 
@@ -275,6 +335,65 @@ def test_studies_take_a_seed(argv, tmp_path, capsys):
     assert main(argv + ["--seed", "3", "--out-dir", str(out)]) == 0
     capsys.readouterr()
     assert json.loads((out / "manifest.json").read_text())["parameters"]["seed"] == 3
+
+
+def test_help_shows_each_default(capsys):
+    assert main(["merge", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--ratio RATIO retained rank ratio (default: 0.08)" in text
+    assert "--lam LAM global merging coefficient (default: 0.3)" in text
+
+
+def test_config_list_for_a_repeatable_flag_yields_to_the_command_line(checkpoints, tmp_path,
+                                                                    capsys):
+    pretrained, tasks = checkpoints
+    config = _config(tmp_path, {"pretrained": pretrained, "task": tasks[:2]})
+    from_config, from_cli = tmp_path / "config", tmp_path / "cli"
+    assert main(["merge", "--config", config, "--out-dir", str(from_config)]) == 0
+    assert main(["merge", "--config", config, "--task", tasks[2],
+                 "--out-dir", str(from_cli)]) == 0
+    capsys.readouterr()
+    assert _parameters(from_config)["task"] == tasks[:2]
+    assert _parameters(from_cli)["task"] == [tasks[2]]
+
+
+def test_config_string_for_a_repeatable_flag_is_one_entry(checkpoints, tmp_path, capsys):
+    pretrained, tasks = checkpoints
+    out = tmp_path / "out"
+    config = _config(tmp_path, {"task": tasks[0], "matrix_exclude": "enc.1.*"})
+    assert main(["merge", "--pretrained", pretrained, "--config", config,
+                 "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert _parameters(out)["task"] == [tasks[0]]
+    assert _parameters(out)["matrix_exclude"] == ["enc.1.*"]
+
+
+def test_config_null_means_the_built_in_default(checkpoints, tmp_path, capsys):
+    pretrained, tasks = checkpoints
+    plain, configured = tmp_path / "plain", tmp_path / "configured"
+    config = _config(tmp_path, {"ratio": None, "lam": None, "task": None})
+    assert main(_merge_args(pretrained, tasks, plain)) == 0
+    assert main(_merge_args(pretrained, tasks, configured, ["--config", config])) == 0
+    capsys.readouterr()
+    assert (plain / "merged.ckpt").read_bytes() == (configured / "merged.ckpt").read_bytes()
+    assert _parameters(configured)["ratio"] == 0.08
+    assert _parameters(configured)["lam"] == 0.3
+
+
+@pytest.mark.parametrize("source", ["flag", "config-list", "config-string"])
+def test_sweep_manifest_records_the_parsed_lists(source, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--lambdas", "1", "--out-dir", str(out)]
+    if source == "flag":
+        argv += ["--ratios", "0,1"]
+    else:
+        ratios = [0, 1] if source == "config-list" else "0,1"
+        argv += ["--config", _config(tmp_path, {"ratios": ratios})]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for key, want in (("ratios", [0.0, 1.0]), ("lambdas", [1.0])):
+        got = _parameters(out)[key]
+        assert got == want and all(isinstance(x, float) for x in got)
 
 
 def test_config_file_is_hashed_into_the_manifest(tmp_path, capsys):

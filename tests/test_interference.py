@@ -323,3 +323,16 @@ def test_sample_size_rejects_bad_parameters():
         sample_size(0.0, 1.0, 0.0, 1.96)
     with pytest.raises(RangeError):
         sample_size(0.0, 1.0, 0.05, -2.0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0.0, 1.0, 1e-300, 1.96),  # every input finite, the answer is not
+        (0.0, 1.0, 0.05, float("inf")),
+        (float("nan"), 1.0, 0.05, 1.96),
+    ],
+)
+def test_sample_size_rejects_overflow_and_non_finite_inputs(args):
+    with pytest.raises(RangeError):
+        sample_size(*args)

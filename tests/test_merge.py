@@ -3,6 +3,8 @@ checkpoint assembly, and the storage-cost accounting."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,29 @@ def test_plan_from_json_reads_older_plans():
     old = {"origin_mode": {"kind": "mean"}, "rank_ratio": 1.0, "coefficients": {"global": 0.3}}
     assert MergePlan.from_json(old) == MergePlan(lam=0.3)
     assert MergePlan(lam=0.3).to_json() == {"coefficients": {"global": 0.3}}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_plan_rejects_non_finite_coefficients(value, rng):
+    with pytest.raises(PlanError):
+        MergePlan(lam=value)
+    with pytest.raises(PlanError):
+        MergePlan(table={0: {"a": 1.0}, 1: {"a": value}})
+    origin, finetuned = _fleet(rng)
+    with pytest.raises(PlanError):
+        cart_merge(origin, finetuned, 0.08, lam=value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"coefficients": {"global": NaN}}',
+        '{"coefficients": {"per_task_layer": {"0": {"a": 1.0}, "1": {"a": Infinity}}}}',
+    ],
+)
+def test_plan_from_json_rejects_non_finite_literals(text):
+    with pytest.raises(PlanError):
+        MergePlan.from_json(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
