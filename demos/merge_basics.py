@@ -12,7 +12,6 @@ Shows the two structural facts the pipeline is built around:
 import numpy as np
 
 from rankmerge import (
-    MergePlan,
     TensorMap,
     build_task_vectors,
     cart_merge,
@@ -57,10 +56,16 @@ def main() -> None:
     # shape you want when reusing the deltas across many merge settings.
     tvs = build_task_vectors(avg, finetuned)
     tvs = prune_ranks(tvs, 0.08)
-    plan = MergePlan(lam=0.3)
-    merged = merge(tvs, plan)
-    print(f"\nlong-form pipeline produced {len(list(merged.names()))} tensors; "
-          f"plan serializes to {plan.to_json()}")
+    merged = merge(tvs, 0.3)
+    print(f"\nlong-form pipeline produced {len(list(merged.names()))} tensors")
+
+    # One coefficient per (task, layer): rows are tasks, columns follow
+    # tvs.matrix_names(). Here task 0 gets full weight on every layer.
+    table = np.full((tvs.task_count, len(tvs.matrix_names())), 0.3)
+    table[0] = 1.0
+    tilted = merge(tvs, table)
+    gap = max(float(np.max(np.abs(tilted[n] - merged[n]))) for n in tvs.matrix_names())
+    print(f"per-task/layer coefficients {table.shape} move it by up to {gap:.2e}")
 
 
 if __name__ == "__main__":

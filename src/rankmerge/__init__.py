@@ -54,7 +54,6 @@ from .kernels import (
     truncate,
 )
 from .merge import (
-    MergePlan,
     TaskVectorSet,
     build_task_vectors,
     cart_indexing,

@@ -29,7 +29,6 @@ of sigmoid mask logits, the backward pass uses the sigmoid path
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,10 +36,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyBatch, NumericError, ShapeError
+from .errors import EmptyBatch, NumericError, PlanError, ShapeError
 from .kernels import LowRankFactor
-from .merge import MergePlan, TaskVectorSet, merge
-from .tensor_store import TensorMap
+from .merge import TaskVectorSet, merge
+from .tensor_store import TensorMap, _write_csv
 
 __all__ = [
     "Batch",
@@ -191,16 +190,17 @@ class CoefficientTable:
         return [float(x) for x in np.mean(self.values, axis=1)]
 
 
-def _merge_at(tvs: TaskVectorSet, table: CoefficientTable) -> TensorMap:
-    return merge(tvs, MergePlan(table=table.as_mapping()))
-
-
 def _coefficient_grads(
     table: CoefficientTable, tvs: TaskVectorSet, model: ToyClassifier, batch: Batch
 ) -> tuple[float, np.ndarray, dict[tuple[int, str], np.ndarray]]:
     """Loss, coefficient gradient ``p · σ`` and, per (task, layer), the
-    projection ``p = diag(Uᵀ g V)`` of the weight gradient onto the factor."""
-    merged = model.with_backbone(_merge_at(tvs, table))
+    projection ``p = diag(Uᵀ g V)`` of the weight gradient onto the factor.
+    The table's columns must follow ``tvs.matrix_names()``."""
+    if table.layer_names != tuple(tvs.matrix_names()):
+        raise PlanError(
+            f"table layers {list(table.layer_names)} are not the set's {tvs.matrix_names()}"
+        )
+    merged = model.with_backbone(merge(tvs, table.values))
     loss, weight_grads = _entropy_and_weight_grads(merged, batch)
     grid = np.zeros_like(table.values)
     projections: dict[tuple[int, str], np.ndarray] = {}
@@ -221,7 +221,8 @@ def coefficient_gradient(
 
     Merges at ``table``, backpropagates the batch entropy to each backbone
     weight, and contracts with the task deltas. Layers with zero delta get
-    exactly zero gradient.
+    exactly zero gradient. Raises :class:`PlanError` when the table's
+    ``layer_names`` are not ``tvs.matrix_names()`` in that order.
     """
     _, grid, _ = _coefficient_grads(table, tvs, model, batch)
     return grid
@@ -254,18 +255,18 @@ def adapt_coefficients(
             raise NumericError(f"non-finite entropy gradient at step {step}")
         history.append((step, loss, table.mean()))
         table = CoefficientTable(table.layer_names, table.values - lr * grid)
-    final_loss = entropy_loss(model.with_backbone(_merge_at(tvs, table)), batches[0])
+    final_loss = entropy_loss(model.with_backbone(merge(tvs, table.values)), batches[0])
     history.append((steps, final_loss, table.mean()))
     return table, history
 
 
 def write_adaptation_csv(history: Sequence[tuple[int, float, float]], path: str | Path) -> None:
-    """Columns: iter, entropy, mean_lambda."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "entropy", "mean_lambda"])
-        for step, entropy, mean_lambda in history:
-            writer.writerow([step, repr(float(entropy)), repr(float(mean_lambda))])
+    """Columns: iter, entropy, mean_lambda. Written atomically."""
+    _write_csv(path, [
+        ["iter", "entropy", "mean_lambda"],
+        *([step, repr(float(entropy)), repr(float(mean_lambda))]
+          for step, entropy, mean_lambda in history),
+    ])
 
 
 @dataclass
@@ -373,7 +374,7 @@ def adarank_adapt(
         table = CoefficientTable(table.layer_names, table.values - lr * grid)
 
     final_loss = entropy_loss(
-        model.with_backbone(_merge_at(_masked_tvs(tvs, masks), table)), batches[0]
+        model.with_backbone(merge(_masked_tvs(tvs, masks), table.values)), batches[0]
     )
     history.append((steps, final_loss, table.mean()))
     return masks, table, history

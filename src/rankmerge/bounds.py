@@ -34,6 +34,7 @@ from .errors import InvariantError, ParamError
 from .interference import _interference
 from .kernels import LowRankFactor, _singular_rank, svd
 from .rng import orthonormal, stream
+from .tensor_store import _write_text
 
 __all__ = [
     "SyntheticTaskSuite",
@@ -233,6 +234,5 @@ def certificate_json_line(suite: SyntheticTaskSuite, cert: BoundCertificate) -> 
 def write_certificates(
     pairs: Sequence[tuple[SyntheticTaskSuite, BoundCertificate]], path: str | Path
 ) -> None:
-    with open(path, "w") as fh:
-        for suite, cert in pairs:
-            fh.write(certificate_json_line(suite, cert) + "\n")
+    """One :func:`certificate_json_line` per pair, written atomically."""
+    _write_text(path, "".join(certificate_json_line(suite, cert) + "\n" for suite, cert in pairs))

@@ -33,17 +33,10 @@ from .adaptation import adapt_coefficients, write_adaptation_csv
 from .bounds import certify_bound, generate_suite, write_certificates
 from .errors import RankmergeError
 from .interference import interference_report, rank_sweep, sample_size, write_sweep_csv
-from .merge import (
-    MergePlan,
-    build_task_vectors,
-    cart_indexing,
-    merge,
-    prune_ranks,
-    weight_average,
-)
+from .merge import build_task_vectors, cart_indexing, merge, prune_ranks, weight_average
 from .origin import OriginMode, SolverTrace, select_origin
 from .rng import stream
-from .tensor_store import ParamClass, _atomic_write, classify, load_checkpoint, save_checkpoint
+from .tensor_store import ParamClass, _write_json, classify, load_checkpoint, save_checkpoint
 from .toysuites import classification_sweep_suite, signal_noise_suite
 
 __all__ = ["main"]
@@ -64,15 +57,30 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """Type of a count flag: anything but a positive integer is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 class _CommaList:
-    """Type of a comma-list flag: each non-empty item is parsed by ``item``."""
+    """Type of a comma-list flag: each non-empty item is parsed by ``item``,
+    and a list with no item is a usage error."""
 
     def __init__(self, item: Callable[[str], object]):
         self.item = item
         self.__name__ = f"comma list of {item.__name__}"
 
     def __call__(self, text: str) -> list:
-        return [self.item(x) for x in text.split(",") if x.strip()]
+        items = [self.item(x) for x in text.split(",") if x.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError(f"no item in the list {text!r}")
+        return items
 
 
 class _Repeatable(argparse.Action):
@@ -137,11 +145,6 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_json(path: Path, payload: object, indent: int | None = 2) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=indent) + "\n"
-    _atomic_write(path, lambda fh: fh.write(text.encode()))
-
-
 def _classifier(includes: Sequence[str], excludes: Sequence[str]):
     """Shape-based classification, narrowed by name globs.
 
@@ -200,12 +203,11 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     mode = OriginMode(args.origin, args.rankmin_steps, args.rankmin_step_size)
     origin = select_origin(mode, pretrained, tasks, trace_out=traces, classifier=clf)
     tvs = prune_ranks(build_task_vectors(origin, tasks, clf), args.ratio)
-    plan = MergePlan(lam=args.lam)
-    merged = merge(tvs, plan)
+    merged = merge(tvs, args.lam)
 
     outputs = [out / "merged.ckpt", out / "plan.json"]
     save_checkpoint(merged, outputs[0])
-    _write_json(outputs[1], plan.to_json())
+    _write_json(outputs[1], {"coefficients": {"global": args.lam}})
     for layer in sorted(traces):
         path = out / f"trace_{layer.replace('/', '__')}.csv"
         traces[layer].write_csv(path)
@@ -296,7 +298,8 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     )
     outputs = [out / "adaptation.csv", out / "coefficients.json"]
     write_adaptation_csv(history, outputs[0])
-    _write_json(outputs[1], MergePlan(table=table.as_mapping()).to_json())
+    per_task_layer = {str(t): layers for t, layers in table.as_mapping().items()}
+    _write_json(outputs[1], {"coefficients": {"per_task_layer": per_task_layer}})
     _write_manifest(out, args, [], outputs)
     print(f"entropy {history[0][1]:.4f} -> {history[-1][1]:.4f} over "
           f"{args.iters} steps; coefficients in {outputs[1]}")
@@ -348,7 +351,7 @@ def _add_checkpoint_flags(sub: argparse.ArgumentParser) -> None:
 def _add_origin_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--origin", choices=["mean", "pretrained", "rankmin"], default="mean",
                      help="origin the task vectors are taken from")
-    sub.add_argument("--rankmin-steps", dest="rankmin_steps", type=int, default=200,
+    sub.add_argument("--rankmin-steps", dest="rankmin_steps", type=_positive_int, default=200,
                      help="solver steps of the rankmin origin")
     sub.add_argument("--rankmin-step-size", dest="rankmin_step_size", type=_finite,
                      help="solver step size; none scales it from the spectra")
@@ -390,11 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seeded=True)
 
     p = subs.add_parser("certify", help="evaluate the interference bound on random suites")
-    p.add_argument("--suites", type=int, default=100, help="number of synthetic instances")
+    p.add_argument("--suites", type=_positive_int, default=100, help="number of synthetic instances")
     _add_common(p, seeded=True)
 
     p = subs.add_parser("adapt", help="entropy-descend merging coefficients on a synthetic suite")
-    p.add_argument("--iters", type=int, default=30, help="descent steps")
+    p.add_argument("--iters", type=_positive_int, default=30, help="descent steps")
     p.add_argument("--lr", type=_finite, default=0.01, help="descent step size")
     p.add_argument("--ratio", type=_finite, default=1.0, help="rank ratio for the adapted deltas")
     _add_common(p, seeded=True)

@@ -95,7 +95,7 @@ class DivergenceError(RankmergeError):
 # --- merge engine -----------------------------------------------------------
 
 class PlanError(RankmergeError):
-    """A merge plan is missing coefficients or is otherwise unusable."""
+    """Merge coefficients have the wrong shape or a non-finite value."""
 
 
 # --- interference analysis --------------------------------------------------

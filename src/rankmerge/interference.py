@@ -28,8 +28,6 @@ formula for how many evaluation samples an accuracy estimate needs.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    EmptyInput,
     EvaluationError,
     InsufficientTasks,
     RangeError,
@@ -46,9 +45,9 @@ from .errors import (
     ZeroTaskVector,
 )
 from .kernels import LowRankFactor, reconstruct, svd, truncate
-from .merge import MergePlan, TaskVectorSet, build_task_vectors, merge, prune_ranks
+from .merge import TaskVectorSet, build_task_vectors, merge, prune_ranks
 from .origin import OriginMode, select_origin
-from .tensor_store import TensorMap
+from .tensor_store import TensorMap, _write_csv, _write_json
 
 __all__ = [
     "InterferenceReport",
@@ -164,18 +163,16 @@ class InterferenceReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n")
+        """Write :meth:`to_json`, atomically."""
+        _write_json(path, self.to_json())
 
     def write_csv(self, path: str | Path) -> None:
-        """Columns: layer, quantity (I or R), k, value."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "quantity", "k", "value"])
-            for name in sorted(self.interference):
-                for k, v in self.interference[name]:
-                    writer.writerow([name, "I", k, repr(v)])
-                for k, v in self.reconstruction[name]:
-                    writer.writerow([name, "R", k, repr(v)])
+        """Columns: layer, quantity (I or R), k, value. Written atomically."""
+        rows: list[list[object]] = [["layer", "quantity", "k", "value"]]
+        for name in sorted(self.interference):
+            rows += [[name, "I", k, repr(v)] for k, v in self.interference[name]]
+            rows += [[name, "R", k, repr(v)] for k, v in self.reconstruction[name]]
+        _write_csv(path, rows)
 
 
 def interference_report(
@@ -184,7 +181,9 @@ def interference_report(
     """Compute I(k), R(k), and spectra for every Matrix layer of ``tvs``.
 
     ``ks`` defaults to every k from 1 to the layer's full rank for I and
-    from 0 for R. All are read from the stored factors, whose spectra are
+    from 0 for R; a requested k outside ``[0, min(m, n)]`` of any layer
+    raises :class:`RankError` naming that layer, and ``k = 0`` reports R
+    only. All are read from the stored factors, whose spectra are
     zero-padded to full rank for a pruned set; R uses the tail-energy
     identity, and the definitional residual form is exercised separately by
     :func:`reconstruction_error`.
@@ -195,8 +194,11 @@ def interference_report(
     for name in tvs.matrix_names():
         factors = [tvs.deltas[t][name] for t in range(tvs.task_count)]
         full = min(factors[0].shape)
-        i_ks = [k for k in (ks if ks is not None else range(1, full + 1)) if 1 <= k <= full]
-        r_ks = [k for k in (ks if ks is not None else range(0, full + 1)) if 0 <= k <= full]
+        r_ks = list(ks) if ks is not None else list(range(0, full + 1))
+        for k in r_ks:
+            if not 0 <= k <= full:
+                raise RankError(f"{name}: k={k} outside [0, {full}]")
+        i_ks = [k for k in r_ks if k >= 1]
         layer_spectra = [np.pad(f.singulars, (0, full - f.k)) for f in factors]
         spectra[name] = [[float(x) for x in s] for s in layer_spectra]
         interference[name] = list(zip(i_ks, _interference(factors, i_ks)))
@@ -235,15 +237,18 @@ def rank_sweep(
     so the ratio-0 and ratio-1 rows reproduce plain weight averaging,
     independent of lambda. The evaluator maps a merged checkpoint to
     per-task accuracies in [0, 1]; anything else (or an evaluator
-    exception) raises :class:`EvaluationError`.
+    exception) raises :class:`EvaluationError`. An empty ``lambdas`` or
+    ``ratios`` raises :class:`EmptyInput` before anything is evaluated.
     """
+    if not lambdas or not ratios:
+        raise EmptyInput("rank_sweep needs at least one lambda and one ratio")
     origin = select_origin(OriginMode.mean(), pretrained, finetuned)
     tvs = build_task_vectors(origin, finetuned)
     rows: list[SweepRow] = []
     for ratio in ratios:
         pruned = prune_ranks(tvs, ratio)
         for lam in lambdas:
-            merged = merge(pruned, MergePlan(lam=lam))
+            merged = merge(pruned, lam)
             try:
                 accs = [float(a) for a in evaluator(merged)]
             except Exception as exc:
@@ -257,14 +262,14 @@ def rank_sweep(
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
-    """Columns: ratio, lambda, task, accuracy — per-task rows plus a mean row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ratio", "lambda", "task", "accuracy"])
-        for row in rows:
-            for t, acc in enumerate(row.accuracies):
-                writer.writerow([repr(row.ratio), repr(row.lam), t, repr(float(acc))])
-            writer.writerow([repr(row.ratio), repr(row.lam), "mean", repr(row.mean_accuracy)])
+    """Columns: ratio, lambda, task, accuracy — per-task rows plus a mean row.
+    Written atomically."""
+    lines: list[list[object]] = [["ratio", "lambda", "task", "accuracy"]]
+    for row in rows:
+        cell = [repr(row.ratio), repr(row.lam)]
+        lines += [[*cell, t, repr(float(acc))] for t, acc in enumerate(row.accuracies)]
+        lines.append([*cell, "mean", repr(row.mean_accuracy)])
+    _write_csv(path, lines)
 
 
 def sample_size(a: float, b: float, epsilon: float, z: float) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .tensor_store import Classifier, ParamClass, TensorMap, classify, validate_
 
 __all__ = [
     "TaskVectorSet",
-    "MergePlan",
     "build_task_vectors",
     "prune_ranks",
     "prune_rank",
@@ -65,70 +63,8 @@ class TaskVectorSet:
         return len(self.deltas)
 
     def matrix_names(self) -> list[str]:
+        """Matrix layer names, sorted: the column order of coefficient arrays."""
         return sorted(self.deltas[0]) if self.deltas else []
-
-    def dense_delta(self, task: int, name: str) -> np.ndarray:
-        return reconstruct(self.deltas[task][name])
-
-
-@dataclass(frozen=True)
-class MergePlan:
-    """The merge coefficients, and nothing else.
-
-    Exactly one of ``lam`` (global coefficient) or ``table`` (per-task,
-    per-layer coefficients keyed ``table[task][layer_name]``) must be set,
-    and every coefficient must be finite.
-    The origin and the pruning ratio are fixed when the task vectors are
-    built and pruned, so a plan does not carry them.
-    """
-
-    lam: float | None = None
-    table: Mapping[int, Mapping[str, float]] | None = None
-
-    def __post_init__(self):
-        if (self.lam is None) == (self.table is None):
-            raise PlanError("set exactly one of lam (global) or table (per-task/layer)")
-        if self.lam is not None and not math.isfinite(self.lam):
-            raise PlanError(f"lam must be finite, got {self.lam}")
-        for task, layers in (self.table or {}).items():
-            for layer, value in layers.items():
-                if not math.isfinite(value):
-                    raise PlanError(f"coefficient for task {task}, layer {layer!r} is {value}")
-
-    def coefficient(self, task: int, layer: str) -> float:
-        if self.lam is not None:
-            return float(self.lam)
-        assert self.table is not None
-        try:
-            return float(self.table[task][layer])
-        except KeyError as exc:
-            raise PlanError(f"no coefficient for task {task}, layer {layer!r}") from exc
-
-    def to_json(self) -> dict:
-        coeffs: dict[str, object]
-        if self.lam is not None:
-            coeffs = {"global": self.lam}
-        else:
-            assert self.table is not None
-            coeffs = {
-                "per_task_layer": {
-                    str(t): dict(sorted(layers.items())) for t, layers in sorted(self.table.items())
-                }
-            }
-        return {"coefficients": coeffs}
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "MergePlan":
-        """Read ``payload["coefficients"]``; other keys (older plans also
-        recorded the origin mode and the ratio) are ignored."""
-        coeffs = payload["coefficients"]
-        if "global" in coeffs:
-            return cls(lam=float(coeffs["global"]))
-        table = {
-            int(t): {str(l): float(v) for l, v in layers.items()}
-            for t, layers in coeffs["per_task_layer"].items()
-        }
-        return cls(table=table)
 
 
 def build_task_vectors(
@@ -214,21 +150,39 @@ def prune_ranks(tvs: TaskVectorSet, rank_ratio: float) -> TaskVectorSet:
     return dataclasses.replace(tvs, deltas=pruned)
 
 
-def merge(tvs: TaskVectorSet, plan: MergePlan) -> TensorMap:
+def _coefficients(tvs: TaskVectorSet, lam: float | np.ndarray) -> np.ndarray:
+    """``lam`` as a ``(task_count, len(matrix_names()))`` array: a float
+    fills it, an array must have exactly that shape, and all are finite."""
+    shape = (tvs.task_count, len(tvs.matrix_names()))
+    values = np.asarray(lam, dtype=np.float64)
+    if values.shape not in ((), shape):
+        raise PlanError(
+            f"coefficients have shape {values.shape}; need a float or shape {shape}, "
+            "one row per task and one column per Matrix layer"
+        )
+    if not np.all(np.isfinite(values)):
+        raise PlanError(f"coefficients must be finite, got {lam}")
+    return np.broadcast_to(values, shape)
+
+
+def merge(tvs: TaskVectorSet, lam: float | np.ndarray) -> TensorMap:
     r"""Assemble :math:`\theta_*^l = \text{origin}^l + \sum_t \lambda_t^l \delta_t^l`.
 
-    Matrix layers combine the deltas reconstructed from their factors with
-    the plan's coefficients; non-matrix parameters are the elementwise mean of
-    the fine-tuned values. Raises :class:`PlanError` when a per-task/layer
-    table misses a required coefficient.
+    ``lam`` is one global coefficient or an array of exactly shape
+    ``(task_count, len(matrix_names()))``, whose columns follow
+    :meth:`TaskVectorSet.matrix_names`. Any other shape, or a NaN or
+    infinite coefficient, raises :class:`PlanError` before anything is
+    assembled. Matrix layers add each delta, reconstructed from its factor,
+    with its coefficient (zero coefficients are skipped); non-matrix
+    parameters are the elementwise mean of the fine-tuned values.
     """
+    coefficients = _coefficients(tvs, lam)
     entries: dict[str, np.ndarray] = {}
-    for name in tvs.matrix_names():
+    for l, name in enumerate(tvs.matrix_names()):
         acc = tvs.origin[name].astype(np.float64).copy()
-        for t in range(tvs.task_count):
-            lam = plan.coefficient(t, name)
-            if lam != 0.0:
-                acc += lam * tvs.dense_delta(t, name)
+        for t, per_task in enumerate(tvs.deltas):
+            if coefficients[t, l] != 0.0:
+                acc += coefficients[t, l] * reconstruct(per_task[name])
         entries[name] = acc.astype(tvs.output_dtypes[name])
     for name, mean in tvs.nonmatrix_mean.items():
         entries[name] = mean.astype(tvs.output_dtypes[name])
@@ -261,7 +215,7 @@ def cart_merge(
     """
     origin = select_origin(OriginMode.mean(), pretrained, finetuned)
     tvs = prune_ranks(build_task_vectors(origin, finetuned, classifier), rank_ratio)
-    return merge(tvs, MergePlan(lam=lam))
+    return merge(tvs, lam)
 
 
 def cart_indexing(
@@ -293,7 +247,7 @@ def cart_indexing(
         prune_ranks(tvs, rank_ratio),
         nonmatrix_mean={name: origin[name] for name in tvs.nonmatrix_mean},
     )
-    return merge(tvs, MergePlan(lam=1.0))
+    return merge(tvs, 1.0)
 
 
 def storage_cost(

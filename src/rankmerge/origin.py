@@ -16,7 +16,6 @@ their interplay can be inspected after the fact.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import DivergenceError, EmptyInput, InsufficientTasks, ShapeError
 from .kernels import _factor_subgradient, frobenius_inner, svd
-from .tensor_store import Classifier, ParamClass, TensorMap, classify, validate_aligned
+from .tensor_store import Classifier, ParamClass, TensorMap, _write_csv, classify, validate_aligned
 
 __all__ = [
     "OriginMode",
@@ -82,11 +81,11 @@ class SolverTrace:
     records: list[tuple[int, float, float]] = field(default_factory=list)
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "nuclear_sum", "fip_abs_sum"])
-            for step, nuc, fip in self.records:
-                writer.writerow([step, repr(float(nuc)), repr(float(fip))])
+        """Columns: step, nuclear_sum, fip_abs_sum. Written atomically."""
+        _write_csv(path, [
+            ["step", "nuclear_sum", "fip_abs_sum"],
+            *([step, repr(float(nuc)), repr(float(fip))] for step, nuc, fip in self.records),
+        ])
 
 
 def mean_origin(layers: list[np.ndarray]) -> np.ndarray:

@@ -17,7 +17,9 @@ the data section with no gap, overlap or trailing byte.
 
 from __future__ import annotations
 
+import csv
 import enum
+import io
 import json
 import os
 import struct
@@ -160,6 +162,23 @@ def _atomic_write(path: str | Path, write: Callable[[BinaryIO], None]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, atomically."""
+    _atomic_write(path, lambda fh: fh.write(text.encode()))
+
+
+def _write_json(path: str | Path, payload: object, indent: int | None = 2) -> None:
+    """Write ``payload`` as key-sorted JSON plus a newline, atomically."""
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+
+
+def _write_csv(path: str | Path, rows: Iterable[Iterable[object]]) -> None:
+    """Write ``rows`` in the csv module's default dialect, atomically."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    _write_text(path, buffer.getvalue())
 
 
 def save_checkpoint(tmap: TensorMap, path: str | Path) -> None:

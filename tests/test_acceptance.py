@@ -34,8 +34,8 @@ from rankmerge import (
     truncate,
     weight_average,
 )
-from rankmerge import MergePlan, adapt_coefficients, classification_sweep_suite, signal_noise_suite
-from rankmerge.adaptation import Batch, CoefficientTable, ToyClassifier, _merge_at, coefficient_gradient, entropy_loss
+from rankmerge import adapt_coefficients, classification_sweep_suite, signal_noise_suite
+from rankmerge.adaptation import Batch, CoefficientTable, ToyClassifier, coefficient_gradient, entropy_loss
 from rankmerge.kernels import nuclear_norm, reconstruct
 from rankmerge.origin import mean_origin
 from rankmerge.rng import orthonormal, stream
@@ -92,7 +92,7 @@ def test_rank_ratio_endpoints_collapse():
     # Pretrained origin at ratio 0: every delta is zeroed, so Matrix layers
     # come back bit-for-bit; vector parameters follow the averaging policy.
     tvs = prune_ranks(build_task_vectors(pretrained, finetuned), 0.0)
-    back = merge(tvs, MergePlan(lam=0.3))
+    back = merge(tvs, 0.3)
     exact = all(
         np.array_equal(back[name], pretrained[name])
         for name in ("enc.0.weight", "enc.1.weight")
@@ -295,7 +295,7 @@ def test_reconstruction_curve_is_a_tail_energy():
         values = [v for _, v in curve]
         ok = ok and all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
         ok = ok and values[-1] <= 1e-8 * max(values[0], 1e-300)
-        deltas = [tvs.dense_delta(t, name) for t in range(tvs.task_count)]
+        deltas = [reconstruct(tvs.deltas[t][name]) for t in range(tvs.task_count)]
         origin = np.zeros_like(deltas[0])
         for k, v in curve:
             residual_route = reconstruction_error(deltas, origin, k)
@@ -346,7 +346,7 @@ def test_entropy_adaptation_end_to_end():
 
         def loss_at(values: np.ndarray) -> float:
             probe = CoefficientTable(table.layer_names, values)
-            return entropy_loss(model.with_backbone(_merge_at(tvs, probe)), batch)
+            return entropy_loss(model.with_backbone(merge(tvs, probe.values)), batch)
 
         approx = fd_gradient(loss_at, table.values)
         worst = max(worst, float(np.max(np.abs(exact - approx))) / max(1.0, float(np.max(np.abs(exact)))))

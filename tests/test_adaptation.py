@@ -19,6 +19,7 @@ from rankmerge import (
     CoefficientTable,
     EmptyBatch,
     NumericError,
+    PlanError,
     ShapeError,
     SteMask,
     TensorMap,
@@ -29,6 +30,7 @@ from rankmerge import (
     classification_sweep_suite,
     coefficient_gradient,
     entropy_loss,
+    merge,
     signal_noise_suite,
     ste_masked_singulars,
     weight_average,
@@ -138,15 +140,19 @@ def test_coefficient_gradient_matches_finite_differences(seed):
     table = CoefficientTable.constant(tvs.task_count, tvs.matrix_names())
 
     def loss_at(values: np.ndarray) -> float:
-        probe = CoefficientTable(table.layer_names, values)
-        from rankmerge.adaptation import _merge_at
-
-        return entropy_loss(model.with_backbone(_merge_at(tvs, probe)), batch)
+        return entropy_loss(model.with_backbone(merge(tvs, values)), batch)
 
     exact = coefficient_gradient(table, tvs, model, batch)
     approx = fd_gradient(loss_at, table.values)
     scale = max(1.0, float(np.max(np.abs(exact))))
     assert np.max(np.abs(exact - approx)) < 1e-6 * scale
+
+
+def test_coefficient_gradient_rejects_permuted_layer_names():
+    model, tvs, batch = _bed(8)
+    table = CoefficientTable.constant(tvs.task_count, tvs.matrix_names()[::-1])
+    with pytest.raises(PlanError):
+        coefficient_gradient(table, tvs, model, batch)
 
 
 def test_zero_delta_gets_zero_gradient():
@@ -180,20 +186,28 @@ def test_adapt_coefficients_descends_on_the_toy_suite():
 
 
 def test_adapt_coefficients_rebuilds_each_delta_once_per_merge(monkeypatch):
-    """Only the merges rebuild dense deltas: one per (task, layer) for each
-    step plus the final evaluation; the gradient reads the factors."""
+    """One merge per step plus the final evaluation, and only the merges
+    rebuild dense deltas, one per (task, layer); the gradient reads the
+    factors."""
+    adaptation = importlib.import_module("rankmerge.adaptation")
     merge_module = importlib.import_module("rankmerge.merge")
     model, tvs, batch = _bed(9)
-    real, calls = merge_module.reconstruct, []
+    merges, rebuilds = [], []
 
-    def counted(f):
-        calls.append(None)
+    def counted_merge(*args):
+        merges.append(None)
+        return merge(*args)
+
+    def counted_reconstruct(f, real=merge_module.reconstruct):
+        rebuilds.append(None)
         return real(f)
 
-    monkeypatch.setattr(merge_module, "reconstruct", counted)
+    monkeypatch.setattr(adaptation, "merge", counted_merge)
+    monkeypatch.setattr(merge_module, "reconstruct", counted_reconstruct)
     steps = 5
     adapt_coefficients(tvs, model, [batch], steps=steps)
-    assert len(calls) == tvs.task_count * len(tvs.matrix_names()) * (steps + 1)
+    assert len(merges) == steps + 1
+    assert len(rebuilds) == tvs.task_count * len(tvs.matrix_names()) * (steps + 1)
 
 
 def test_adapt_coefficients_requires_batches():

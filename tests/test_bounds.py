@@ -217,3 +217,16 @@ def test_write_certificates_one_line_per_suite(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert [json.loads(l)["seed"] for l in lines] == [0, 1, 2]
+
+
+def test_failed_certificate_write_keeps_the_previous_file(tmp_path, fail_writes_to):
+    suite = generate_suite(**ARGS)
+    pairs = [(suite, certify_bound(suite))]
+    path = tmp_path / "certs.jsonl"
+    write_certificates(pairs, path)
+    before = path.read_bytes()
+    fail_writes_to("certs.jsonl")
+    with pytest.raises(OSError):
+        write_certificates(pairs * 2, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["certs.jsonl"]

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from rankmerge import MergePlan, TensorMap, load_checkpoint, save_checkpoint, weight_average
+from rankmerge import TensorMap, load_checkpoint, save_checkpoint, weight_average
 from rankmerge.cli import main
 from rankmerge.rng import stream
 
@@ -119,10 +119,20 @@ def test_samplesize_overflow_is_a_domain_error(tmp_path, capsys):
         (["analyze", "--ks", "1.5"], None),
         (["merge"], {"lam": float("nan")}),
         (["merge"], {"ratio": [0.1]}),
+        (["sweep", "--ratios", ""], None),
+        (["sweep", "--lambdas", " , "], None),
+        (["analyze", "--ks", ""], None),
+        (["sweep"], {"lambdas": []}),
+        (["certify", "--suites", "0"], None),
+        (["adapt", "--iters", "0"], None),
+        (["adapt"], {"iters": -2}),
+        (["merge", "--origin", "rankmin", "--rankmin-steps", "0"], None),
     ],
     ids=["lam-nan", "lam-inf", "z-inf", "config-suites-2.5", "config-task-index-1.7",
          "config-iters-true", "config-origin-bogus", "ks-1.5", "config-lam-nan",
-         "config-ratio-list"],
+         "config-ratio-list", "ratios-empty", "lambdas-blank", "ks-empty",
+         "config-lambdas-empty", "suites-0", "iters-0", "config-iters-negative",
+         "rankmin-steps-0"],
 )
 def test_bad_parameter_values_are_usage_errors(argv, config, checkpoints, tmp_path, capsys):
     pretrained, tasks = checkpoints
@@ -151,8 +161,7 @@ def test_merge_writes_checkpoint_plan_and_manifest(checkpoints, tmp_path, capsys
     for name in merged.names():
         np.testing.assert_allclose(merged[name], expected[name], atol=1e-12)
 
-    plan = MergePlan.from_json(json.loads((out / "plan.json").read_text()))
-    assert plan.lam == 0.3
+    assert (out / "plan.json").read_text() == '{\n  "coefficients": {\n    "global": 0.3\n  }\n}\n'
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["parameters"]["ratio"] == 1.0
@@ -202,6 +211,19 @@ def test_analyze_reports_matrix_layers(checkpoints, tmp_path, capsys):
     payload = json.loads((out / "interference.json").read_text())
     assert set(payload["layers"]) == {"enc.0.weight", "enc.1.weight"}
     assert (out / "interference.csv").exists()
+
+
+@pytest.mark.parametrize("k, layer", [("-1", "enc.0.weight"), ("6", "enc.1.weight")])
+def test_analyze_rank_outside_a_layer_is_a_domain_error(k, layer, checkpoints, tmp_path,
+                                                        capsys):
+    pretrained, tasks = checkpoints
+    out = tmp_path / "an"
+    argv = ["analyze", "--pretrained", pretrained, "--out-dir", str(out), "--ks", k]
+    for t in tasks:
+        argv += ["--task", t]
+    assert main(argv) == 1
+    assert layer in capsys.readouterr().err
+    assert not (out / "interference.csv").exists()
 
 
 def test_analyze_respects_matrix_excludes(checkpoints, tmp_path, capsys):
@@ -437,6 +459,7 @@ def test_adapt_writes_history_and_a_loadable_plan(tmp_path, capsys):
     history = (out / "adaptation.csv").read_text().splitlines()
     assert history[0] == "iter,entropy,mean_lambda"
     assert len(history) == 1 + 4  # steps 0..2 plus the final row
-    plan = MergePlan.from_json(json.loads((out / "coefficients.json").read_text()))
-    assert plan.table is not None
-    assert set(plan.table) == {0, 1}
+    table = json.loads((out / "coefficients.json").read_text())["coefficients"]["per_task_layer"]
+    assert set(table) == {"0", "1"}
+    assert table["0"].keys() == table["1"].keys() and table["0"]
+    assert all(isinstance(v, float) for layers in table.values() for v in layers.values())

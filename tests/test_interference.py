@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from rankmerge import (
+    EmptyInput,
     EvaluationError,
     InsufficientTasks,
     RangeError,
@@ -27,6 +28,7 @@ from rankmerge import (
     interference_report,
     prune_ranks,
     rank_sweep,
+    reconstruct,
     reconstruction_error,
     row_space_interference,
     sample_size,
@@ -156,7 +158,7 @@ def test_report_curves_match_the_scalar_routes(rng):
     tvs, _ = _report_tvs(rng)
     report = interference_report(tvs)
     name = "enc.0.weight"
-    deltas = [tvs.dense_delta(t, name) for t in range(tvs.task_count)]
+    deltas = [reconstruct(tvs.deltas[t][name]) for t in range(tvs.task_count)]
     for k, value in report.interference[name]:
         assert value == pytest.approx(row_space_interference(deltas, k), rel=1e-12)
     # The report sums spectral tails; reconstruction_error subtracts an
@@ -173,7 +175,7 @@ def test_report_on_a_pruned_set_matches_its_dense_deltas(rng):
     pruned = prune_ranks(tvs, 0.4)
     report = interference_report(pruned)
     for name in pruned.matrix_names():
-        deltas = [pruned.dense_delta(t, name) for t in range(pruned.task_count)]
+        deltas = [reconstruct(pruned.deltas[t][name]) for t in range(pruned.task_count)]
         for spec, delta in zip(report.spectra[name], deltas):
             kept = pruned.deltas[0][name].k
             assert len(spec) == min(delta.shape) and spec[kept:] == [0.0] * (len(spec) - kept)
@@ -191,9 +193,16 @@ def test_report_factors_each_delta_once(rng, svd_calls, ks):
 
 def test_report_honors_explicit_ks(rng):
     tvs, _ = _report_tvs(rng)
-    report = interference_report(tvs, ks=[0, 2, 99])
-    assert [k for k, _ in report.interference["enc.1.weight"]] == [2]
-    assert [k for k, _ in report.reconstruction["enc.1.weight"]] == [0, 2]
+    report = interference_report(tvs, ks=[0, 2, 5])
+    assert [k for k, _ in report.interference["enc.1.weight"]] == [2, 5]
+    assert [k for k, _ in report.reconstruction["enc.1.weight"]] == [0, 2, 5]
+
+
+@pytest.mark.parametrize("k, layer", [(-1, "enc.0.weight"), (6, "enc.1.weight")])
+def test_report_rejects_a_rank_outside_any_layer(rng, k, layer):
+    tvs, _ = _report_tvs(rng)  # full ranks: enc.0.weight 6, enc.1.weight 5
+    with pytest.raises(RankError, match=layer):
+        interference_report(tvs, ks=[1, k])
 
 
 def test_report_serialization(rng, tmp_path):
@@ -271,6 +280,20 @@ def test_sweep_wraps_evaluator_failures(rng):
         rank_sweep(pretrained, finetuned, broken, [1.0], [0.5])
 
 
+@pytest.mark.parametrize("lambdas, ratios", [([], [0.5]), ([1.0], [])])
+def test_sweep_rejects_an_empty_grid_before_evaluating(rng, lambdas, ratios):
+    _, finetuned = _report_tvs(rng)
+    calls = []
+
+    def evaluator(ckpt):
+        calls.append(None)
+        return [0.5]
+
+    with pytest.raises(EmptyInput):
+        rank_sweep(random_tensor_map(rng, SHAPES), finetuned, evaluator, lambdas, ratios)
+    assert calls == []
+
+
 @pytest.mark.parametrize("payload", [[], [1.5], [0.5, -0.01]])
 def test_sweep_rejects_out_of_range_accuracies(rng, payload):
     _, finetuned = _report_tvs(rng)
@@ -292,6 +315,17 @@ def test_sweep_csv_layout(tmp_path):
     assert parsed[1] == ["0.5", "0.3", "0", "0.25"]
     assert parsed[3] == ["0.5", "0.3", "mean", "0.5"]
     assert len(parsed) == 1 + 2 * 3
+
+
+def test_failed_sweep_csv_write_keeps_the_previous_file(tmp_path, fail_writes_to):
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv([SweepRow(ratio=0.5, lam=0.3, accuracies=(0.25, 0.75))], path)
+    before = path.read_bytes()
+    fail_writes_to("sweep.csv")
+    with pytest.raises(OSError):
+        write_sweep_csv([SweepRow(ratio=1.0, lam=1.0, accuracies=(1.0, 0.5))], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
 def test_sweep_row_mean():

@@ -1,9 +1,9 @@
-"""Merge-engine tests: delta construction, rank pruning, plan handling,
-checkpoint assembly, and the storage-cost accounting."""
+"""Merge-engine tests: delta construction, rank pruning, coefficient
+checks, checkpoint assembly, and the storage-cost accounting."""
 
 from __future__ import annotations
 
-import json
+import importlib
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from rankmerge import (
     ArchitectureMismatch,
     EmptyInput,
-    MergePlan,
     NumericError,
     OriginMode,
     PlanError,
@@ -26,7 +25,7 @@ from rankmerge import (
     storage_cost,
     weight_average,
 )
-from rankmerge.kernels import LowRankFactor, svd
+from rankmerge.kernels import LowRankFactor, reconstruct, svd
 
 from conftest import random_tensor_map
 from oracles import reference_tail_energy
@@ -128,7 +127,7 @@ def test_prune_full_ratio_is_lossless(rng):
         for name in tvs.matrix_names():
             assert isinstance(pruned.deltas[t][name], LowRankFactor)
             np.testing.assert_allclose(
-                pruned.dense_delta(t, name), tvs.dense_delta(t, name), atol=1e-12
+                reconstruct(pruned.deltas[t][name]), reconstruct(tvs.deltas[t][name]), atol=1e-12
             )
 
 
@@ -137,7 +136,7 @@ def test_prune_zero_ratio_kills_every_delta(rng):
     pruned = prune_ranks(build_task_vectors(origin, finetuned), 0.0)
     for t in range(pruned.task_count):
         for name in pruned.matrix_names():
-            assert np.all(pruned.dense_delta(t, name) == 0.0)
+            assert np.all(reconstruct(pruned.deltas[t][name]) == 0.0)
 
 
 def test_pruned_factor_holds_only_its_retained_triples(rng):
@@ -157,77 +156,48 @@ def test_prune_residual_is_the_spectral_tail(rng):
     pruned = prune_ranks(tvs, 0.4)
     name = "layers.0.weight"
     k = prune_rank(0.4, *SHAPES[name])
-    residual = tvs.dense_delta(0, name) - pruned.dense_delta(0, name)
+    residual = reconstruct(tvs.deltas[0][name]) - reconstruct(pruned.deltas[0][name])
     assert np.sum(residual**2) == pytest.approx(
-        reference_tail_energy(tvs.dense_delta(0, name), k), rel=1e-10
+        reference_tail_energy(reconstruct(tvs.deltas[0][name]), k), rel=1e-10
     )
 
 
 # ---------------------------------------------------------------------------
-# merge plans
-
-
-def test_plan_requires_exactly_one_coefficient_source():
-    with pytest.raises(PlanError):
-        MergePlan()
-    with pytest.raises(PlanError):
-        MergePlan(lam=1.0, table={0: {"w": 1.0}})
-
-
-def test_plan_coefficient_lookup():
-    plan = MergePlan(lam=0.7)
-    assert plan.coefficient(3, "anything") == 0.7
-    table_plan = MergePlan(table={0: {"w": 0.25}})
-    assert table_plan.coefficient(0, "w") == 0.25
-    with pytest.raises(PlanError):
-        table_plan.coefficient(1, "w")
-
-
-@pytest.mark.parametrize(
-    "plan",
-    [
-        MergePlan(lam=0.3),
-        MergePlan(table={0: {"a": 1.0, "b": 0.5}, 1: {"a": -0.25, "b": 0.0}}),
-    ],
-)
-def test_plan_json_round_trip(plan):
-    clone = MergePlan.from_json(plan.to_json())
-    assert clone == plan
-
-
-def test_plan_from_json_reads_older_plans():
-    old = {
-        "origin_mode": {"kind": "rankmin", "steps": 50, "step_size": 0.05},
-        "rank_ratio": 0.08,
-        "coefficients": {"per_task_layer": {"0": {"a": 1.0}, "1": {"a": -0.25}}},
-    }
-    assert MergePlan.from_json(old) == MergePlan(table={0: {"a": 1.0}, 1: {"a": -0.25}})
-    old = {"origin_mode": {"kind": "mean"}, "rank_ratio": 1.0, "coefficients": {"global": 0.3}}
-    assert MergePlan.from_json(old) == MergePlan(lam=0.3)
-    assert MergePlan(lam=0.3).to_json() == {"coefficients": {"global": 0.3}}
+# merge coefficients
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_plan_rejects_non_finite_coefficients(value, rng):
-    with pytest.raises(PlanError):
-        MergePlan(lam=value)
-    with pytest.raises(PlanError):
-        MergePlan(table={0: {"a": 1.0}, 1: {"a": value}})
     origin, finetuned = _fleet(rng)
+    tvs = build_task_vectors(origin, finetuned)
+    with pytest.raises(PlanError, match="finite"):
+        merge(tvs, value)
+    table = np.full((3, 2), 0.5)
+    table[1, 1] = value
+    with pytest.raises(PlanError, match="finite"):
+        merge(tvs, table)
     with pytest.raises(PlanError):
         cart_merge(origin, finetuned, 0.08, lam=value)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"coefficients": {"global": NaN}}',
-        '{"coefficients": {"per_task_layer": {"0": {"a": 1.0}, "1": {"a": Infinity}}}}',
-    ],
-)
-def test_plan_from_json_rejects_non_finite_literals(text):
-    with pytest.raises(PlanError):
-        MergePlan.from_json(json.loads(text))
+@pytest.mark.parametrize("shape", [(1, 2), (2, 3), (3, 2, 1), (6,), (2,)])
+def test_merge_rejects_every_other_coefficient_shape(rng, shape):
+    origin, finetuned = _fleet(rng)
+    tvs = build_task_vectors(origin, finetuned)  # 3 tasks x 2 Matrix layers
+    with pytest.raises(PlanError, match=r"\(3, 2\)"):
+        merge(tvs, np.full(shape, 0.5))
+
+
+def test_merge_takes_columns_in_matrix_name_order(rng):
+    origin, finetuned = _fleet(rng)
+    tvs = build_task_vectors(origin, finetuned)
+    table = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])  # task 0, first layer only
+    out = merge(tvs, table)
+    first, second = tvs.matrix_names()
+    np.testing.assert_array_equal(
+        out[first], origin[first] + reconstruct(tvs.deltas[0][first])
+    )
+    np.testing.assert_array_equal(out[second], origin[second])
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +207,11 @@ def test_plan_from_json_rejects_non_finite_literals(text):
 def test_merge_matches_manual_sum(rng):
     origin, finetuned = _fleet(rng)
     tvs = build_task_vectors(origin, finetuned)
-    out = merge(tvs, MergePlan(lam=0.4))
+    out = merge(tvs, 0.4)
     for name in tvs.matrix_names():
         expected = origin[name].astype(np.float64)
         for t in range(tvs.task_count):
-            expected = expected + 0.4 * tvs.dense_delta(t, name)
+            expected = expected + 0.4 * reconstruct(tvs.deltas[t][name])
         np.testing.assert_allclose(out[name], expected, rtol=1e-14)
     np.testing.assert_allclose(
         out["layers.0.bias"], tvs.nonmatrix_mean["layers.0.bias"], rtol=1e-15
@@ -251,7 +221,7 @@ def test_merge_matches_manual_sum(rng):
 def test_merge_zero_lambda_returns_origin(rng):
     origin, finetuned = _fleet(rng)
     tvs = build_task_vectors(origin, finetuned)
-    out = merge(tvs, MergePlan(lam=0.0))
+    out = merge(tvs, 0.0)
     for name in tvs.matrix_names():
         np.testing.assert_array_equal(out[name], origin[name])
 
@@ -259,16 +229,19 @@ def test_merge_zero_lambda_returns_origin(rng):
 def test_merge_casts_to_checkpoint_dtype(rng):
     origin, finetuned = _fleet(rng, dtype=np.float32)
     tvs = build_task_vectors(origin, finetuned)
-    out = merge(tvs, MergePlan(lam=1.0))
+    out = merge(tvs, 1.0)
     assert all(out[name].dtype == np.float32 for name in out.names())
 
 
-def test_merge_validates_table_before_assembling(rng):
+def test_merge_validates_table_before_assembling(rng, monkeypatch):
     origin, finetuned = _fleet(rng)
     tvs = build_task_vectors(origin, finetuned)
-    table = {t: {"layers.0.weight": 1.0} for t in range(3)}  # misses layers.1
+    calls = []
+    monkeypatch.setattr(importlib.import_module("rankmerge.merge"), "reconstruct", calls.append)
+    table = np.ones((3, 1))  # one column for two Matrix layers: never broadcast
     with pytest.raises(PlanError):
-        merge(tvs, MergePlan(table=table))
+        merge(tvs, table)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +288,7 @@ def test_cart_merge_is_the_long_form_pipeline_bit_for_bit(rng):
     finetuned = [random_tensor_map(rng, shapes, dtype=np.float32) for _ in range(3)]
     origin = select_origin(OriginMode.mean(), pretrained, finetuned)
     tvs = prune_ranks(build_task_vectors(origin, finetuned), 0.4)
-    long_form = merge(tvs, MergePlan(lam=0.7))
+    long_form = merge(tvs, 0.7)
     assert cart_merge(pretrained, finetuned, 0.4, 0.7) == long_form
 
 
@@ -357,11 +330,9 @@ def test_indexing_is_the_one_hot_merge_bit_for_bit(rng, dtype):
     for ratio in (0.0, 0.08, 1.0):
         pruned = prune_ranks(tvs, ratio)
         for t in range(len(finetuned)):
-            one_hot = {
-                s: {name: float(s == t) for name in tvs.matrix_names()}
-                for s in range(len(finetuned))
-            }
-            long_form = merge(pruned, MergePlan(table=one_hot))
+            one_hot = np.zeros((len(finetuned), len(tvs.matrix_names())))
+            one_hot[t] = 1.0
+            long_form = merge(pruned, one_hot)
             assert cart_indexing(pretrained, finetuned, ratio, t) == long_form
 
 
