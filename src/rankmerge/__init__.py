@@ -12,8 +12,6 @@ entropy-based test-time adaptation of the merging coefficients.
 
 from .adaptation import (
     Batch,
-    CoefficientTable,
-    SteMask,
     ToyClassifier,
     adapt_coefficients,
     adarank_adapt,

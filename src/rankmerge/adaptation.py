@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyBatch, NumericError, PlanError, ShapeError
+from .errors import EmptyBatch, NumericError, ShapeError
 from .kernels import LowRankFactor
 from .merge import TaskVectorSet, merge
 from .tensor_store import TensorMap, _write_csv
@@ -44,8 +44,6 @@ from .tensor_store import TensorMap, _write_csv
 __all__ = [
     "Batch",
     "ToyClassifier",
-    "CoefficientTable",
-    "SteMask",
     "entropy_loss",
     "coefficient_gradient",
     "adapt_coefficients",
@@ -165,46 +163,21 @@ def entropy_loss(model: ToyClassifier, batch: Batch) -> float:
     return loss
 
 
-@dataclass
-class CoefficientTable:
-    """Per-(task, layer) merging coefficients, ``values[t, l]``."""
-
-    layer_names: tuple[str, ...]
-    values: np.ndarray
-
-    @classmethod
-    def constant(cls, task_count: int, layer_names: Sequence[str]):
-        """Every coefficient at ``INIT_COEFFICIENT``, where adaptation starts."""
-        return cls(tuple(layer_names), np.full((task_count, len(layer_names)), INIT_COEFFICIENT))
-
-    def as_mapping(self) -> dict[int, dict[str, float]]:
-        return {
-            t: {name: float(self.values[t, l]) for l, name in enumerate(self.layer_names)}
-            for t in range(self.values.shape[0])
-        }
-
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    def task_means(self) -> list[float]:
-        return [float(x) for x in np.mean(self.values, axis=1)]
+def _initial_coefficients(tvs: TaskVectorSet) -> np.ndarray:
+    """Every coefficient at ``INIT_COEFFICIENT``, where adaptation starts."""
+    return np.full((tvs.task_count, len(tvs.matrix_names())), INIT_COEFFICIENT)
 
 
 def _coefficient_grads(
-    table: CoefficientTable, tvs: TaskVectorSet, model: ToyClassifier, batch: Batch
+    values: np.ndarray, tvs: TaskVectorSet, model: ToyClassifier, batch: Batch
 ) -> tuple[float, np.ndarray, dict[tuple[int, str], np.ndarray]]:
     """Loss, coefficient gradient ``p · σ`` and, per (task, layer), the
-    projection ``p = diag(Uᵀ g V)`` of the weight gradient onto the factor.
-    The table's columns must follow ``tvs.matrix_names()``."""
-    if table.layer_names != tuple(tvs.matrix_names()):
-        raise PlanError(
-            f"table layers {list(table.layer_names)} are not the set's {tvs.matrix_names()}"
-        )
-    merged = model.with_backbone(merge(tvs, table.values))
+    projection ``p = diag(Uᵀ g V)`` of the weight gradient onto the factor."""
+    merged = model.with_backbone(merge(tvs, values))
     loss, weight_grads = _entropy_and_weight_grads(merged, batch)
-    grid = np.zeros_like(table.values)
+    grid = np.zeros((tvs.task_count, len(tvs.matrix_names())))
     projections: dict[tuple[int, str], np.ndarray] = {}
-    for l, name in enumerate(table.layer_names):
+    for l, name in enumerate(tvs.matrix_names()):
         g = weight_grads[model.layer_names.index(name)]
         for t in range(tvs.task_count):
             f = tvs.deltas[t][name]
@@ -215,16 +188,17 @@ def _coefficient_grads(
 
 
 def coefficient_gradient(
-    table: CoefficientTable, tvs: TaskVectorSet, model: ToyClassifier, batch: Batch
+    values: np.ndarray, tvs: TaskVectorSet, model: ToyClassifier, batch: Batch
 ) -> np.ndarray:
     """Exact entropy gradient with respect to every merging coefficient.
 
-    Merges at ``table``, backpropagates the batch entropy to each backbone
-    weight, and contracts with the task deltas. Layers with zero delta get
-    exactly zero gradient. Raises :class:`PlanError` when the table's
-    ``layer_names`` are not ``tvs.matrix_names()`` in that order.
+    ``values`` is the ``(task_count, len(matrix_names()))`` coefficient
+    array that :func:`~rankmerge.merge.merge` takes; another shape or a
+    non-finite entry raises :class:`PlanError`. Merges at ``values``,
+    backpropagates the batch entropy to each backbone weight, and contracts
+    with the task deltas. Layers with zero delta get exactly zero gradient.
     """
-    _, grid, _ = _coefficient_grads(table, tvs, model, batch)
+    _, grid, _ = _coefficient_grads(values, tvs, model, batch)
     return grid
 
 
@@ -234,30 +208,31 @@ def adapt_coefficients(
     batches: Sequence[Batch],
     steps: int = 30,
     lr: float = 1e-2,
-) -> tuple[CoefficientTable, list[tuple[int, float, float]]]:
-    """Gradient-descend the coefficient table on batch entropy.
+) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
+    """Gradient-descend the per-(task, layer) coefficients on batch entropy.
 
     Batches are cycled in order; every coefficient starts at
-    ``INIT_COEFFICIENT``. Returns the final table and a history of
-    ``(step, entropy, mean coefficient)`` rows — one per step evaluated
-    before its update, plus a final row for the returned table. A
-    non-finite loss or gradient raises :class:`NumericError` naming the
-    step.
+    ``INIT_COEFFICIENT``. Returns the final ``(task_count,
+    len(matrix_names()))`` coefficient array, whose columns follow
+    ``tvs.matrix_names()``, and a history of ``(step, entropy, mean
+    coefficient)`` rows — one per step evaluated before its update, plus a
+    final row for the returned coefficients. A non-finite loss or gradient
+    raises :class:`NumericError` naming the step.
     """
     if not batches:
         raise EmptyBatch("need at least one adaptation batch")
-    table = CoefficientTable.constant(tvs.task_count, tvs.matrix_names())
+    values = _initial_coefficients(tvs)
     history: list[tuple[int, float, float]] = []
     for step in range(steps):
         batch = batches[step % len(batches)]
-        loss, grid, _ = _coefficient_grads(table, tvs, model, batch)
+        loss, grid, _ = _coefficient_grads(values, tvs, model, batch)
         if not np.isfinite(loss) or not np.all(np.isfinite(grid)):
             raise NumericError(f"non-finite entropy gradient at step {step}")
-        history.append((step, loss, table.mean()))
-        table = CoefficientTable(table.layer_names, table.values - lr * grid)
-    final_loss = entropy_loss(model.with_backbone(merge(tvs, table.values)), batches[0])
-    history.append((steps, final_loss, table.mean()))
-    return table, history
+        history.append((step, loss, float(np.mean(values))))
+        values = values - lr * grid
+    final_loss = entropy_loss(model.with_backbone(merge(tvs, values)), batches[0])
+    history.append((steps, final_loss, float(np.mean(values))))
+    return values, history
 
 
 def write_adaptation_csv(history: Sequence[tuple[int, float, float]], path: str | Path) -> None:
@@ -267,25 +242,6 @@ def write_adaptation_csv(history: Sequence[tuple[int, float, float]], path: str 
         *([step, repr(float(entropy)), repr(float(mean_lambda))]
           for step, entropy, mean_lambda in history),
     ])
-
-
-@dataclass
-class SteMask:
-    """Sigmoid-parameterized binary mask over one delta's singular values."""
-
-    logits: np.ndarray
-
-    @property
-    def soft(self) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.logits))
-
-    @property
-    def hard(self) -> np.ndarray:
-        return self.soft > 0.5
-
-    @property
-    def retained(self) -> int:
-        return int(np.count_nonzero(self.hard))
 
 
 def ste_masked_singulars(
@@ -308,19 +264,18 @@ def ste_masked_singulars(
     return masked, s * soft * (1.0 - soft)
 
 
-def _masked_tvs(
-    tvs: TaskVectorSet, masks: dict[tuple[int, str], SteMask]
-) -> TaskVectorSet:
-    deltas = [
-        {
-            name: LowRankFactor(
-                f.left, ste_masked_singulars(f.singulars, masks[(t, name)].logits)[0], f.right
-            )
-            for name, f in per_task.items()
-        }
-        for t, per_task in enumerate(tvs.deltas)
-    ]
-    return dataclasses.replace(tvs, deltas=deltas)
+def _masked(
+    tvs: TaskVectorSet, logits: dict[tuple[int, str], np.ndarray]
+) -> tuple[TaskVectorSet, dict[tuple[int, str], np.ndarray]]:
+    """The deltas with each mask applied, and each mask's straight-through
+    derivative, from one :func:`ste_masked_singulars` call per (task, layer)."""
+    deltas: list[dict[str, LowRankFactor]] = [{} for _ in tvs.deltas]
+    soft_paths: dict[tuple[int, str], np.ndarray] = {}
+    for (t, name), a in logits.items():
+        f = tvs.deltas[t][name]
+        kept, soft_paths[(t, name)] = ste_masked_singulars(f.singulars, a)
+        deltas[t][name] = LowRankFactor(f.left, kept, f.right)
+    return dataclasses.replace(tvs, deltas=deltas), soft_paths
 
 
 def adarank_adapt(
@@ -330,51 +285,50 @@ def adarank_adapt(
     init_k: int,
     steps: int = 30,
     lr: float = 1e-2,
-) -> tuple[dict[tuple[int, str], SteMask], CoefficientTable, list[tuple[int, float, float]]]:
+) -> tuple[dict[tuple[int, str], np.ndarray], np.ndarray, list[tuple[int, float, float]]]:
     """Jointly descend entropy over singular-value masks and coefficients.
 
     Mask logits start at -1 with the leading ``init_k`` entries at +1, so
     the initial forward pass keeps exactly the top ``init_k`` singular
-    values per (task, layer). Gradients flow to the logits through the
+    values per (task, layer); ``init_k`` outside ``[0, k]`` of any delta
+    raises :class:`ShapeError`. Gradients flow to the logits through the
     straight-through path and to the coefficients through the masked
-    deltas. Returns the masks, the coefficient table, and the same history
-    rows as :func:`adapt_coefficients`.
+    deltas. Returns the logits by ``(task, layer name)`` (the mask keeps
+    the values :func:`ste_masked_singulars` keeps), the coefficient array
+    and the same history rows as :func:`adapt_coefficients`.
     """
     if not batches:
         raise EmptyBatch("need at least one adaptation batch")
-    masks: dict[tuple[int, str], SteMask] = {}
+    logits: dict[tuple[int, str], np.ndarray] = {}
     for t in range(tvs.task_count):
         for name in tvs.matrix_names():
             f = tvs.deltas[t][name]
-            if init_k > f.k:
-                raise ShapeError(f"init_k={init_k} exceeds available rank {f.k} at {name}")
-            logits = -np.ones(f.k)
-            logits[:init_k] = 1.0
-            masks[(t, name)] = SteMask(logits)
+            if not 0 <= init_k <= f.k:
+                raise ShapeError(f"init_k={init_k} outside [0, {f.k}] at {name}")
+            a = -np.ones(f.k)
+            a[:init_k] = 1.0
+            logits[(t, name)] = a
 
-    table = CoefficientTable.constant(tvs.task_count, tvs.matrix_names())
+    values = _initial_coefficients(tvs)
     history: list[tuple[int, float, float]] = []
     for step in range(steps):
         batch = batches[step % len(batches)]
-        masked = _masked_tvs(tvs, masks)
-        loss, grid, projections = _coefficient_grads(table, masked, model, batch)
+        masked, soft_paths = _masked(tvs, logits)
+        loss, grid, projections = _coefficient_grads(values, masked, model, batch)
         if not np.isfinite(loss) or not np.all(np.isfinite(grid)):
             raise NumericError(f"non-finite entropy gradient at step {step}")
-        history.append((step, loss, table.mean()))
+        history.append((step, loss, float(np.mean(values))))
 
-        for key, p in projections.items():
-            t, name = key
-            # d loss / d masked_singular_j = lambda * u_j^T g v_j
-            lam = float(table.values[t, table.layer_names.index(name)])
-            _, soft_path = ste_masked_singulars(tvs.deltas[t][name].singulars, masks[key].logits)
-            grad = lam * p * soft_path
-            if not np.all(np.isfinite(grad)):
-                raise NumericError(f"non-finite mask gradient at step {step}")
-            masks[key] = SteMask(masks[key].logits - lr * grad)
-        table = CoefficientTable(table.layer_names, table.values - lr * grid)
+        for l, name in enumerate(tvs.matrix_names()):
+            for t in range(tvs.task_count):
+                # d loss / d masked_singular_j = lambda * u_j^T g v_j
+                grad = float(values[t, l]) * projections[(t, name)] * soft_paths[(t, name)]
+                if not np.all(np.isfinite(grad)):
+                    raise NumericError(f"non-finite mask gradient at step {step}")
+                logits[(t, name)] = logits[(t, name)] - lr * grad
+        values = values - lr * grid
 
-    final_loss = entropy_loss(
-        model.with_backbone(merge(_masked_tvs(tvs, masks), table.values)), batches[0]
-    )
-    history.append((steps, final_loss, table.mean()))
-    return masks, table, history
+    masked, _ = _masked(tvs, logits)
+    final_loss = entropy_loss(model.with_backbone(merge(masked, values)), batches[0])
+    history.append((steps, final_loss, float(np.mean(values))))
+    return logits, values, history

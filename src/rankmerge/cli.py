@@ -293,12 +293,15 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     suite = signal_noise_suite(args.seed)
     origin = weight_average(suite.finetuned)
     tvs = prune_ranks(build_task_vectors(origin, suite.finetuned), args.ratio)
-    table, history = adapt_coefficients(
+    values, history = adapt_coefficients(
         tvs, suite.template, [suite.batch], steps=args.iters, lr=args.lr
     )
     outputs = [out / "adaptation.csv", out / "coefficients.json"]
     write_adaptation_csv(history, outputs[0])
-    per_task_layer = {str(t): layers for t, layers in table.as_mapping().items()}
+    per_task_layer = {
+        str(t): {name: float(values[t, l]) for l, name in enumerate(tvs.matrix_names())}
+        for t in range(tvs.task_count)
+    }
     _write_json(outputs[1], {"coefficients": {"per_task_layer": per_task_layer}})
     _write_manifest(out, args, [], outputs)
     print(f"entropy {history[0][1]:.4f} -> {history[-1][1]:.4f} over "

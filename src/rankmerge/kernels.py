@@ -73,12 +73,11 @@ def svd(a: np.ndarray) -> LowRankFactor:
     if a.ndim != 2:
         raise ShapeError(f"svd needs a 2-D matrix, got shape {a.shape}")
     left, s, right = np.linalg.svd(a, full_matrices=False)
-    # Fix signs column-by-column so factors are reproducible across platforms.
-    for j in range(left.shape[1]):
-        pivot = int(np.argmax(np.abs(left[:, j])))
-        if left[pivot, j] < 0:
-            left[:, j] = -left[:, j]
-            right[j, :] = -right[j, :]
+    # Fix signs so factors are reproducible across platforms.
+    if left.size:
+        flip = left[np.argmax(np.abs(left), axis=0), np.arange(left.shape[1])] < 0
+        left[:, flip] = -left[:, flip]
+        right[flip, :] = -right[flip, :]
     return LowRankFactor(left=left, singulars=s, right=right)
 
 

@@ -240,9 +240,6 @@ def cart_indexing(
         )
     origin = select_origin(OriginMode.mean(), pretrained, finetuned)
     tvs = build_task_vectors(origin, [finetuned[task_index]], classifier)
-    for name in tvs.nonmatrix_mean:
-        if not np.all(np.isfinite(origin[name])):
-            raise NumericError(f"{name}: a checkpoint holds NaN or infinite values")
     tvs = dataclasses.replace(
         prune_ranks(tvs, rank_ratio),
         nonmatrix_mean={name: origin[name] for name in tvs.nonmatrix_mean},

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError, EmptyInput, InsufficientTasks, ShapeError
+from .errors import DivergenceError, EmptyInput, InsufficientTasks, NumericError, ShapeError
 from .kernels import _factor_subgradient, frobenius_inner, svd
 from .tensor_store import Classifier, ParamClass, TensorMap, _write_csv, classify, validate_aligned
 
@@ -190,11 +190,17 @@ def select_origin(
     never runs on a layer whose merged value is the plain mean. With a
     single fine-tuned checkpoint both solvers degenerate to that checkpoint.
     Pass ``trace_out`` to collect the rank-minimization trace of each solved
-    layer by name.
+    layer by name. A NaN or infinity in any tensor of any input, the
+    pretrained checkpoint included, raises :class:`NumericError` naming the
+    tensor, whatever the mode.
     """
     if not finetuned:
         raise EmptyInput("select_origin needs at least one fine-tuned checkpoint")
     validate_aligned([pretrained, *finetuned])
+    for fmap in (pretrained, *finetuned):
+        for name, arr in fmap.items():
+            if not np.all(np.isfinite(arr)):
+                raise NumericError(f"{name}: a checkpoint holds NaN or infinite values")
     if mode.kind == "pretrained":
         return pretrained
 

@@ -35,7 +35,13 @@ from rankmerge import (
     weight_average,
 )
 from rankmerge import adapt_coefficients, classification_sweep_suite, signal_noise_suite
-from rankmerge.adaptation import Batch, CoefficientTable, ToyClassifier, coefficient_gradient, entropy_loss
+from rankmerge.adaptation import (
+    INIT_COEFFICIENT,
+    Batch,
+    ToyClassifier,
+    coefficient_gradient,
+    entropy_loss,
+)
 from rankmerge.kernels import nuclear_norm, reconstruct
 from rankmerge.origin import mean_origin
 from rankmerge.rng import orthonormal, stream
@@ -341,21 +347,20 @@ def test_entropy_adaptation_end_to_end():
     worst = 0.0
     for seed in range(20):
         model, tvs, batch = _adaptation_bed(seed)
-        table = CoefficientTable.constant(tvs.task_count, tvs.matrix_names())
-        exact = coefficient_gradient(table, tvs, model, batch)
+        values = np.full((tvs.task_count, len(tvs.matrix_names())), INIT_COEFFICIENT)
+        exact = coefficient_gradient(values, tvs, model, batch)
 
         def loss_at(values: np.ndarray) -> float:
-            probe = CoefficientTable(table.layer_names, values)
-            return entropy_loss(model.with_backbone(merge(tvs, probe.values)), batch)
+            return entropy_loss(model.with_backbone(merge(tvs, values)), batch)
 
-        approx = fd_gradient(loss_at, table.values)
+        approx = fd_gradient(loss_at, values)
         worst = max(worst, float(np.max(np.abs(exact - approx))) / max(1.0, float(np.max(np.abs(exact)))))
 
     suite = signal_noise_suite(seed=0)
     tvs = build_task_vectors(weight_average(suite.finetuned), suite.finetuned)
-    table, history = adapt_coefficients(tvs, suite.template, [suite.batch], steps=60, lr=0.05)
+    values, history = adapt_coefficients(tvs, suite.template, [suite.batch], steps=60, lr=0.05)
     descended = history[-1][1] <= history[0][1]
-    means = table.task_means()
+    means = np.mean(values, axis=1)
     ordered = means[0] > means[1]
     elapsed = time.perf_counter() - start
     record(

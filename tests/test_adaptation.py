@@ -16,12 +16,10 @@ import pytest
 
 from rankmerge import (
     Batch,
-    CoefficientTable,
     EmptyBatch,
     NumericError,
     PlanError,
     ShapeError,
-    SteMask,
     TensorMap,
     ToyClassifier,
     adapt_coefficients,
@@ -137,22 +135,22 @@ def test_entropy_rejects_empty_batches():
 @pytest.mark.parametrize("seed", range(6))
 def test_coefficient_gradient_matches_finite_differences(seed):
     model, tvs, batch = _bed(seed)
-    table = CoefficientTable.constant(tvs.task_count, tvs.matrix_names())
+    values = np.full((tvs.task_count, len(tvs.matrix_names())), INIT_COEFFICIENT)
 
     def loss_at(values: np.ndarray) -> float:
         return entropy_loss(model.with_backbone(merge(tvs, values)), batch)
 
-    exact = coefficient_gradient(table, tvs, model, batch)
-    approx = fd_gradient(loss_at, table.values)
+    exact = coefficient_gradient(values, tvs, model, batch)
+    approx = fd_gradient(loss_at, values)
     scale = max(1.0, float(np.max(np.abs(exact))))
     assert np.max(np.abs(exact - approx)) < 1e-6 * scale
 
 
-def test_coefficient_gradient_rejects_permuted_layer_names():
+def test_coefficient_gradient_rejects_a_column_short_array():
     model, tvs, batch = _bed(8)
-    table = CoefficientTable.constant(tvs.task_count, tvs.matrix_names()[::-1])
+    assert len(tvs.matrix_names()) == 2
     with pytest.raises(PlanError):
-        coefficient_gradient(table, tvs, model, batch)
+        coefficient_gradient(np.full((tvs.task_count, 1), INIT_COEFFICIENT), tvs, model, batch)
 
 
 def test_zero_delta_gets_zero_gradient():
@@ -164,8 +162,7 @@ def test_zero_delta_gets_zero_gradient():
         TensorMap({name: v + 0.5 for name, v in finetuned[0].items()})
     )
     tvs = build_task_vectors(finetuned[0], finetuned)  # task 0's delta is exactly zero
-    table = CoefficientTable.constant(2, tvs.matrix_names())
-    grid = coefficient_gradient(table, tvs, model, batch)
+    grid = coefficient_gradient(np.full((2, len(LAYERS)), INIT_COEFFICIENT), tvs, model, batch)
     assert np.all(grid[0] == 0.0)
     assert np.any(grid[1] != 0.0)
 
@@ -177,11 +174,11 @@ def test_zero_delta_gets_zero_gradient():
 def test_adapt_coefficients_descends_on_the_toy_suite():
     suite = signal_noise_suite(seed=5)
     tvs = build_task_vectors(weight_average(suite.finetuned), suite.finetuned)
-    table, history = adapt_coefficients(tvs, suite.template, [suite.batch], steps=40, lr=0.05)
+    values, history = adapt_coefficients(tvs, suite.template, [suite.batch], steps=40, lr=0.05)
     assert [row[0] for row in history] == list(range(41))
     assert history[0][2] == pytest.approx(INIT_COEFFICIENT)
     assert history[-1][1] < history[0][1]
-    means = table.task_means()
+    means = np.mean(values, axis=1)
     assert means[0] > means[1]  # signal checkpoint outranks the noise one
 
 
@@ -261,37 +258,34 @@ def test_ste_shape_mismatch():
         ste_masked_singulars(np.ones(3), np.ones(4))
 
 
-def test_ste_mask_properties():
-    mask = SteMask(np.array([1.0, -1.0, 4.0]))
-    assert mask.retained == 2
-    assert np.all((mask.soft > 0.0) & (mask.soft < 1.0))
-    np.testing.assert_array_equal(mask.hard, [True, False, True])
-
-
 def test_adarank_initial_masks_keep_the_top_k():
     model, tvs, batch = _bed(9)
-    masks, table, history = adarank_adapt(tvs, model, [batch], init_k=2, steps=0)
-    assert set(masks) == {(t, n) for t in range(3) for n in LAYERS}
-    for mask in masks.values():
-        assert mask.retained == 2
-        assert np.all(mask.hard[:2])
+    logits, values, history = adarank_adapt(tvs, model, [batch], init_k=2, steps=0)
+    assert set(logits) == {(t, n) for t in range(3) for n in LAYERS}
+    for (t, name), a in logits.items():
+        singulars = tvs.deltas[t][name].singulars
+        masked, _ = ste_masked_singulars(singulars, a)
+        np.testing.assert_array_equal(masked, np.where(np.arange(len(a)) < 2, singulars, 0.0))
     assert len(history) == 1
-    assert table.mean() == pytest.approx(INIT_COEFFICIENT)
+    assert values.shape == (3, len(LAYERS))
+    assert float(np.mean(values)) == pytest.approx(INIT_COEFFICIENT)
 
 
 def test_adarank_joint_descent_runs():
     suite = signal_noise_suite(seed=10)
     tvs = build_task_vectors(weight_average(suite.finetuned), suite.finetuned)
-    masks, table, history = adarank_adapt(tvs, suite.template, [suite.batch], init_k=3, steps=15, lr=0.05)
+    logits, values, history = adarank_adapt(tvs, suite.template, [suite.batch], init_k=3, steps=15, lr=0.05)
     assert [row[0] for row in history] == list(range(16))
     assert history[-1][1] < history[0][1]
-    assert all(np.all(np.isfinite(m.logits)) for m in masks.values())
+    assert all(np.all(np.isfinite(a)) for a in logits.values())
+    assert np.all(np.isfinite(values))
 
 
 def test_adarank_rejects_oversized_init_k():
     model, tvs, batch = _bed(11)
-    with pytest.raises(ShapeError):
-        adarank_adapt(tvs, model, [batch], init_k=99)
+    for init_k in (99, -1):
+        with pytest.raises(ShapeError):
+            adarank_adapt(tvs, model, [batch], init_k=init_k)
 
 
 # ---------------------------------------------------------------------------

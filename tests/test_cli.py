@@ -87,16 +87,23 @@ def test_out_of_range_task_index_is_a_domain_error(checkpoints, tmp_path, capsys
     capsys.readouterr()
 
 
-def test_non_finite_bias_is_a_domain_error(checkpoints, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, output",
+    [("merge", "merged.ckpt"), ("index", "indexed.ckpt"), ("analyze", "interference.json")],
+    ids=["merge", "index", "analyze"],
+)
+@pytest.mark.parametrize("holder", ["pretrained", "task"])
+def test_non_finite_bias_is_a_domain_error(checkpoints, tmp_path, capsys, holder, command, output):
     pretrained, tasks = checkpoints
-    task = load_checkpoint(tasks[1])
-    bias = task["enc.0.bias"].copy()
+    path = pretrained if holder == "pretrained" else tasks[1]
+    ckpt = load_checkpoint(path)
+    bias = ckpt["enc.0.bias"].copy()
     bias[3] = np.nan
-    save_checkpoint(TensorMap({**dict(task.items()), "enc.0.bias": bias}), tasks[1])
+    save_checkpoint(TensorMap({**dict(ckpt.items()), "enc.0.bias": bias}), path)
     out = tmp_path / "out"
-    assert main(_merge_args(pretrained, tasks, out)) == 1
+    assert main([command, *_merge_args(pretrained, tasks, out)[1:]]) == 1
     assert "enc.0.bias" in capsys.readouterr().err
-    assert not (out / "merged.ckpt").exists()
+    assert not (out / output).exists()
 
 
 def test_samplesize_overflow_is_a_domain_error(tmp_path, capsys):

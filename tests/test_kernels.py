@@ -82,6 +82,13 @@ def test_svd_rejects_non_matrix_shapes():
         svd(np.zeros((2, 2, 2)))
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_svd_of_an_empty_matrix_has_no_triples(shape):
+    f = svd(np.zeros(shape))
+    assert f.k == 0 and f.shape == shape
+    assert reconstruct(f).shape == shape
+
+
 def test_truncate_keeps_leading_triples(matrix):
     f = svd(matrix)
     cut = truncate(f, 2)
