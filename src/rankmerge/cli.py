@@ -14,7 +14,8 @@ the SHA-256 of every input and output — no timestamps, so identical runs
 produce byte-identical artifacts.
 
 Exit codes: 0 on success, 1 on a domain error (bad inputs, failed
-certificate), 2 on usage errors.
+certificate), 2 on usage errors. Each command creates ``--out-dir`` just
+before its first write, so a bad input leaves nothing on disk.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ def _finite(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    """Type of a step-size flag: a finite number above zero."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
     return value
 
 
@@ -197,7 +206,6 @@ def _write_manifest(out: Path, args: argparse.Namespace, inputs: list[Path],
 
 def _cmd_merge(args: argparse.Namespace) -> int:
     pretrained, tasks, paths = _load_inputs(args)
-    out = _out_dir(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
     traces: dict[str, SolverTrace] = {}
     mode = OriginMode(args.origin, args.rankmin_steps, args.rankmin_step_size)
@@ -205,6 +213,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     tvs = prune_ranks(build_task_vectors(origin, tasks, clf), args.ratio)
     merged = merge(tvs, args.lam)
 
+    out = _out_dir(args)
     outputs = [out / "merged.ckpt", out / "plan.json"]
     save_checkpoint(merged, outputs[0])
     _write_json(outputs[1], {"coefficients": {"global": args.lam}})
@@ -219,9 +228,9 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 def _cmd_index(args: argparse.Namespace) -> int:
     pretrained, tasks, paths = _load_inputs(args)
-    out = _out_dir(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
     indexed = cart_indexing(pretrained, tasks, args.ratio, args.task_index, clf)
+    out = _out_dir(args)
     target = out / "indexed.ckpt"
     save_checkpoint(indexed, target)
     _write_manifest(out, args, paths, [target])
@@ -231,11 +240,11 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     pretrained, tasks, paths = _load_inputs(args)
-    out = _out_dir(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
     mode = OriginMode(args.origin, args.rankmin_steps, args.rankmin_step_size)
     origin = select_origin(mode, pretrained, tasks, classifier=clf)
     report = interference_report(build_task_vectors(origin, tasks, clf), args.ks)
+    out = _out_dir(args)
     outputs = [out / "interference.json", out / "interference.csv"]
     report.write_json(outputs[0])
     report.write_csv(outputs[1])
@@ -245,7 +254,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     suite = classification_sweep_suite(args.seed)
     rows = rank_sweep(
         suite.pretrained,
@@ -254,6 +262,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         lambdas=args.lambdas,
         ratios=args.ratios,
     )
+    out = _out_dir(args)
     target = out / "sweep.csv"
     write_sweep_csv(rows, target)
     _write_manifest(out, args, [], [target])
@@ -264,7 +273,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     rng = stream(args.seed, "certify-params")
     pairs = []
     for _ in range(args.suites):
@@ -280,6 +288,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             d, t, n, r, alpha, s_max, c, eta, seed=int(rng.integers(0, 2**31))
         )
         pairs.append((suite, certify_bound(suite)))
+    out = _out_dir(args)
     target = out / "certificates.jsonl"
     write_certificates(pairs, target)
     _write_manifest(out, args, [], [target])
@@ -289,13 +298,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_adapt(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     suite = signal_noise_suite(args.seed)
     origin = weight_average(suite.finetuned)
     tvs = prune_ranks(build_task_vectors(origin, suite.finetuned), args.ratio)
     values, history = adapt_coefficients(
         tvs, suite.template, [suite.batch], steps=args.iters, lr=args.lr
     )
+    out = _out_dir(args)
     outputs = [out / "adaptation.csv", out / "coefficients.json"]
     write_adaptation_csv(history, outputs[0])
     per_task_layer = {
@@ -356,7 +365,7 @@ def _add_origin_flags(sub: argparse.ArgumentParser) -> None:
                      help="origin the task vectors are taken from")
     sub.add_argument("--rankmin-steps", dest="rankmin_steps", type=_positive_int, default=200,
                      help="solver steps of the rankmin origin")
-    sub.add_argument("--rankmin-step-size", dest="rankmin_step_size", type=_finite,
+    sub.add_argument("--rankmin-step-size", dest="rankmin_step_size", type=_positive_finite,
                      help="solver step size; none scales it from the spectra")
 
 

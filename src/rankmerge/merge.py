@@ -10,10 +10,11 @@ the weight-average origin and a global coefficient:
     = \theta_{\text{avg}}^l
     + \lambda \sum_t \mathrm{SVD}_k(\theta_t^l - \theta_{\text{avg}}^l).
 
-Matrix parameters take the SVD path; everything else is merged by plain
-averaging of the fine-tuned values. Each Matrix delta is stored as its thin
-SVD, computed once: pruning slices it and merging reconstructs from it.
-All internal arithmetic is float64; the output restores the input dtype.
+The origin is the merged model at coefficient zero: Matrix parameters add
+coefficient-weighted deltas to it, and every other tensor is the origin's.
+Each Matrix delta is stored as its thin SVD, computed once: pruning slices
+it and merging reconstructs from it. All internal arithmetic is float64;
+each output tensor takes the origin's dtype.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArchitectureMismatch, EmptyInput, NumericError, PlanError
+from .errors import EmptyInput, NumericError, PlanError
 from .kernels import LowRankFactor, reconstruct, svd, truncate
-from .origin import OriginMode, mean_origin, select_origin
+from .origin import OriginMode, select_origin
 from .tensor_store import Classifier, ParamClass, TensorMap, classify, validate_aligned
 
 __all__ = [
@@ -43,20 +44,17 @@ __all__ = [
 
 @dataclass
 class TaskVectorSet:
-    """A chosen origin plus per-task, per-layer deviations.
+    """An origin, the merged model at coefficient zero, plus per-task,
+    per-layer deviations.
 
     ``deltas[t][name]`` holds task ``t``'s deviation on Matrix layer
     ``name`` as its float64 thin SVD: all ``min(m, n)`` triples after
     :func:`build_task_vectors`, the leading ``k`` after :func:`prune_ranks`.
-    Non-matrix parameters carry no deltas; the mean of their fine-tuned
-    values is kept for assembly. ``output_dtypes`` remembers the checkpoint
-    dtype that merged outputs are cast back to.
+    Non-matrix parameters carry no deltas; they merge to their origin value.
     """
 
     origin: TensorMap
     deltas: list[dict[str, LowRankFactor]]
-    nonmatrix_mean: dict[str, np.ndarray]
-    output_dtypes: dict[str, np.dtype]
 
     @property
     def task_count(self) -> int:
@@ -74,43 +72,26 @@ def build_task_vectors(
 ) -> TaskVectorSet:
     """Factor each task's float64 deviation from ``origin`` on every Matrix layer.
 
-    Non-matrix parameters are recorded for averaging only. The origin may
-    carry a different dtype than the checkpoints (it is often a float64
-    intermediate); names and shapes must match exactly. A NaN or infinity
-    in any parameter raises :class:`NumericError`.
+    ``origin`` is the merged model at coefficient zero, usually
+    :func:`~rankmerge.origin.select_origin`'s. It must name the same tensors
+    as the checkpoints, with the same shapes and dtypes, or
+    :class:`ArchitectureMismatch` is raised. Non-matrix parameters merge to
+    the origin's values, so only the origin's are read; a NaN or infinity in
+    one of them, or in a Matrix delta, raises :class:`NumericError`.
     """
     if not finetuned:
         raise EmptyInput("build_task_vectors needs at least one checkpoint")
-    if len(finetuned) >= 2:
-        validate_aligned(finetuned)
-    ref = finetuned[0]
-    for name in sorted(set(origin.names()) | set(ref.names())):
-        if name not in origin or name not in ref:
-            raise ArchitectureMismatch(name, "origin and checkpoints name different tensors")
-        if origin[name].shape != ref[name].shape:
-            raise ArchitectureMismatch(
-                name, f"origin shape {origin[name].shape} vs checkpoint {ref[name].shape}"
-            )
+    validate_aligned([origin, *finetuned])
 
     deltas: list[dict[str, LowRankFactor]] = [{} for _ in finetuned]
-    nonmatrix_mean: dict[str, np.ndarray] = {}
-    output_dtypes: dict[str, np.dtype] = {}
-    for name, arr in ref.items():
-        output_dtypes[name] = arr.dtype
+    for name, arr in origin.items():
         if classifier(name, arr) is ParamClass.MATRIX:
             base = origin[name].astype(np.float64)
             for t, fmap in enumerate(finetuned):
                 deltas[t][name] = svd(fmap[name].astype(np.float64) - base)
-        else:
-            if not all(np.all(np.isfinite(fmap[name])) for fmap in finetuned):
-                raise NumericError(f"{name}: a checkpoint holds NaN or infinite values")
-            nonmatrix_mean[name] = mean_origin([fmap[name] for fmap in finetuned])
-    return TaskVectorSet(
-        origin=origin,
-        deltas=deltas,
-        nonmatrix_mean=nonmatrix_mean,
-        output_dtypes=output_dtypes,
-    )
+        elif not np.all(np.isfinite(arr)):
+            raise NumericError(f"{name}: the origin holds NaN or infinite values")
+    return TaskVectorSet(origin=origin, deltas=deltas)
 
 
 def prune_rank(rank_ratio: float, m: int, n: int) -> int:
@@ -173,19 +154,17 @@ def merge(tvs: TaskVectorSet, lam: float | np.ndarray) -> TensorMap:
     :meth:`TaskVectorSet.matrix_names`. Any other shape, or a NaN or
     infinite coefficient, raises :class:`PlanError` before anything is
     assembled. Matrix layers add each delta, reconstructed from its factor,
-    with its coefficient (zero coefficients are skipped); non-matrix
-    parameters are the elementwise mean of the fine-tuned values.
+    with its coefficient (zero coefficients are skipped); every other tensor
+    is the origin's. Each output tensor takes the origin's dtype.
     """
     coefficients = _coefficients(tvs, lam)
-    entries: dict[str, np.ndarray] = {}
+    entries = dict(tvs.origin.items())
     for l, name in enumerate(tvs.matrix_names()):
-        acc = tvs.origin[name].astype(np.float64).copy()
+        acc = tvs.origin[name].astype(np.float64)
         for t, per_task in enumerate(tvs.deltas):
             if coefficients[t, l] != 0.0:
                 acc += coefficients[t, l] * reconstruct(per_task[name])
-        entries[name] = acc.astype(tvs.output_dtypes[name])
-    for name, mean in tvs.nonmatrix_mean.items():
-        entries[name] = mean.astype(tvs.output_dtypes[name])
+        entries[name] = acc.astype(tvs.origin[name].dtype)
     return TensorMap(entries)
 
 
@@ -229,7 +208,7 @@ def cart_indexing(
 
     At ratio 1 this returns task ``task_index``'s Matrix parameters exactly
     (up to floating error); at ratio 0 it collapses to the weight average.
-    Non-matrix parameters follow the averaging policy either way. Only the
+    Non-matrix parameters are the weight average's either way. Only the
     requested task's deltas are factored.
     """
     if not finetuned:
@@ -240,11 +219,7 @@ def cart_indexing(
         )
     origin = select_origin(OriginMode.mean(), pretrained, finetuned)
     tvs = build_task_vectors(origin, [finetuned[task_index]], classifier)
-    tvs = dataclasses.replace(
-        prune_ranks(tvs, rank_ratio),
-        nonmatrix_mean={name: origin[name] for name in tvs.nonmatrix_mean},
-    )
-    return merge(tvs, 1.0)
+    return merge(prune_ranks(tvs, rank_ratio), 1.0)
 
 
 def storage_cost(

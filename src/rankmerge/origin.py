@@ -1,6 +1,8 @@
 r"""Task-vector origin selection.
 
-Three strategies for the origin that task vectors are measured from:
+The origin is the merged model at coefficient zero. Its non-matrix tensors
+are the fine-tuned mean whatever the strategy; three strategies choose the
+Matrix layers that task vectors are measured from:
 
 * pretrained passthrough — the classic task-arithmetic origin,
 * mean — elementwise average of the fine-tuned checkpoints, which is the
@@ -89,16 +91,26 @@ class SolverTrace:
 
 
 def mean_origin(layers: list[np.ndarray]) -> np.ndarray:
-    """Elementwise mean of the layers; the task vectors around it sum to zero."""
+    """Elementwise mean of the layers; the task vectors around it sum to zero.
+
+    A NaN or infinity in a layer, or a sum that overflows float64, raises
+    :class:`NumericError` naming the position of the first bad layer.
+    """
     if not layers:
         raise EmptyInput("mean_origin needs at least one layer")
     first = np.asarray(layers[0], dtype=np.float64)
     out = first.copy()
-    for layer in layers[1:]:
-        arr = np.asarray(layer, dtype=np.float64)
-        if arr.shape != first.shape:
-            raise ShapeError(f"layer shape {arr.shape} != {first.shape}")
-        out += arr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in layers[1:]:
+            arr = np.asarray(layer, dtype=np.float64)
+            if arr.shape != first.shape:
+                raise ShapeError(f"layer shape {arr.shape} != {first.shape}")
+            out += arr
+    if not np.all(np.isfinite(out)):
+        for i, layer in enumerate(layers):
+            if not np.all(np.isfinite(layer)):
+                raise NumericError(f"mean_origin: layer {i} holds NaN or infinite values")
+        raise NumericError("mean_origin: the sum of the layers overflows float64")
     return out / len(layers)
 
 
@@ -179,20 +191,19 @@ def select_origin(
     trace_out: dict[str, SolverTrace] | None = None,
     classifier: Classifier = classify,
 ) -> TensorMap:
-    """Assemble a per-layer origin checkpoint under ``mode``.
+    """Assemble the origin, the merged model at coefficient zero, under ``mode``.
 
-    This is the only code that builds origin maps:
+    This is the only code that decides non-matrix values and output dtypes:
+    :func:`~rankmerge.merge.merge` starts from this map, and
     :func:`~rankmerge.merge.weight_average` and the CART entry points call
-    it in mean mode. Every tensor is cast to
-    the checkpoint dtype. Layers that ``classifier`` puts on the SVD path use
-    the chosen solver; all others take the elementwise mean (or the
-    pretrained values in pretrained mode), so the rank-minimization solver
-    never runs on a layer whose merged value is the plain mean. With a
-    single fine-tuned checkpoint both solvers degenerate to that checkpoint.
-    Pass ``trace_out`` to collect the rank-minimization trace of each solved
-    layer by name. A NaN or infinity in any tensor of any input, the
-    pretrained checkpoint included, raises :class:`NumericError` naming the
-    tensor, whatever the mode.
+    it in mean mode. Every tensor takes the checkpoint dtype. A layer that
+    ``classifier`` keeps off the SVD path is the fine-tuned mean in every
+    mode. A Matrix layer is the pretrained array in pretrained mode, the
+    rank-minimization solution in rankmin mode with two or more fine-tuned
+    checkpoints, and the mean otherwise. Pass ``trace_out`` to collect the
+    rank-minimization trace of each solved layer by name. A NaN or infinity
+    in any tensor of any input, the pretrained checkpoint included, raises
+    :class:`NumericError` naming the tensor, whatever the mode.
     """
     if not finetuned:
         raise EmptyInput("select_origin needs at least one fine-tuned checkpoint")
@@ -201,21 +212,18 @@ def select_origin(
         for name, arr in fmap.items():
             if not np.all(np.isfinite(arr)):
                 raise NumericError(f"{name}: a checkpoint holds NaN or infinite values")
-    if mode.kind == "pretrained":
-        return pretrained
 
     entries: dict[str, np.ndarray] = {}
     for name, ref in pretrained.items():
         stacked = [fmap[name] for fmap in finetuned]
-        if (
-            mode.kind == "rankmin"
-            and len(stacked) >= 2
-            and classifier(name, ref) is ParamClass.MATRIX
-        ):
+        matrix = classifier(name, ref) is ParamClass.MATRIX
+        if matrix and mode.kind == "pretrained":
+            solved = ref
+        elif matrix and mode.kind == "rankmin" and len(stacked) >= 2:
             solved, trace = rankmin_origin(stacked, mode.steps, mode.step_size)
             if trace_out is not None:
                 trace_out[name] = trace
         else:
             solved = mean_origin(stacked)
-        entries[name] = solved.astype(ref.dtype)
+        entries[name] = np.asarray(solved, dtype=ref.dtype)
     return TensorMap(entries)

@@ -96,7 +96,7 @@ def test_rank_ratio_endpoints_collapse():
             worst = max(worst, float(np.max(np.abs(merged[name] - avg[name]))))
 
     # Pretrained origin at ratio 0: every delta is zeroed, so Matrix layers
-    # come back bit-for-bit; vector parameters follow the averaging policy.
+    # come back bit-for-bit; vector parameters are the origin's too.
     tvs = prune_ranks(build_task_vectors(pretrained, finetuned), 0.0)
     back = merge(tvs, 0.3)
     exact = all(

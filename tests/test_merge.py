@@ -59,24 +59,6 @@ def test_deltas_are_float64_checkpoint_minus_origin(rng):
                 np.testing.assert_array_equal(got, want)
 
 
-def test_vectors_are_averaged_not_diffed(rng):
-    origin, finetuned = _fleet(rng)
-    tvs = build_task_vectors(origin, finetuned)
-    assert set(tvs.nonmatrix_mean) == {"layers.0.bias"}
-    np.testing.assert_allclose(
-        tvs.nonmatrix_mean["layers.0.bias"],
-        np.mean([fmap["layers.0.bias"] for fmap in finetuned], axis=0),
-        rtol=1e-15,
-    )
-
-
-def test_origin_dtype_may_differ_from_checkpoints(rng):
-    origin, finetuned = _fleet(rng, dtype=np.float32)
-    wide_origin = TensorMap({k: v.astype(np.float64) for k, v in origin.items()})
-    tvs = build_task_vectors(wide_origin, finetuned)
-    assert tvs.output_dtypes["layers.0.weight"] == np.float32
-
-
 def test_build_rejects_misaligned_origin(rng):
     origin, finetuned = _fleet(rng)
     renamed = TensorMap({f"other.{k}": v for k, v in origin.items()})
@@ -87,8 +69,20 @@ def test_build_rejects_misaligned_origin(rng):
     )
     with pytest.raises(ArchitectureMismatch):
         build_task_vectors(squashed, finetuned)
+    narrow = [TensorMap({k: v.astype(np.float32) for k, v in m.items()}) for m in finetuned]
+    with pytest.raises(ArchitectureMismatch, match="dtype"):
+        build_task_vectors(origin, narrow)
     with pytest.raises(EmptyInput):
         build_task_vectors(origin, [])
+
+
+def test_build_rejects_a_non_finite_origin_bias(rng):
+    origin, finetuned = _fleet(rng)
+    bias = origin["layers.0.bias"].copy()
+    bias[2] = np.nan
+    origin = TensorMap({**dict(origin.items()), "layers.0.bias": bias})
+    with pytest.raises(NumericError, match="layers.0.bias"):
+        build_task_vectors(origin, finetuned)
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +207,15 @@ def test_merge_matches_manual_sum(rng):
         for t in range(tvs.task_count):
             expected = expected + 0.4 * reconstruct(tvs.deltas[t][name])
         np.testing.assert_allclose(out[name], expected, rtol=1e-14)
-    np.testing.assert_allclose(
-        out["layers.0.bias"], tvs.nonmatrix_mean["layers.0.bias"], rtol=1e-15
-    )
+    np.testing.assert_array_equal(out["layers.0.bias"], origin["layers.0.bias"])
 
 
-def test_merge_zero_lambda_returns_origin(rng):
-    origin, finetuned = _fleet(rng)
-    tvs = build_task_vectors(origin, finetuned)
-    out = merge(tvs, 0.0)
-    for name in tvs.matrix_names():
-        np.testing.assert_array_equal(out[name], origin[name])
+@pytest.mark.parametrize("mode", [OriginMode.pretrained(), OriginMode.mean(),
+                                  OriginMode.rankmin(steps=5)], ids=lambda m: m.kind)
+def test_merge_zero_lambda_returns_origin(rng, mode):
+    pretrained, finetuned = _fleet(rng)
+    origin = select_origin(mode, pretrained, finetuned)
+    assert merge(build_task_vectors(origin, finetuned), 0.0) == origin
 
 
 def test_merge_casts_to_checkpoint_dtype(rng):

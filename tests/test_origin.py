@@ -12,6 +12,7 @@ from rankmerge import (
     DivergenceError,
     EmptyInput,
     InsufficientTasks,
+    NumericError,
     OriginMode,
     ParamClass,
     ShapeError,
@@ -60,6 +61,12 @@ def test_mean_origin_rejects_empty_and_misaligned(rng):
         mean_origin([])
     with pytest.raises(ShapeError):
         mean_origin([rng.standard_normal((3, 4)), rng.standard_normal((4, 3))])
+    poisoned = rng.standard_normal((3, 4))
+    poisoned[1, 2] = np.nan
+    with pytest.raises(NumericError, match="layer 1"):
+        mean_origin([rng.standard_normal((3, 4)), poisoned])
+    with pytest.raises(NumericError, match="overflow"):
+        mean_origin([np.full((2, 2), 1e308), np.full((2, 2), 1e308)])
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +167,10 @@ def test_rankmin_input_validation(rng):
         rankmin_origin(_layers(rng, count=2), steps=0)
     with pytest.raises(ValueError):
         rankmin_origin(_layers(rng, count=2), step_size=-1.0)
+    layers = _layers(rng, count=3)
+    layers[2][0, 0] = np.inf
+    with pytest.raises(NumericError, match="layer 2"):
+        rankmin_origin(layers)
 
 
 def test_solver_trace_csv_round_trips(tmp_path):
@@ -192,7 +203,10 @@ def _checkpoints(g: np.random.Generator, count: int = 3) -> list[TensorMap]:
 
 def test_select_origin_pretrained_is_passthrough(rng):
     pre, *rest = _checkpoints(rng, count=4)
-    assert select_origin(OriginMode.pretrained(), pre, rest) is pre
+    out = select_origin(OriginMode.pretrained(), pre, rest)
+    assert out["blocks.0.weight"] is pre["blocks.0.weight"]
+    mean = select_origin(OriginMode.mean(), pre, rest)
+    np.testing.assert_array_equal(out["blocks.0.bias"], mean["blocks.0.bias"])
 
 
 def test_select_origin_mean_averages_and_keeps_dtype(rng):
