@@ -69,11 +69,15 @@ def test_build_rejects_misaligned_origin(rng):
     )
     with pytest.raises(ArchitectureMismatch):
         build_task_vectors(squashed, finetuned)
-    narrow = [TensorMap({k: v.astype(np.float32) for k, v in m.items()}) for m in finetuned]
-    with pytest.raises(ArchitectureMismatch, match="dtype"):
-        build_task_vectors(origin, narrow)
     with pytest.raises(EmptyInput):
         build_task_vectors(origin, [])
+
+
+def test_build_rejects_an_origin_dtype_that_differs_from_checkpoints(rng):
+    origin, finetuned = _fleet(rng, dtype=np.float32)
+    wide_origin = TensorMap({k: v.astype(np.float64) for k, v in origin.items()})
+    with pytest.raises(ArchitectureMismatch, match="dtype"):
+        build_task_vectors(wide_origin, finetuned)
 
 
 def test_build_rejects_a_non_finite_origin_bias(rng):
