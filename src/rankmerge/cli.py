@@ -14,8 +14,9 @@ the SHA-256 of every input and output — no timestamps, so identical runs
 produce byte-identical artifacts.
 
 Exit codes: 0 on success, 1 on a domain error (bad inputs, failed
-certificate), 2 on usage errors. Each command creates ``--out-dir`` just
-before its first write, so a bad input leaves nothing on disk.
+certificate), 2 on usage errors. A ``--ratio`` outside [0, 1] is a domain
+error, rejected before any work. Each command creates ``--out-dir``
+just before its first write, so a bad input leaves nothing on disk.
 """
 
 from __future__ import annotations
@@ -34,7 +35,14 @@ from .adaptation import adapt_coefficients, write_adaptation_csv
 from .bounds import certify_bound, generate_suite, write_certificates
 from .errors import RankmergeError
 from .interference import interference_report, rank_sweep, sample_size, write_sweep_csv
-from .merge import build_task_vectors, cart_indexing, merge, prune_ranks, weight_average
+from .merge import (
+    _check_ratio,
+    build_task_vectors,
+    cart_indexing,
+    merge,
+    prune_ranks,
+    weight_average,
+)
 from .origin import OriginMode, SolverTrace, select_origin
 from .rng import stream
 from .tensor_store import ParamClass, _write_json, classify, load_checkpoint, save_checkpoint
@@ -205,6 +213,7 @@ def _write_manifest(out: Path, args: argparse.Namespace, inputs: list[Path],
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
+    _check_ratio(args.ratio)
     pretrained, tasks, paths = _load_inputs(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
     traces: dict[str, SolverTrace] = {}
@@ -227,6 +236,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
+    _check_ratio(args.ratio)
     pretrained, tasks, paths = _load_inputs(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
     indexed = cart_indexing(pretrained, tasks, args.ratio, args.task_index, clf)
@@ -298,6 +308,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_adapt(args: argparse.Namespace) -> int:
+    _check_ratio(args.ratio)
     suite = signal_noise_suite(args.seed)
     origin = weight_average(suite.finetuned)
     tvs = prune_ranks(build_task_vectors(origin, suite.finetuned), args.ratio)

@@ -13,14 +13,17 @@ the weight-average origin and a global coefficient:
 The origin is the merged model at coefficient zero: Matrix parameters add
 coefficient-weighted deltas to it, and every other tensor is the origin's.
 Each Matrix delta is stored as its thin SVD, computed once: pruning slices
-it and merging reconstructs from it. All internal arithmetic is float64;
-each output tensor takes the origin's dtype.
+it and merging reconstructs from it. The SVDs are independent, so they run
+on a pool of threads, one per core that BLAS leaves free. All internal
+arithmetic is float64; each output tensor takes the origin's dtype.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,21 +80,109 @@ def build_task_vectors(
     as the checkpoints, with the same shapes and dtypes, or
     :class:`ArchitectureMismatch` is raised. Non-matrix parameters merge to
     the origin's values, so only the origin's are read; a NaN or infinity in
-    one of them, or in a Matrix delta, raises :class:`NumericError`.
+    one of them, or in a Matrix delta, raises :class:`NumericError` naming
+    the tensor (and the task, for a delta).
+
+    The deltas are factored on :func:`_factor_workers` threads. Every factor,
+    and any error raised, is the same whatever the number of workers.
     """
     if not finetuned:
         raise EmptyInput("build_task_vectors needs at least one checkpoint")
     validate_aligned([origin, *finetuned])
 
-    deltas: list[dict[str, LowRankFactor]] = [{} for _ in finetuned]
+    jobs: list[tuple[str, int]] = []
     for name, arr in origin.items():
         if classifier(name, arr) is ParamClass.MATRIX:
-            base = origin[name].astype(np.float64)
-            for t, fmap in enumerate(finetuned):
-                deltas[t][name] = svd(fmap[name].astype(np.float64) - base)
+            jobs += [(name, t) for t in range(len(finetuned))]
         elif not np.all(np.isfinite(arr)):
             raise NumericError(f"{name}: the origin holds NaN or infinite values")
+    factors = _factor_deltas(origin, finetuned, jobs)
+    deltas: list[dict[str, LowRankFactor]] = [{} for _ in finetuned]
+    for name, t in jobs:
+        deltas[t][name] = factors[name, t]
     return TaskVectorSet(origin=origin, deltas=deltas)
+
+
+# Per-call BLAS thread settings, in the order the first one set is read.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _factor_workers() -> int:
+    """Threads that factor deltas at once: usable CPUs over BLAS threads per call.
+
+    The BLAS thread count is read from the first of ``OPENBLAS_NUM_THREADS``,
+    ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS`` that is set. Unset, or not a
+    positive integer, gives one worker: BLAS may then spread each call over
+    every core, and a second worker beside it only competes for them.
+    """
+    setting = next((os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ), "")
+    try:
+        blas_threads = int(setting)
+    except ValueError:
+        return 1
+    if blas_threads < 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // blas_threads)
+
+
+def _factor_deltas(
+    origin: TensorMap, finetuned: list[TensorMap], jobs: list[tuple[str, int]]
+) -> dict[tuple[str, int], LowRankFactor]:
+    """SVD of ``finetuned[t][name] - origin[name]`` for each ``(name, t)`` job.
+
+    numpy's LAPACK calls release the GIL, so :func:`_factor_workers` threads
+    take jobs from one queue and factor side by side. The calling thread is
+    one of them: a thread of its own would add an allocator arena, and with
+    it peak memory. The largest matrices go first: the jobs that overlap
+    last, while every other factor is held, are then the smallest, and peak
+    memory stays near that of one job at a time. After a job fails no
+    further job starts, and the first failure in queue order is raised;
+    every job before it was started and runs to its end, so it is the same
+    failure for any number of workers.
+    """
+
+    def factor(name: str, t: int) -> LowRankFactor:
+        delta = np.subtract(finetuned[t][name], origin[name], dtype=np.float64)
+        try:
+            return svd(delta)
+        except NumericError as exc:
+            raise NumericError(
+                f"{name}: task {t}'s deviation from the origin holds NaN or infinite values"
+            ) from exc
+
+    queue = enumerate(sorted(jobs, key=lambda job: origin[job[0]].size, reverse=True))
+    lock, stop = threading.Lock(), threading.Event()
+    factors: dict[tuple[str, int], LowRankFactor] = {}
+    failures: dict[int, Exception] = {}
+
+    def work() -> None:
+        while not stop.is_set():
+            with lock:
+                position, job = next(queue, (None, None))
+            if job is None:
+                return
+            try:
+                factors[job] = factor(*job)
+            except Exception as exc:
+                failures[position] = exc
+                stop.set()
+
+    helpers = [threading.Thread(target=work) for _ in range(min(_factor_workers(), len(jobs)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        stop.set()  # an interrupt of this thread stops the helpers after their current job
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return factors
 
 
 def prune_rank(rank_ratio: float, m: int, n: int) -> int:

@@ -7,6 +7,8 @@ the run so the gate is readable at a glance.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,22 @@ def svd_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     return calls
+
+
+@pytest.fixture
+def blas_setting(monkeypatch):
+    """``blas_setting(cpus, **variables)`` makes ``cpus`` CPUs usable and sets
+    the BLAS thread variables given, clearing the others: the worker count of
+    the pool that factors deltas follows from the two."""
+
+    def arm(cpus: int, **variables: str) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in variables.items():
+            monkeypatch.setenv(var, value)
+
+    return arm
 
 
 class _FailsMidway:

@@ -275,6 +275,42 @@ def test_out_of_range_ratio_is_a_domain_error_without_matrix_layers(checkpoints,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, extra", [
+    pytest.param("merge", [], id="merge-mean"),
+    pytest.param("merge", ["--origin", "rankmin"], id="merge-rankmin"),
+    pytest.param("index", [], id="index"),
+    pytest.param("adapt", None, id="adapt"),
+])
+@pytest.mark.parametrize("ratio", ["1.5", "-0.25"])
+def test_out_of_range_ratio_is_rejected_before_any_work(checkpoints, tmp_path, capsys, svd_calls,
+                                                        command, extra, ratio):
+    pretrained, tasks = checkpoints
+    out = tmp_path / "out"
+    if extra is None:
+        argv = [command, "--out-dir", str(out)]
+    else:
+        argv = [command, *_merge_args(pretrained, tasks, out, extra)[1:]]
+    assert main([*argv, "--ratio", ratio]) == 1
+    assert f"rank_ratio must lie in [0, 1], got {float(ratio)}" in capsys.readouterr().err
+    assert svd_calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["merge", "index"])
+def test_several_factoring_workers_write_the_same_bytes(checkpoints, tmp_path, capsys,
+                                                        blas_setting, command):
+    pretrained, tasks = checkpoints
+    runs = {}
+    for label, variables in (("one", {}), ("several", {"OPENBLAS_NUM_THREADS": "1"})):
+        blas_setting(4, **variables)
+        out = tmp_path / label
+        assert main([command, *_merge_args(pretrained, tasks, out, ["--ratio", "0.5"])[1:]]) == 0
+        runs[label] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        runs[label]["outputs"] = json.loads((out / "manifest.json").read_text())["outputs"]
+    capsys.readouterr()
+    assert runs["several"] == runs["one"]
+
+
 def test_failed_manifest_write_keeps_the_previous_one(checkpoints, tmp_path, capsys,
                                                       fail_writes_to):
     pretrained, tasks = checkpoints

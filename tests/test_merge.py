@@ -4,6 +4,9 @@ checks, checkpoint assembly, and the storage-cost accounting."""
 from __future__ import annotations
 
 import importlib
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +32,9 @@ from rankmerge.kernels import LowRankFactor, reconstruct, svd
 
 from conftest import random_tensor_map
 from oracles import reference_tail_energy
+
+# The module itself: the package re-exports its function ``merge`` under that name.
+merge_module = importlib.import_module("rankmerge.merge")
 
 SHAPES = {"layers.0.weight": (10, 7), "layers.1.weight": (6, 6), "layers.0.bias": (10,)}
 
@@ -87,6 +93,106 @@ def test_build_rejects_a_non_finite_origin_bias(rng):
     origin = TensorMap({**dict(origin.items()), "layers.0.bias": bias})
     with pytest.raises(NumericError, match="layers.0.bias"):
         build_task_vectors(origin, finetuned)
+
+
+# Two more layers, each larger than the first two, named after them.
+POOL_SHAPES = {**SHAPES, "layers.2.weight": (40, 90), "layers.3.weight": (120, 30)}
+
+
+def _with_nan(fmap: TensorMap, name: str) -> TensorMap:
+    arr = fmap[name].copy()
+    arr[1, 2] = np.nan
+    return TensorMap({**dict(fmap.items()), name: arr})
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_build_names_the_tensor_and_task_of_a_non_finite_delta(rng, blas_setting, cpus):
+    blas_setting(cpus, OPENBLAS_NUM_THREADS="1")
+    origin = random_tensor_map(rng, POOL_SHAPES)
+    finetuned = [random_tensor_map(rng, POOL_SHAPES) for _ in range(3)]
+    finetuned[1] = _with_nan(finetuned[1], "layers.0.weight")
+    with pytest.raises(NumericError, match=r"^layers\.0\.weight: task 1's deviation"):
+        build_task_vectors(origin, finetuned)
+    # Of two bad deltas, the one factored first, the larger, is named.
+    finetuned[2] = _with_nan(finetuned[2], "layers.2.weight")
+    with pytest.raises(NumericError, match=r"^layers\.2\.weight: task 2's deviation"):
+        build_task_vectors(origin, finetuned)
+
+
+# ---------------------------------------------------------------------------
+# the factoring pool
+
+
+@pytest.mark.parametrize(
+    "cpus, variables, workers",
+    [
+        pytest.param(4, {}, 1, id="unset"),
+        pytest.param(4, {"OPENBLAS_NUM_THREADS": "1"}, 4, id="one-thread"),
+        pytest.param(4, {"OPENBLAS_NUM_THREADS": "2"}, 2, id="two-threads"),
+        pytest.param(3, {"OPENBLAS_NUM_THREADS": "2"}, 1, id="rounded-down"),
+        pytest.param(4, {"OPENBLAS_NUM_THREADS": "lots"}, 1, id="garbage"),
+        pytest.param(4, {"OPENBLAS_NUM_THREADS": "0"}, 1, id="zero"),
+        pytest.param(4, {"OMP_NUM_THREADS": "1"}, 4, id="omp"),
+        pytest.param(4, {"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, id="mkl-before-omp"),
+        pytest.param(4, {"OPENBLAS_NUM_THREADS": "lots", "OMP_NUM_THREADS": "1"}, 1,
+                     id="first-set-wins"),
+    ],
+)
+def test_factor_workers_divides_usable_cpus_by_blas_threads(blas_setting, cpus, variables,
+                                                            workers):
+    blas_setting(cpus, **variables)
+    assert merge_module._factor_workers() == workers
+
+
+def test_factor_workers_counts_cpus_where_affinity_is_unknown(blas_setting, monkeypatch):
+    blas_setting(4, OPENBLAS_NUM_THREADS="1")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert merge_module._factor_workers() == 3
+
+
+def _assert_same_factors(got, want) -> None:
+    """Same ``deltas`` dict order and bit-identical factors."""
+    for mine, theirs in zip(got.deltas, want.deltas, strict=True):
+        assert list(mine) == list(theirs)
+        for name in mine:
+            for part in ("left", "singulars", "right"):
+                np.testing.assert_array_equal(getattr(mine[name], part),
+                                              getattr(theirs[name], part))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_several_workers_factor_bit_for_bit_like_one(rng, blas_setting, dtype):
+    origin = random_tensor_map(rng, POOL_SHAPES, dtype=dtype)
+    finetuned = [random_tensor_map(rng, POOL_SHAPES, dtype=dtype) for _ in range(4)]
+    blas_setting(4)
+    assert merge_module._factor_workers() == 1
+    one = build_task_vectors(origin, finetuned)
+    blas_setting(4, OPENBLAS_NUM_THREADS="1")
+    assert merge_module._factor_workers() == 4
+    _assert_same_factors(build_task_vectors(origin, finetuned), one)
+
+
+def test_many_workers_take_every_job_exactly_once(rng, blas_setting, svd_calls):
+    shapes = {f"layers.{i}.weight": (6 + i % 5, 4 + i % 3) for i in range(40)}
+    origin = random_tensor_map(rng, shapes)
+    finetuned = [random_tensor_map(rng, shapes) for _ in range(3)]
+    blas_setting(4)
+    one = build_task_vectors(origin, finetuned)
+    del svd_calls[:]
+    blas_setting(16, OPENBLAS_NUM_THREADS="1")
+    built = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: built.append(build_task_vectors(origin, finetuned)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert len(svd_calls) == 40 * 3
+    _assert_same_factors(built[0], one)
 
 
 # ---------------------------------------------------------------------------
