@@ -63,7 +63,6 @@ from .merge import (
     weight_average,
 )
 from .origin import (
-    OriginMode,
     SolverTrace,
     mean_origin,
     rankmin_origin,

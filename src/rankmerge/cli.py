@@ -13,10 +13,15 @@ files also write a ``manifest.json`` recording the parsed parameters and
 the SHA-256 of every input and output — no timestamps, so identical runs
 produce byte-identical artifacts.
 
+Each command only computes: it returns its artifacts, and :func:`main`
+writes them. Only after the command returns does ``main`` create
+``--out-dir``, write each artifact atomically and then the manifest, so a
+bad input leaves nothing on disk.
+
 Exit codes: 0 on success, 1 on a domain error (bad inputs, failed
 certificate), 2 on usage errors. A ``--ratio`` outside [0, 1] is a domain
-error, rejected before any work. Each command creates ``--out-dir``
-just before its first write, so a bad input leaves nothing on disk.
+error, rejected before any work. A failed certificate is written before
+the exit 1.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .merge import (
     prune_ranks,
     weight_average,
 )
-from .origin import OriginMode, SolverTrace, select_origin
+from .origin import SolverTrace, select_origin
 from .rng import stream
 from .tensor_store import ParamClass, _write_json, classify, load_checkpoint, save_checkpoint
 from .toysuites import classification_sweep_suite, signal_noise_suite
@@ -159,7 +164,11 @@ class _CommandParser(argparse.ArgumentParser):
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _classifier(includes: Sequence[str], excludes: Sequence[str]):
@@ -193,77 +202,54 @@ def _load_inputs(args: argparse.Namespace) -> tuple:
     return pretrained, tasks, paths
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# What a command computed: its input paths, its artifacts in write order
+# (file name -> writer taking the target path), its stdout line and its exit
+# status. ``main`` does the writing.
+Artifacts = dict[str, Callable[[Path], None]]
+Outcome = tuple[list[Path], Artifacts, str, int]
 
 
-def _write_manifest(out: Path, args: argparse.Namespace, inputs: list[Path],
-                    outputs: list[Path]) -> None:
-    input_paths = inputs + ([Path(args.config)] if args.config else [])
-    manifest = {
-        "command": args.command,
-        "version": __version__,
-        "parameters": {k: v for k, v in vars(args).items() if k != "command"},
-        "inputs": {str(p): _sha256(Path(p)) for p in input_paths},
-        "outputs": {p.name: _sha256(p) for p in outputs},
-    }
-    _write_json(out / "manifest.json", manifest)
-
-
-def _cmd_merge(args: argparse.Namespace) -> int:
-    _check_ratio(args.ratio)
+def _cmd_merge(args: argparse.Namespace) -> Outcome:
     pretrained, tasks, paths = _load_inputs(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
     traces: dict[str, SolverTrace] = {}
-    mode = OriginMode(args.origin, args.rankmin_steps, args.rankmin_step_size)
-    origin = select_origin(mode, pretrained, tasks, trace_out=traces, classifier=clf)
+    origin = select_origin(args.origin, pretrained, tasks, trace_out=traces, classifier=clf,
+                           rankmin_steps=args.rankmin_steps,
+                           rankmin_step_size=args.rankmin_step_size)
     tvs = prune_ranks(build_task_vectors(origin, tasks, clf), args.ratio)
     merged = merge(tvs, args.lam)
-
-    out = _out_dir(args)
-    outputs = [out / "merged.ckpt", out / "plan.json"]
-    save_checkpoint(merged, outputs[0])
-    _write_json(outputs[1], {"coefficients": {"global": args.lam}})
+    target = Path(args.out_dir) / "merged.ckpt"
+    artifacts: Artifacts = {
+        target.name: lambda path: save_checkpoint(merged, path),
+        "plan.json": lambda path: _write_json(path, {"coefficients": {"global": args.lam}}),
+    }
     for layer in sorted(traces):
-        path = out / f"trace_{layer.replace('/', '__')}.csv"
-        traces[layer].write_csv(path)
-        outputs.append(path)
-    _write_manifest(out, args, paths, outputs)
-    print(f"merged {len(tasks)} checkpoints -> {outputs[0]}")
-    return 0
+        artifacts[f"trace_{layer.replace('/', '__')}.csv"] = traces[layer].write_csv
+    return paths, artifacts, f"merged {len(tasks)} checkpoints -> {target}", 0
 
 
-def _cmd_index(args: argparse.Namespace) -> int:
-    _check_ratio(args.ratio)
+def _cmd_index(args: argparse.Namespace) -> Outcome:
     pretrained, tasks, paths = _load_inputs(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
     indexed = cart_indexing(pretrained, tasks, args.ratio, args.task_index, clf)
-    out = _out_dir(args)
-    target = out / "indexed.ckpt"
-    save_checkpoint(indexed, target)
-    _write_manifest(out, args, paths, [target])
-    print(f"reconstructed task {args.task_index} -> {target}")
-    return 0
+    target = Path(args.out_dir) / "indexed.ckpt"
+    line = f"reconstructed task {args.task_index} -> {target}"
+    return paths, {target.name: lambda path: save_checkpoint(indexed, path)}, line, 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> Outcome:
     pretrained, tasks, paths = _load_inputs(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
-    mode = OriginMode(args.origin, args.rankmin_steps, args.rankmin_step_size)
-    origin = select_origin(mode, pretrained, tasks, classifier=clf)
+    origin = select_origin(args.origin, pretrained, tasks, classifier=clf,
+                           rankmin_steps=args.rankmin_steps,
+                           rankmin_step_size=args.rankmin_step_size)
     report = interference_report(build_task_vectors(origin, tasks, clf), args.ks)
-    out = _out_dir(args)
-    outputs = [out / "interference.json", out / "interference.csv"]
-    report.write_json(outputs[0])
-    report.write_csv(outputs[1])
-    _write_manifest(out, args, paths, outputs)
-    print(f"analyzed {len(report.interference)} matrix layers -> {outputs[0]}")
-    return 0
+    artifacts = {"interference.json": report.write_json, "interference.csv": report.write_csv}
+    target = Path(args.out_dir) / "interference.json"
+    return paths, artifacts, f"analyzed {len(report.interference)} matrix layers -> {target}", 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> Outcome:
     suite = classification_sweep_suite(args.seed)
     rows = rank_sweep(
         suite.pretrained,
@@ -272,17 +258,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         lambdas=args.lambdas,
         ratios=args.ratios,
     )
-    out = _out_dir(args)
-    target = out / "sweep.csv"
-    write_sweep_csv(rows, target)
-    _write_manifest(out, args, [], [target])
     best = max(rows, key=lambda r: r.mean_accuracy)
-    print(f"{len(rows)} grid cells -> {target} (best mean accuracy "
-          f"{best.mean_accuracy:.4f} at ratio={best.ratio}, lambda={best.lam})")
-    return 0
+    target = Path(args.out_dir) / "sweep.csv"
+    line = (f"{len(rows)} grid cells -> {target} (best mean accuracy "
+            f"{best.mean_accuracy:.4f} at ratio={best.ratio}, lambda={best.lam})")
+    return [], {target.name: lambda path: write_sweep_csv(rows, path)}, line, 0
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
+def _cmd_certify(args: argparse.Namespace) -> Outcome:
     rng = stream(args.seed, "certify-params")
     pairs = []
     for _ in range(args.suites):
@@ -298,49 +281,57 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             d, t, n, r, alpha, s_max, c, eta, seed=int(rng.integers(0, 2**31))
         )
         pairs.append((suite, certify_bound(suite)))
-    out = _out_dir(args)
-    target = out / "certificates.jsonl"
-    write_certificates(pairs, target)
-    _write_manifest(out, args, [], [target])
     failures = sum(1 for _, cert in pairs if not cert.holds)
-    print(f"{len(pairs) - failures}/{len(pairs)} certificates hold -> {target}")
-    return 1 if failures else 0
+    target = Path(args.out_dir) / "certificates.jsonl"
+    line = f"{len(pairs) - failures}/{len(pairs)} certificates hold -> {target}"
+    return [], {target.name: lambda path: write_certificates(pairs, path)}, line, int(failures > 0)
 
 
-def _cmd_adapt(args: argparse.Namespace) -> int:
-    _check_ratio(args.ratio)
+def _cmd_adapt(args: argparse.Namespace) -> Outcome:
     suite = signal_noise_suite(args.seed)
     origin = weight_average(suite.finetuned)
     tvs = prune_ranks(build_task_vectors(origin, suite.finetuned), args.ratio)
     values, history = adapt_coefficients(
         tvs, suite.template, [suite.batch], steps=args.iters, lr=args.lr
     )
-    out = _out_dir(args)
-    outputs = [out / "adaptation.csv", out / "coefficients.json"]
-    write_adaptation_csv(history, outputs[0])
     per_task_layer = {
         str(t): {name: float(values[t, l]) for l, name in enumerate(tvs.matrix_names())}
         for t in range(tvs.task_count)
     }
-    _write_json(outputs[1], {"coefficients": {"per_task_layer": per_task_layer}})
-    _write_manifest(out, args, [], outputs)
-    print(f"entropy {history[0][1]:.4f} -> {history[-1][1]:.4f} over "
-          f"{args.iters} steps; coefficients in {outputs[1]}")
-    return 0
+    artifacts = {
+        "adaptation.csv": lambda path: write_adaptation_csv(history, path),
+        "coefficients.json": lambda path: _write_json(
+            path, {"coefficients": {"per_task_layer": per_task_layer}}),
+    }
+    line = (f"entropy {history[0][1]:.4f} -> {history[-1][1]:.4f} over "
+            f"{args.iters} steps; coefficients in {Path(args.out_dir) / 'coefficients.json'}")
+    return [], artifacts, line, 0
 
 
-def _cmd_samplesize(args: argparse.Namespace) -> int:
+def _cmd_samplesize(args: argparse.Namespace) -> Outcome:
     m = sample_size(args.a, args.b, args.epsilon, args.z)
-    print(m)
-    if args.out_dir is not None:
-        out = _out_dir(args)
-        target = out / "samplesize.json"
-        _write_json(target, {"m": m}, indent=None)
-        _write_manifest(out, args, [], [target])
-    return 0
+    return [], {"samplesize.json": lambda path: _write_json(path, {"m": m}, indent=None)}, str(m), 0
 
 
-_COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
+def _write_outputs(args: argparse.Namespace, inputs: list[Path], artifacts: Artifacts) -> None:
+    """Create ``--out-dir``, write each artifact atomically in order, and
+    then ``manifest.json``: the parsed parameters and the SHA-256 of every
+    input and output."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in artifacts.items():
+        write(out / name)
+    input_paths = inputs + ([Path(args.config)] if args.config else [])
+    _write_json(out / "manifest.json", {
+        "command": args.command,
+        "version": __version__,
+        "parameters": {k: v for k, v in vars(args).items() if k != "command"},
+        "inputs": {str(p): _sha256(p) for p in input_paths},
+        "outputs": {name: _sha256(out / name) for name in artifacts},
+    })
+
+
+_COMMANDS: dict[str, Callable[[argparse.Namespace], Outcome]] = {
     "merge": _cmd_merge,
     "index": _cmd_index,
     "analyze": _cmd_analyze,
@@ -440,7 +431,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        if "ratio" in args:
+            _check_ratio(args.ratio)
+        inputs, artifacts, line, status = _COMMANDS[args.command](args)
+        if args.out_dir is not None:
+            _write_outputs(args, inputs, artifacts)
+        print(line)
+        return status
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -46,7 +46,7 @@ from .errors import (
 )
 from .kernels import LowRankFactor, reconstruct, svd, truncate
 from .merge import TaskVectorSet, build_task_vectors, merge, prune_ranks
-from .origin import OriginMode, select_origin
+from .origin import select_origin
 from .tensor_store import TensorMap, _write_csv, _write_json
 
 __all__ = [
@@ -242,7 +242,7 @@ def rank_sweep(
     """
     if not lambdas or not ratios:
         raise EmptyInput("rank_sweep needs at least one lambda and one ratio")
-    origin = select_origin(OriginMode.mean(), pretrained, finetuned)
+    origin = select_origin("mean", pretrained, finetuned)
     tvs = build_task_vectors(origin, finetuned)
     rows: list[SweepRow] = []
     for ratio in ratios:

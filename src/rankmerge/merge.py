@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import EmptyInput, NumericError, PlanError
 from .kernels import LowRankFactor, reconstruct, svd, truncate
-from .origin import OriginMode, select_origin
+from .origin import select_origin
 from .tensor_store import Classifier, ParamClass, TensorMap, classify, validate_aligned
 
 __all__ = [
@@ -103,30 +103,38 @@ def build_task_vectors(
     return TaskVectorSet(origin=origin, deltas=deltas)
 
 
-# Per-call BLAS thread settings, in the order the first one set is read.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+# Per-call thread variables of each BLAS that numpy may be built on, in the
+# order that library reads them: OpenBLAS, then MKL.
+_BLAS_THREAD_VARS = (
+    ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+)
 
 
 def _factor_workers() -> int:
     """Threads that factor deltas at once: usable CPUs over BLAS threads per call.
 
-    The BLAS thread count is read from the first of ``OPENBLAS_NUM_THREADS``,
-    ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS`` that is set. Unset, or not a
-    positive integer, gives one worker: BLAS may then spread each call over
-    every core, and a second worker beside it only competes for them.
+    BLAS threads per call is the larger of the OpenBLAS and the MKL reading,
+    so a variable that only the other library reads cannot start the pool.
+    Each library takes the first of its variables that is set; none set, or
+    a value that is not a positive integer, counts as every usable CPU: BLAS
+    may then spread each call over every core, and a second worker beside
+    it only competes for them.
     """
-    setting = next((os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ), "")
-    try:
-        blas_threads = int(setting)
-    except ValueError:
-        return 1
-    if blas_threads < 1:
-        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, cpus // blas_threads)
+
+    def threads(variables: tuple[str, ...]) -> int:
+        setting = next((os.environ[var] for var in variables if var in os.environ), "")
+        try:
+            value = int(setting)
+        except ValueError:
+            return cpus
+        return value if value >= 1 else cpus
+
+    return max(1, cpus // max(threads(variables) for variables in _BLAS_THREAD_VARS))
 
 
 def _factor_deltas(
@@ -262,12 +270,12 @@ def merge(tvs: TaskVectorSet, lam: float | np.ndarray) -> TensorMap:
 def weight_average(finetuned: list[TensorMap]) -> TensorMap:
     """Elementwise mean of the checkpoints, cast back to their dtype.
 
-    The mean-mode :func:`select_origin` with the first checkpoint standing
-    in for the pretrained one.
+    :func:`select_origin` of kind ``"mean"`` with the first checkpoint
+    standing in for the pretrained one.
     """
     if not finetuned:
         raise EmptyInput("weight_average needs at least one checkpoint")
-    return select_origin(OriginMode.mean(), finetuned[0], finetuned)
+    return select_origin("mean", finetuned[0], finetuned)
 
 
 def cart_merge(
@@ -283,7 +291,7 @@ def cart_merge(
     global-coefficient merge. ``pretrained`` participates only in alignment
     validation; the centered pipeline never reads it.
     """
-    origin = select_origin(OriginMode.mean(), pretrained, finetuned)
+    origin = select_origin("mean", pretrained, finetuned)
     tvs = prune_ranks(build_task_vectors(origin, finetuned, classifier), rank_ratio)
     return merge(tvs, lam)
 
@@ -308,7 +316,7 @@ def cart_indexing(
         raise IndexError(
             f"task_index {task_index} outside [0, {len(finetuned)})"
         )
-    origin = select_origin(OriginMode.mean(), pretrained, finetuned)
+    origin = select_origin("mean", pretrained, finetuned)
     tvs = build_task_vectors(origin, [finetuned[task_index]], classifier)
     return merge(prune_ranks(tvs, rank_ratio), 1.0)
 

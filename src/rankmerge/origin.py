@@ -28,7 +28,6 @@ from .kernels import _factor_subgradient, frobenius_inner, svd
 from .tensor_store import Classifier, ParamClass, TensorMap, _write_csv, classify, validate_aligned
 
 __all__ = [
-    "OriginMode",
     "SolverTrace",
     "mean_origin",
     "simmin_objective",
@@ -36,41 +35,7 @@ __all__ = [
     "select_origin",
 ]
 
-_MODES = ("pretrained", "mean", "rankmin")
-
-
-@dataclass(frozen=True)
-class OriginMode:
-    """Origin strategy plus solver parameters for the iterative mode.
-
-    ``step_size=None`` asks the solver to scale its step from the singular
-    values of the initial task vectors.
-    """
-
-    kind: str
-    steps: int = 200
-    step_size: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _MODES:
-            raise ValueError(f"kind must be one of {_MODES}, got {self.kind!r}")
-        if self.kind == "rankmin":
-            if self.steps < 1:
-                raise ValueError("rankmin needs steps >= 1")
-            if self.step_size is not None and self.step_size <= 0:
-                raise ValueError("rankmin needs step_size > 0")
-
-    @classmethod
-    def pretrained(cls) -> "OriginMode":
-        return cls("pretrained")
-
-    @classmethod
-    def mean(cls) -> "OriginMode":
-        return cls("mean")
-
-    @classmethod
-    def rankmin(cls, steps: int = 200, step_size: float | None = None) -> "OriginMode":
-        return cls("rankmin", steps=steps, step_size=step_size)
+_KINDS = ("pretrained", "mean", "rankmin")
 
 
 @dataclass
@@ -185,26 +150,42 @@ def rankmin_origin(
 
 
 def select_origin(
-    mode: OriginMode,
+    kind: str,
     pretrained: TensorMap,
     finetuned: list[TensorMap],
     trace_out: dict[str, SolverTrace] | None = None,
     classifier: Classifier = classify,
+    *,
+    rankmin_steps: int = 200,
+    rankmin_step_size: float | None = None,
 ) -> TensorMap:
-    """Assemble the origin, the merged model at coefficient zero, under ``mode``.
+    """Assemble the origin, the merged model at coefficient zero, of ``kind``.
 
-    This is the only code that decides non-matrix values and output dtypes:
+    ``kind`` is ``"pretrained"``, ``"mean"`` or ``"rankmin"``. This is the
+    only code that decides non-matrix values and output dtypes:
     :func:`~rankmerge.merge.merge` starts from this map, and
     :func:`~rankmerge.merge.weight_average` and the CART entry points call
-    it in mean mode. Every tensor takes the checkpoint dtype. A layer that
+    it with ``"mean"``. Every tensor takes the checkpoint dtype. A layer that
     ``classifier`` keeps off the SVD path is the fine-tuned mean in every
-    mode. A Matrix layer is the pretrained array in pretrained mode, the
-    rank-minimization solution in rankmin mode with two or more fine-tuned
-    checkpoints, and the mean otherwise. Pass ``trace_out`` to collect the
-    rank-minimization trace of each solved layer by name. A NaN or infinity
-    in any tensor of any input, the pretrained checkpoint included, raises
-    :class:`NumericError` naming the tensor, whatever the mode.
+    kind. A Matrix layer is the pretrained array for ``"pretrained"``, the
+    :func:`rankmin_origin` solution after ``rankmin_steps`` steps of
+    ``rankmin_step_size`` (``None`` scales it from the spectra) for
+    ``"rankmin"`` with two or more fine-tuned checkpoints, and the mean
+    otherwise. Pass ``trace_out`` to collect the rank-minimization trace of
+    each solved layer by name.
+
+    An unknown ``kind``, or for ``"rankmin"`` steps below 1 or a step size
+    that is not positive, raises :class:`ValueError` before any work. A NaN
+    or infinity in any tensor of any input, the pretrained checkpoint
+    included, raises :class:`NumericError` naming the tensor, whatever the
+    kind.
     """
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if kind == "rankmin" and rankmin_steps < 1:
+        raise ValueError("rankmin needs steps >= 1")
+    if kind == "rankmin" and rankmin_step_size is not None and rankmin_step_size <= 0:
+        raise ValueError("rankmin needs step_size > 0")
     if not finetuned:
         raise EmptyInput("select_origin needs at least one fine-tuned checkpoint")
     validate_aligned([pretrained, *finetuned])
@@ -217,10 +198,10 @@ def select_origin(
     for name, ref in pretrained.items():
         stacked = [fmap[name] for fmap in finetuned]
         matrix = classifier(name, ref) is ParamClass.MATRIX
-        if matrix and mode.kind == "pretrained":
+        if matrix and kind == "pretrained":
             solved = ref
-        elif matrix and mode.kind == "rankmin" and len(stacked) >= 2:
-            solved, trace = rankmin_origin(stacked, mode.steps, mode.step_size)
+        elif matrix and kind == "rankmin" and len(stacked) >= 2:
+            solved, trace = rankmin_origin(stacked, rankmin_steps, rankmin_step_size)
             if trace_out is not None:
                 trace_out[name] = trace
         else:

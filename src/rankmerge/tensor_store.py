@@ -187,16 +187,16 @@ def save_checkpoint(tmap: TensorMap, path: str | Path) -> None:
     if tmap.metadata:
         header["__metadata__"] = tmap.metadata
     offset = 0
-    buffers: list[bytes] = []
+    buffers: list[np.ndarray] = []
     for name, arr in tmap.items():
         tag = _dtype_tag(arr.dtype)
-        raw = np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]).tobytes()
+        raw = np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag])  # a copy only to byte-swap
         header[name] = {
             "dtype": tag,
             "shape": list(arr.shape),
-            "data_offsets": [offset, offset + len(raw)],
+            "data_offsets": [offset, offset + raw.nbytes],
         }
-        offset += len(raw)
+        offset += raw.nbytes
         buffers.append(raw)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 

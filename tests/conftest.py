@@ -79,7 +79,8 @@ def blas_setting(monkeypatch):
 
     def arm(cpus: int, **variables: str) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
+                    "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         for var, value in variables.items():
             monkeypatch.setenv(var, value)

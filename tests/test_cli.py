@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rankmerge import TensorMap, load_checkpoint, save_checkpoint, weight_average
-from rankmerge.cli import main
+from rankmerge.cli import _COMMANDS, build_parser, main
 from rankmerge.rng import stream
 
 from conftest import random_tensor_map
@@ -301,7 +301,7 @@ def test_several_factoring_workers_write_the_same_bytes(checkpoints, tmp_path, c
                                                         blas_setting, command):
     pretrained, tasks = checkpoints
     runs = {}
-    for label, variables in (("one", {}), ("several", {"OPENBLAS_NUM_THREADS": "1"})):
+    for label, variables in (("one", {}), ("several", {"OMP_NUM_THREADS": "1"})):
         blas_setting(4, **variables)
         out = tmp_path / label
         assert main([command, *_merge_args(pretrained, tasks, out, ["--ratio", "0.5"])[1:]]) == 0
@@ -309,6 +309,48 @@ def test_several_factoring_workers_write_the_same_bytes(checkpoints, tmp_path, c
         runs[label]["outputs"] = json.loads((out / "manifest.json").read_text())["outputs"]
     capsys.readouterr()
     assert runs["several"] == runs["one"]
+
+
+# One small successful run of each subcommand; checkpoint commands get the
+# ``checkpoints`` fixture's files appended.
+SMALL_RUNS = {
+    "merge": ["merge", "--origin", "rankmin", "--rankmin-steps", "3"],
+    "index": ["index", "--task-index", "1"],
+    "analyze": ["analyze", "--ks", "1,2"],
+    "sweep": ["sweep", "--ratios", "0,1", "--lambdas", "1"],
+    "certify": ["certify", "--suites", "2"],
+    "adapt": ["adapt", "--iters", "2"],
+    "samplesize": ["samplesize"],
+}
+
+
+def _small_run(command, checkpoints, out) -> list[str]:
+    argv = [*SMALL_RUNS[command], "--out-dir", str(out)]
+    if command in ("merge", "index", "analyze"):
+        pretrained, tasks = checkpoints
+        argv += ["--pretrained", pretrained] + [x for t in tasks for x in ("--task", t)]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_manifest_lists_every_file_written(command, checkpoints, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(_small_run(command, checkpoints, out)) == 0
+    capsys.readouterr()
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs
+    assert set(outputs) == {p.name for p in out.iterdir()} - {"manifest.json"}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_commands_compute_and_leave_the_writing_to_main(command, checkpoints, tmp_path,
+                                                        capsys):
+    out = tmp_path / "out"
+    args = build_parser().parse_args(_small_run(command, checkpoints, out))
+    inputs, artifacts, line, status = _COMMANDS[command](args)
+    assert not out.exists()
+    assert status == 0 and line and artifacts
+    assert capsys.readouterr().out == ""
 
 
 def test_failed_manifest_write_keeps_the_previous_one(checkpoints, tmp_path, capsys,

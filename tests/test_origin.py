@@ -13,7 +13,6 @@ from rankmerge import (
     EmptyInput,
     InsufficientTasks,
     NumericError,
-    OriginMode,
     ParamClass,
     ShapeError,
     TensorMap,
@@ -203,9 +202,9 @@ def _checkpoints(g: np.random.Generator, count: int = 3) -> list[TensorMap]:
 
 def test_select_origin_pretrained_is_passthrough(rng):
     pre, *rest = _checkpoints(rng, count=4)
-    out = select_origin(OriginMode.pretrained(), pre, rest)
+    out = select_origin("pretrained", pre, rest)
     assert out["blocks.0.weight"] is pre["blocks.0.weight"]
-    mean = select_origin(OriginMode.mean(), pre, rest)
+    mean = select_origin("mean", pre, rest)
     np.testing.assert_array_equal(out["blocks.0.bias"], mean["blocks.0.bias"])
 
 
@@ -213,7 +212,7 @@ def test_select_origin_mean_averages_and_keeps_dtype(rng):
     pre, *rest = _checkpoints(rng, count=4)
     pre = TensorMap({k: v.astype(np.float32) for k, v in pre.items()})
     rest = [TensorMap({k: v.astype(np.float32) for k, v in m.items()}) for m in rest]
-    out = select_origin(OriginMode.mean(), pre, rest)
+    out = select_origin("mean", pre, rest)
     for name in pre.names():
         assert out[name].dtype == np.float32
         expected = np.mean([m[name] for m in rest], axis=0, dtype=np.float64)
@@ -228,7 +227,7 @@ def test_select_origin_rankmin_solves_matrices_and_averages_vectors(rng):
     ]
     pre = TensorMap({k: np.zeros_like(v) for k, v in rest[0].items()})
     traces: dict[str, SolverTrace] = {}
-    out = select_origin(OriginMode.rankmin(steps=80), pre, rest, trace_out=traces)
+    out = select_origin("rankmin", pre, rest, trace_out=traces, rankmin_steps=80)
     assert set(traces) == {"blocks.0.weight"}
     np.testing.assert_allclose(
         out["blocks.0.bias"], np.mean([m["blocks.0.bias"] for m in rest], axis=0), rtol=1e-12
@@ -253,17 +252,17 @@ def test_select_origin_classifier_keeps_excluded_layers_off_the_solver(rng):
 
     traces: dict[str, SolverTrace] = {}
     out = select_origin(
-        OriginMode.rankmin(steps=5), pre, rest, trace_out=traces, classifier=only_a
+        "rankmin", pre, rest, trace_out=traces, classifier=only_a, rankmin_steps=5
     )
     assert set(traces) == {"a.weight"}
     np.testing.assert_array_equal(out["b.weight"], mean_origin([m["b.weight"] for m in rest]))
-    full = select_origin(OriginMode.rankmin(steps=5), pre, rest)
+    full = select_origin("rankmin", pre, rest, rankmin_steps=5)
     np.testing.assert_array_equal(out["a.weight"], full["a.weight"])
 
 
 def test_select_origin_single_task_degenerates_to_it(rng):
     pre, only = _checkpoints(rng, count=2)
-    out = select_origin(OriginMode.rankmin(), pre, [only])
+    out = select_origin("rankmin", pre, [only])
     for name in only.names():
         np.testing.assert_array_equal(out[name], only[name])
 
@@ -271,13 +270,24 @@ def test_select_origin_single_task_degenerates_to_it(rng):
 def test_select_origin_rejects_empty(rng):
     pre, *_ = _checkpoints(rng, count=1)
     with pytest.raises(EmptyInput):
-        select_origin(OriginMode.mean(), pre, [])
+        select_origin("mean", pre, [])
 
 
-def test_origin_mode_validation():
-    with pytest.raises(ValueError):
-        OriginMode("centered")
-    with pytest.raises(ValueError):
-        OriginMode.rankmin(steps=0)
-    with pytest.raises(ValueError):
-        OriginMode.rankmin(step_size=0.0)
+@pytest.mark.parametrize("tasks", [0, 1, 3], ids=["no-task", "one-task", "three-tasks"])
+@pytest.mark.parametrize(
+    "kind, options, message",
+    [
+        ("centered", {}, "kind must be one of"),
+        ("rankmin", {"rankmin_steps": 0}, "steps >= 1"),
+        ("rankmin", {"rankmin_step_size": 0.0}, "step_size > 0"),
+    ],
+    ids=["bogus-kind", "steps-0", "step-size-0"],
+)
+def test_select_origin_rejects_bad_settings_before_any_work(rng, svd_calls, tasks, kind,
+                                                            options, message):
+    # With one task the solver never runs, and with none the input is empty:
+    # the settings are still checked first.
+    pre, *rest = _checkpoints(rng, count=1 + tasks)
+    with pytest.raises(ValueError, match=message):
+        select_origin(kind, pre, rest, **options)
+    assert svd_calls == []
