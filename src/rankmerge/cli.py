@@ -45,7 +45,6 @@ from .merge import (
     build_task_vectors,
     cart_indexing,
     merge,
-    prune_ranks,
     weight_average,
 )
 from .origin import SolverTrace, select_origin
@@ -209,6 +208,12 @@ Artifacts = dict[str, Callable[[Path], None]]
 Outcome = tuple[list[Path], Artifacts, str, int]
 
 
+def _trace_file_name(layer: str) -> str:
+    """``trace_<layer>.csv`` with ``%`` escaped as ``%25``, then ``/`` as
+    ``%2F``: one file per layer name, and a name holding neither is kept."""
+    return f"trace_{layer.replace('%', '%25').replace('/', '%2F')}.csv"
+
+
 def _cmd_merge(args: argparse.Namespace) -> Outcome:
     pretrained, tasks, paths = _load_inputs(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
@@ -216,15 +221,14 @@ def _cmd_merge(args: argparse.Namespace) -> Outcome:
     origin = select_origin(args.origin, pretrained, tasks, trace_out=traces, classifier=clf,
                            rankmin_steps=args.rankmin_steps,
                            rankmin_step_size=args.rankmin_step_size)
-    tvs = prune_ranks(build_task_vectors(origin, tasks, clf), args.ratio)
-    merged = merge(tvs, args.lam)
+    merged = merge(build_task_vectors(origin, tasks, clf, rank_ratio=args.ratio), args.lam)
     target = Path(args.out_dir) / "merged.ckpt"
     artifacts: Artifacts = {
         target.name: lambda path: save_checkpoint(merged, path),
         "plan.json": lambda path: _write_json(path, {"coefficients": {"global": args.lam}}),
     }
     for layer in sorted(traces):
-        artifacts[f"trace_{layer.replace('/', '__')}.csv"] = traces[layer].write_csv
+        artifacts[_trace_file_name(layer)] = traces[layer].write_csv
     return paths, artifacts, f"merged {len(tasks)} checkpoints -> {target}", 0
 
 
@@ -290,7 +294,7 @@ def _cmd_certify(args: argparse.Namespace) -> Outcome:
 def _cmd_adapt(args: argparse.Namespace) -> Outcome:
     suite = signal_noise_suite(args.seed)
     origin = weight_average(suite.finetuned)
-    tvs = prune_ranks(build_task_vectors(origin, suite.finetuned), args.ratio)
+    tvs = build_task_vectors(origin, suite.finetuned, rank_ratio=args.ratio)
     values, history = adapt_coefficients(
         tvs, suite.template, [suite.batch], steps=args.iters, lr=args.lr
     )

@@ -1,9 +1,10 @@
 r"""Merge engine: task vectors, rank pruning, and checkpoint assembly.
 
-The pipeline is ``build_task_vectors`` (deltas against a chosen origin),
-``prune_ranks`` (per-layer rank truncation), then ``merge`` (origin plus a
-coefficient-weighted sum of deltas). ``cart_merge`` composes the three with
-the weight-average origin and a global coefficient:
+The pipeline is ``build_task_vectors`` (deltas against a chosen origin,
+factored to a rank budget or in full), ``prune_ranks`` (per-layer rank
+truncation of full factors), then ``merge`` (origin plus a
+coefficient-weighted sum of deltas). ``cart_merge`` composes them with the
+weight-average origin and a global coefficient:
 
 .. math::
     \bar{A}_k(\lambda)
@@ -12,9 +13,10 @@ the weight-average origin and a global coefficient:
 
 The origin is the merged model at coefficient zero: Matrix parameters add
 coefficient-weighted deltas to it, and every other tensor is the origin's.
-Each Matrix delta is stored as its thin SVD, computed once: pruning slices
-it and merging reconstructs from it. The SVDs are independent, so they run
-on a pool of threads, one per core that BLAS leaves free. All internal
+Each Matrix delta is stored as its thin SVD, computed once: in full, so
+pruning can slice it at any rank, or only the triples a rank budget keeps.
+Merging reconstructs from it. The SVDs are independent, so they run on a
+pool of threads, one per core that BLAS leaves free. All internal
 arithmetic is float64; each output tensor takes the origin's dtype.
 """
 
@@ -52,8 +54,10 @@ class TaskVectorSet:
 
     ``deltas[t][name]`` holds task ``t``'s deviation on Matrix layer
     ``name`` as its float64 thin SVD: all ``min(m, n)`` triples after
-    :func:`build_task_vectors`, the leading ``k`` after :func:`prune_ranks`.
-    Non-matrix parameters carry no deltas; they merge to their origin value.
+    :func:`build_task_vectors` without a ``rank_ratio``, and the leading
+    ``k = prune_rank(rank_ratio, m, n)`` after it with one, or after
+    :func:`prune_ranks`. Non-matrix parameters carry no deltas; they merge
+    to their origin value.
     """
 
     origin: TensorMap
@@ -72,8 +76,16 @@ def build_task_vectors(
     origin: TensorMap,
     finetuned: list[TensorMap],
     classifier: Classifier = classify,
+    rank_ratio: float | None = None,
 ) -> TaskVectorSet:
     """Factor each task's float64 deviation from ``origin`` on every Matrix layer.
+
+    Without ``rank_ratio`` each delta keeps its full thin SVD, as
+    ``analyze`` and :func:`prune_ranks` need. With it, each m x n delta keeps
+    only its leading ``prune_rank(rank_ratio, m, n)`` triples, the same
+    factor :func:`prune_ranks` would slice, computed by
+    :func:`~rankmerge.kernels.svd` without the triples it would drop. A
+    ratio outside [0, 1] raises ``ValueError`` before any work.
 
     ``origin`` is the merged model at coefficient zero, usually
     :func:`~rankmerge.origin.select_origin`'s. It must name the same tensors
@@ -86,6 +98,8 @@ def build_task_vectors(
     The deltas are factored on :func:`_factor_workers` threads. Every factor,
     and any error raised, is the same whatever the number of workers.
     """
+    if rank_ratio is not None:
+        _check_ratio(rank_ratio)
     if not finetuned:
         raise EmptyInput("build_task_vectors needs at least one checkpoint")
     validate_aligned([origin, *finetuned])
@@ -96,30 +110,42 @@ def build_task_vectors(
             jobs += [(name, t) for t in range(len(finetuned))]
         elif not np.all(np.isfinite(arr)):
             raise NumericError(f"{name}: the origin holds NaN or infinite values")
-    factors = _factor_deltas(origin, finetuned, jobs)
+    factors = _factor_deltas(origin, finetuned, jobs, rank_ratio)
     deltas: list[dict[str, LowRankFactor]] = [{} for _ in finetuned]
     for name, t in jobs:
         deltas[t][name] = factors[name, t]
     return TaskVectorSet(origin=origin, deltas=deltas)
 
 
-# Per-call thread variables of each BLAS that numpy may be built on, in the
-# order that library reads them: OpenBLAS, then MKL.
-_BLAS_THREAD_VARS = (
-    ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
-    ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
-)
+# Per-call thread variables of each BLAS that numpy may be built on, keyed
+# by a part of its build name, each in the order that library reads them.
+_BLAS_THREAD_VARS = {
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+}
+
+
+def _blas_name() -> str:
+    """Lower-cased name of the BLAS numpy was built on; empty where numpy
+    does not report it, as in 1.24, whose ``show_config`` takes no ``mode``."""
+    try:
+        return str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]).lower()
+    except (TypeError, KeyError):
+        return ""
 
 
 def _factor_workers() -> int:
     """Threads that factor deltas at once: usable CPUs over BLAS threads per call.
 
-    BLAS threads per call is the larger of the OpenBLAS and the MKL reading,
-    so a variable that only the other library reads cannot start the pool.
-    Each library takes the first of its variables that is set; none set, or
-    a value that is not a positive integer, counts as every usable CPU: BLAS
-    may then spread each call over every core, and a second worker beside
-    it only competes for them.
+    BLAS threads per call is read from the variables of the BLAS numpy
+    reports (:func:`_blas_name`): OpenBLAS's when its name contains
+    ``openblas``, MKL's when it contains ``mkl``. For any other name, or none,
+    it is the larger of the OpenBLAS and the MKL reading, so a variable that
+    only the other library reads cannot start the pool. Each library takes
+    the first of its variables that is set; none set, or a value that is not
+    a positive integer, counts as every usable CPU: BLAS may then spread
+    each call over every core, and a second worker beside it only competes
+    for them.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -134,13 +160,19 @@ def _factor_workers() -> int:
             return cpus
         return value if value >= 1 else cpus
 
-    return max(1, cpus // max(threads(variables) for variables in _BLAS_THREAD_VARS))
+    name = _blas_name()
+    libraries = [lib for lib in _BLAS_THREAD_VARS if lib in name] or list(_BLAS_THREAD_VARS)
+    return max(1, cpus // max(threads(_BLAS_THREAD_VARS[lib]) for lib in libraries))
 
 
 def _factor_deltas(
-    origin: TensorMap, finetuned: list[TensorMap], jobs: list[tuple[str, int]]
+    origin: TensorMap,
+    finetuned: list[TensorMap],
+    jobs: list[tuple[str, int]],
+    rank_ratio: float | None,
 ) -> dict[tuple[str, int], LowRankFactor]:
-    """SVD of ``finetuned[t][name] - origin[name]`` for each ``(name, t)`` job.
+    """SVD of ``finetuned[t][name] - origin[name]`` for each ``(name, t)`` job,
+    cut to ``prune_rank(rank_ratio, m, n)`` triples when a ratio is given.
 
     numpy's LAPACK calls release the GIL, so :func:`_factor_workers` threads
     take jobs from one queue and factor side by side. The calling thread is
@@ -155,8 +187,9 @@ def _factor_deltas(
 
     def factor(name: str, t: int) -> LowRankFactor:
         delta = np.subtract(finetuned[t][name], origin[name], dtype=np.float64)
+        k = None if rank_ratio is None else prune_rank(rank_ratio, *delta.shape)
         try:
-            return svd(delta)
+            return svd(delta, k)
         except NumericError as exc:
             raise NumericError(
                 f"{name}: task {t}'s deviation from the origin holds NaN or infinite values"
@@ -287,13 +320,12 @@ def cart_merge(
 ) -> TensorMap:
     """Centered arithmetic with rank-reduced task vectors, in one call.
 
-    Composes the mean origin, delta construction, rank pruning, and a
+    Composes the mean origin, deltas factored to the retained rank, and a
     global-coefficient merge. ``pretrained`` participates only in alignment
     validation; the centered pipeline never reads it.
     """
     origin = select_origin("mean", pretrained, finetuned)
-    tvs = prune_ranks(build_task_vectors(origin, finetuned, classifier), rank_ratio)
-    return merge(tvs, lam)
+    return merge(build_task_vectors(origin, finetuned, classifier, rank_ratio=rank_ratio), lam)
 
 
 def cart_indexing(
@@ -317,8 +349,8 @@ def cart_indexing(
             f"task_index {task_index} outside [0, {len(finetuned)})"
         )
     origin = select_origin("mean", pretrained, finetuned)
-    tvs = build_task_vectors(origin, [finetuned[task_index]], classifier)
-    return merge(prune_ranks(tvs, rank_ratio), 1.0)
+    tvs = build_task_vectors(origin, [finetuned[task_index]], classifier, rank_ratio=rank_ratio)
+    return merge(tvs, 1.0)
 
 
 def storage_cost(

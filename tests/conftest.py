@@ -57,18 +57,29 @@ def rng() -> np.random.Generator:
     return stream(0, "tests")
 
 
-@pytest.fixture
-def svd_calls(monkeypatch) -> list:
-    """Count calls to ``numpy.linalg.svd``; the list grows by one per call."""
+def _count_calls(monkeypatch, name: str) -> list:
     calls: list = []
-    real = np.linalg.svd
+    real = getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def svd_calls(monkeypatch) -> list:
+    """Count calls to ``numpy.linalg.svd``; the list grows by one per call."""
+    return _count_calls(monkeypatch, "svd")
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch) -> list:
+    """Count calls to ``numpy.linalg.eigh``, which factors a top-k SVD
+    through the Gram matrix; the list grows by one per call."""
+    return _count_calls(monkeypatch, "eigh")
 
 
 @pytest.fixture
@@ -84,6 +95,23 @@ def blas_setting(monkeypatch):
             monkeypatch.delenv(var, raising=False)
         for var, value in variables.items():
             monkeypatch.setenv(var, value)
+
+    return arm
+
+
+@pytest.fixture
+def blas_reported(monkeypatch):
+    """``blas_reported(name)`` makes numpy report its BLAS as ``name``, or,
+    given ``TypeError``, makes ``np.show_config(mode=...)`` raise it, as
+    numpy 1.24 does."""
+
+    def arm(name) -> None:
+        def show_config(mode):
+            if name is TypeError:
+                raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+            return {"Build Dependencies": {"blas": {"name": name}}}
+
+        monkeypatch.setattr(np, "show_config", show_config)
 
     return arm
 

@@ -190,6 +190,24 @@ def test_merge_rankmin_origin_writes_traces(checkpoints, tmp_path, capsys):
     assert "trace_enc.0.weight.csv" in manifest["outputs"]
 
 
+def test_rankmin_traces_get_one_file_per_layer_name(tmp_path, capsys):
+    g = stream(0, "cli-trace-names")
+    shapes = {"a/b": (6, 4), "a__b": (6, 4), "a%2Fb": (6, 4)}
+    paths = []
+    for name in ["pre", "task0", "task1", "task2"]:
+        paths.append(str(tmp_path / f"{name}.ckpt"))
+        save_checkpoint(random_tensor_map(g, shapes), paths[-1])
+    out = tmp_path / "rm"
+    argv = _merge_args(paths[0], paths[1:], out, ["--origin", "rankmin", "--rankmin-steps", "3"])
+    assert main(argv) == 0
+    capsys.readouterr()
+    # "%" is escaped first, so no two names meet in one file.
+    traces = {"trace_a%2Fb.csv", "trace_a__b.csv", "trace_a%252Fb.csv"}
+    assert {p.name for p in out.glob("trace_*")} == traces
+    assert traces <= set(json.loads((out / "manifest.json").read_text())["outputs"])
+    assert len({(out / name).read_bytes() for name in traces}) == 3
+
+
 def test_index_full_rank_recovers_the_task(checkpoints, tmp_path, capsys):
     pretrained, tasks = checkpoints
     out = tmp_path / "idx"

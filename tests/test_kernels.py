@@ -17,7 +17,7 @@ from rankmerge import (
     svd,
     truncate,
 )
-from rankmerge.rng import stream
+from rankmerge.rng import orthonormal, stream
 
 from oracles import reference_nuclear_norm, reference_singulars, reference_tail_energy
 
@@ -66,13 +66,14 @@ def test_svd_sign_convention_is_reproducible(matrix):
 
 
 def test_svd_rejects_non_finite():
-    bad = np.ones((3, 3))
-    bad[1, 1] = np.nan
-    with pytest.raises(NumericError):
-        svd(bad)
-    bad[1, 1] = np.inf
-    with pytest.raises(NumericError):
-        svd(bad)
+    for k in (None, 0, 1):  # also where nothing is factored
+        bad = np.ones((3, 3))
+        bad[1, 1] = np.nan
+        with pytest.raises(NumericError):
+            svd(bad, k)
+        bad[1, 1] = np.inf
+        with pytest.raises(NumericError):
+            svd(bad, k)
 
 
 def test_svd_rejects_non_matrix_shapes():
@@ -87,6 +88,79 @@ def test_svd_of_an_empty_matrix_has_no_triples(shape):
     f = svd(np.zeros(shape))
     assert f.k == 0 and f.shape == shape
     assert reconstruct(f).shape == shape
+
+
+# ---------------------------------------------------------------------------
+# top-k triples
+
+
+def _planted(shape: tuple[int, int], singulars: np.ndarray) -> np.ndarray:
+    """``U diag(singulars) Vᵀ`` with random orthonormal ``U`` and ``V``."""
+    g = stream(13, f"planted-{shape}-{len(singulars)}")
+    u = orthonormal(g, shape[0], len(singulars))
+    v = orthonormal(g, shape[1], len(singulars))
+    return (u * singulars) @ v.T
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (60, 24), (24, 60)], ids=["square", "tall", "wide"])
+def test_top_k_is_the_truncated_full_svd(shape, svd_calls, eigh_calls):
+    k = 6
+    singulars = 3.0 * 0.8 ** np.arange(min(shape))
+    a = _planted(shape, singulars)
+    f = svd(a, k)
+    assert (len(svd_calls), len(eigh_calls)) == (0, 1)  # the Gram route ran
+    want = truncate(svd(a), k)
+    # Perturbation theory bounds the Gram route's error on triple j by about
+    # eps * lambda_1 / (its eigen-gap), lambda = sigma^2; 100 covers the
+    # rounding constants of matrices this small.
+    lam = singulars**2
+    rtol = 100 * np.finfo(np.float64).eps * lam[0] / np.min(lam[:k] - lam[1 : k + 1])
+    assert f.k == k and f.shape == shape
+    np.testing.assert_allclose(f.singulars, want.singulars, rtol=0, atol=rtol * singulars[0])
+    np.testing.assert_allclose(f.left, want.left, rtol=0, atol=rtol)
+    np.testing.assert_allclose(f.right, want.right, rtol=0, atol=rtol)
+    np.testing.assert_allclose(reconstruct(f), reconstruct(want), rtol=0,
+                               atol=rtol * singulars[0])
+    assert np.allclose(f.left.T @ f.left, np.eye(k), **TOLS)
+    assert np.allclose(f.right @ f.right.T, np.eye(k), **TOLS)
+
+
+def _exact_rank_two() -> np.ndarray:
+    return _planted((30, 20), np.array([2.0, 1.0]))
+
+
+def _tie_at_k() -> np.ndarray:
+    return _planted((30, 20), np.array([4.0, 3.0, 2.0, 1.0, 1.0, 0.5, 0.25]))
+
+
+@pytest.mark.parametrize("make", [_exact_rank_two, _tie_at_k, lambda: np.zeros((30, 20))],
+                         ids=["rank-below-k", "tie-at-k", "zero"])
+def test_top_k_falls_back_to_the_full_svd_where_the_gram_gap_closes(make, svd_calls):
+    a = make()
+    f = svd(a, 4)
+    assert len(svd_calls) == 1
+    want = truncate(svd(a), 4)
+    for part in ("left", "singulars", "right"):
+        np.testing.assert_array_equal(getattr(f, part), getattr(want, part))
+
+
+def test_rank_zero_factors_nothing(matrix, svd_calls, eigh_calls):
+    f = svd(matrix, 0)
+    assert f.k == 0 and f.shape == matrix.shape
+    assert svd_calls == [] and eigh_calls == []
+
+
+def test_full_rank_is_the_full_svd(matrix):
+    f, want = svd(matrix, min(matrix.shape)), svd(matrix)
+    for part in ("left", "singulars", "right"):
+        np.testing.assert_array_equal(getattr(f, part), getattr(want, part))
+
+
+def test_svd_rank_bounds(matrix):
+    with pytest.raises(RankError):
+        svd(matrix, min(matrix.shape) + 1)
+    with pytest.raises(RankError):
+        svd(matrix, -1)
 
 
 def test_truncate_keeps_leading_triples(matrix):

@@ -109,13 +109,38 @@ def test_build_names_the_tensor_and_task_of_a_non_finite_delta(rng, blas_setting
     blas_setting(cpus, OMP_NUM_THREADS="1")
     origin = random_tensor_map(rng, POOL_SHAPES)
     finetuned = [random_tensor_map(rng, POOL_SHAPES) for _ in range(3)]
-    finetuned[1] = _with_nan(finetuned[1], "layers.0.weight")
-    with pytest.raises(NumericError, match=r"^layers\.0\.weight: task 1's deviation"):
-        build_task_vectors(origin, finetuned)
-    # Of two bad deltas, the one factored first, the larger, is named.
-    finetuned[2] = _with_nan(finetuned[2], "layers.2.weight")
-    with pytest.raises(NumericError, match=r"^layers\.2\.weight: task 2's deviation"):
-        build_task_vectors(origin, finetuned)
+    # Ratio 0 factors nothing, and still checks every delta.
+    for rank_ratio in (None, 0.0, 0.08):
+        bad = list(finetuned)
+        bad[1] = _with_nan(bad[1], "layers.0.weight")
+        with pytest.raises(NumericError, match=r"^layers\.0\.weight: task 1's deviation"):
+            build_task_vectors(origin, bad, rank_ratio=rank_ratio)
+        # Of two bad deltas, the one factored first, the larger, is named.
+        bad[2] = _with_nan(bad[2], "layers.2.weight")
+        with pytest.raises(NumericError, match=r"^layers\.2\.weight: task 2's deviation"):
+            build_task_vectors(origin, bad, rank_ratio=rank_ratio)
+
+
+def test_ratio_zero_factors_nothing(rng, svd_calls, eigh_calls):
+    origin = random_tensor_map(rng, POOL_SHAPES)
+    finetuned = [random_tensor_map(rng, POOL_SHAPES) for _ in range(3)]
+    tvs = build_task_vectors(origin, finetuned, rank_ratio=0.0)
+    assert svd_calls == [] and eigh_calls == []
+    for per_task in tvs.deltas:
+        assert sorted(per_task) == tvs.matrix_names()
+        for name, f in per_task.items():
+            assert f.k == 0 and f.shape == POOL_SHAPES[name]
+
+
+@pytest.mark.parametrize("ratio", [-0.25, 1.5])
+def test_build_rejects_an_out_of_range_ratio_before_any_work(rng, ratio, svd_calls, eigh_calls):
+    origin, finetuned = _fleet(rng)
+    with pytest.raises(ValueError, match="rank_ratio"):
+        build_task_vectors(origin, finetuned, rank_ratio=ratio)
+    with pytest.raises(ValueError, match="rank_ratio"):
+        build_task_vectors(TensorMap({"b": np.zeros(3)}), [TensorMap({"b": np.ones(3)})],
+                           rank_ratio=ratio)
+    assert svd_calls == [] and eigh_calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +173,36 @@ def test_build_names_the_tensor_and_task_of_a_non_finite_delta(rng, blas_setting
                      id="first-set-wins"),
     ],
 )
-def test_factor_workers_divides_usable_cpus_by_blas_threads(blas_setting, cpus, variables,
-                                                            workers):
+def test_factor_workers_divides_usable_cpus_by_blas_threads(blas_setting, blas_reported, cpus,
+                                                            variables, workers):
+    # A BLAS that is neither OpenBLAS nor MKL: both libraries' variables count.
+    blas_reported("accelerate")
     blas_setting(cpus, **variables)
+    assert merge_module._factor_workers() == workers
+
+
+@pytest.mark.parametrize(
+    "reported, variables, workers",
+    [
+        pytest.param("scipy-openblas", {"OPENBLAS_NUM_THREADS": "1"}, 4, id="openblas"),
+        pytest.param("scipy-openblas", {"MKL_NUM_THREADS": "1"}, 1, id="openblas-ignores-mkl"),
+        pytest.param("OpenBLAS", {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "2"}, 4,
+                     id="openblas-any-case"),
+        pytest.param("mkl-sdl", {"MKL_NUM_THREADS": "1"}, 4, id="mkl"),
+        pytest.param("mkl-sdl", {"OPENBLAS_NUM_THREADS": "1"}, 1, id="mkl-ignores-openblas"),
+        pytest.param("mkl-sdl", {"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2,
+                     id="mkl-before-omp"),
+        pytest.param("accelerate", {"OPENBLAS_NUM_THREADS": "1"}, 1, id="unknown"),
+        pytest.param("accelerate", {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 4,
+                     id="unknown-both-set"),
+        pytest.param(TypeError, {"OPENBLAS_NUM_THREADS": "1"}, 1, id="no-mode"),
+        pytest.param(TypeError, {"OMP_NUM_THREADS": "1"}, 4, id="no-mode-omp"),
+    ],
+)
+def test_factor_workers_counts_only_the_variables_of_numpys_blas(blas_setting, blas_reported,
+                                                                 reported, variables, workers):
+    blas_reported(reported)
+    blas_setting(4, **variables)
     assert merge_module._factor_workers() == workers
 
 
@@ -175,12 +227,13 @@ def _assert_same_factors(got, want) -> None:
 def test_several_workers_factor_bit_for_bit_like_one(rng, blas_setting, dtype):
     origin = random_tensor_map(rng, POOL_SHAPES, dtype=dtype)
     finetuned = [random_tensor_map(rng, POOL_SHAPES, dtype=dtype) for _ in range(4)]
-    blas_setting(4)
-    assert merge_module._factor_workers() == 1
-    one = build_task_vectors(origin, finetuned)
-    blas_setting(4, OMP_NUM_THREADS="1")
-    assert merge_module._factor_workers() == 4
-    _assert_same_factors(build_task_vectors(origin, finetuned), one)
+    for rank_ratio in (None, 0.08):  # full factors, and the top-k triples
+        blas_setting(4)
+        assert merge_module._factor_workers() == 1
+        one = build_task_vectors(origin, finetuned, rank_ratio=rank_ratio)
+        blas_setting(4, OMP_NUM_THREADS="1")
+        assert merge_module._factor_workers() == 4
+        _assert_same_factors(build_task_vectors(origin, finetuned, rank_ratio=rank_ratio), one)
 
 
 def test_many_workers_take_every_job_exactly_once(rng, blas_setting, svd_calls):
@@ -398,7 +451,7 @@ def test_cart_merge_is_the_long_form_pipeline_bit_for_bit(rng):
     pretrained = random_tensor_map(rng, shapes, dtype=np.float32)
     finetuned = [random_tensor_map(rng, shapes, dtype=np.float32) for _ in range(3)]
     origin = select_origin("mean", pretrained, finetuned)
-    tvs = prune_ranks(build_task_vectors(origin, finetuned), 0.4)
+    tvs = build_task_vectors(origin, finetuned, rank_ratio=0.4)
     long_form = merge(tvs, 0.7)
     assert cart_merge(pretrained, finetuned, 0.4, 0.7) == long_form
 
@@ -437,20 +490,55 @@ def test_indexing_zero_rank_is_the_average(rng):
 def test_indexing_is_the_one_hot_merge_bit_for_bit(rng, dtype):
     pretrained, finetuned = _fleet(rng, dtype=dtype)
     origin = select_origin("mean", pretrained, finetuned)
-    tvs = build_task_vectors(origin, finetuned)
     for ratio in (0.0, 0.08, 1.0):
-        pruned = prune_ranks(tvs, ratio)
+        tvs = build_task_vectors(origin, finetuned, rank_ratio=ratio)
         for t in range(len(finetuned)):
             one_hot = np.zeros((len(finetuned), len(tvs.matrix_names())))
             one_hot[t] = 1.0
-            long_form = merge(pruned, one_hot)
+            long_form = merge(tvs, one_hot)
             assert cart_indexing(pretrained, finetuned, ratio, t) == long_form
 
 
-def test_indexing_factors_only_the_requested_task(rng, svd_calls):
+def test_indexing_factors_only_the_requested_task(rng, svd_calls, eigh_calls):
     pretrained, finetuned = _fleet(rng, tasks=4)
     cart_indexing(pretrained, finetuned, 0.4, 2)
-    assert len(svd_calls) == 2  # matrix layers of the one task
+    assert len(svd_calls) + len(eigh_calls) == 2  # matrix layers of the one task
+
+
+# The benchmark's tolerance on float32 outputs: ~15 float32 ulps of the
+# largest entry, far below what a wrong rank, coefficient or origin moves.
+F32_RTOL = 1e-6
+BUDGET_SHAPES = {"a.weight": (120, 50), "b.weight": (50, 120), "c.weight": (64, 64),
+                 "a.bias": (120,)}
+
+
+def _relative_mismatch(got: TensorMap, want: TensorMap) -> float:
+    assert got.names() == want.names()
+    return max(
+        float(np.abs(got[n].astype(np.float64) - want[n]).max())
+        / max(float(np.abs(want[n].astype(np.float64)).max()), 1e-30)
+        for n in want.names()
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ratio", [0.0, 0.08, 1.0])
+def test_rank_budget_merges_and_indexes_like_the_full_svd(rng, dtype, ratio):
+    """``cart_merge``/``cart_indexing`` factor only the kept triples; the
+    full-SVD path is every triple, then :func:`prune_ranks`."""
+    pretrained = random_tensor_map(rng, BUDGET_SHAPES, dtype=dtype)
+    finetuned = [random_tensor_map(rng, BUDGET_SHAPES, dtype=dtype) for _ in range(3)]
+    origin = select_origin("mean", pretrained, finetuned)
+    full = prune_ranks(build_task_vectors(origin, finetuned), ratio)
+    budget = build_task_vectors(origin, finetuned, rank_ratio=ratio)
+    for mine, theirs in zip(budget.deltas, full.deltas, strict=True):
+        assert {n: f.k for n, f in mine.items()} == {n: f.k for n, f in theirs.items()}
+    assert _relative_mismatch(cart_merge(pretrained, finetuned, ratio, 0.3),
+                              merge(full, 0.3)) <= F32_RTOL
+    for t in range(len(finetuned)):
+        one_task = prune_ranks(build_task_vectors(origin, [finetuned[t]]), ratio)
+        assert _relative_mismatch(cart_indexing(pretrained, finetuned, ratio, t),
+                                  merge(one_task, 1.0)) <= F32_RTOL
 
 
 def test_indexing_rejects_a_non_finite_bias_in_any_checkpoint(rng):
