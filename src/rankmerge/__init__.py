@@ -24,7 +24,10 @@ from .bounds import (
     SyntheticTaskSuite,
     certificate_json_line,
     certify_bound,
+    certify_bounds,
+    certify_suites,
     generate_suite,
+    generate_suites,
     task_interference_L,
     write_certificates,
 )
@@ -49,6 +52,7 @@ from .kernels import (
     numerical_rank,
     reconstruct,
     svd,
+    svd_stack,
     truncate,
 )
 from .merge import (

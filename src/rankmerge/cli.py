@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .adaptation import adapt_coefficients, write_adaptation_csv
-from .bounds import certify_bound, generate_suite, write_certificates
+from .bounds import certificate_json_line, certify_suites
 from .errors import RankmergeError
 from .interference import interference_report, rank_sweep, sample_size, write_sweep_csv
 from .merge import (
@@ -49,7 +49,14 @@ from .merge import (
 )
 from .origin import SolverTrace, select_origin
 from .rng import stream
-from .tensor_store import ParamClass, _write_json, classify, load_checkpoint, save_checkpoint
+from .tensor_store import (
+    ParamClass,
+    _write_json,
+    _write_text,
+    classify,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .toysuites import classification_sweep_suite, signal_noise_suite
 
 __all__ = ["main"]
@@ -271,7 +278,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Outcome:
 
 def _cmd_certify(args: argparse.Namespace) -> Outcome:
     rng = stream(args.seed, "certify-params")
-    pairs = []
+    specs = []
     for _ in range(args.suites):
         d = int(rng.integers(4, 9))
         t = int(rng.integers(3, 5))
@@ -281,14 +288,16 @@ def _cmd_certify(args: argparse.Namespace) -> Outcome:
         s_max = alpha * float(rng.uniform(1.0, 3.0))
         c = float(rng.uniform(0.5, 2.0))
         eta = float(rng.uniform(0.0, 0.5))
-        suite = generate_suite(
-            d, t, n, r, alpha, s_max, c, eta, seed=int(rng.integers(0, 2**31))
-        )
-        pairs.append((suite, certify_bound(suite)))
-    failures = sum(1 for _, cert in pairs if not cert.holds)
+        specs.append((d, t, n, r, alpha, s_max, c, eta, int(rng.integers(0, 2**31))))
+    # Keep the lines, not the suites: only one chunk of suites is held at a time.
+    lines, failures = [], 0
+    for suite, cert in certify_suites(specs):
+        lines.append(certificate_json_line(suite, cert) + "\n")
+        failures += not cert.holds
+    text = "".join(lines)
     target = Path(args.out_dir) / "certificates.jsonl"
-    line = f"{len(pairs) - failures}/{len(pairs)} certificates hold -> {target}"
-    return [], {target.name: lambda path: write_certificates(pairs, path)}, line, int(failures > 0)
+    line = f"{len(lines) - failures}/{len(lines)} certificates hold -> {target}"
+    return [], {target.name: lambda path: _write_text(path, text)}, line, int(failures > 0)
 
 
 def _cmd_adapt(args: argparse.Namespace) -> Outcome:

@@ -44,7 +44,7 @@ from .errors import (
     ShapeError,
     ZeroTaskVector,
 )
-from .kernels import LowRankFactor, reconstruct, svd, truncate
+from .kernels import LowRankFactor, reconstruct, svd, svd_stack, truncate
 from .merge import TaskVectorSet, build_task_vectors, merge, prune_ranks
 from .origin import select_origin
 from .tensor_store import TensorMap, _write_csv, _write_json
@@ -77,34 +77,63 @@ def row_space_interference(deltas: Sequence[np.ndarray], k: int) -> float:
             raise ShapeError(f"delta shapes differ: {m.shape} vs {shape}")
     if not 1 <= k <= min(shape):
         raise RankError(f"k={k} outside [1, {min(shape)}]")
-    return _interference([svd(m) for m in mats], [k])[0]
+    _, singulars, rights = svd_stack(np.stack(mats))
+    return float(_interference(singulars, rights, [k])[0])
 
 
-def _interference(factors: Sequence[LowRankFactor], ks: Sequence[int]) -> list[float]:
-    """I(k) for each of ``ks`` from one layer's factors. Each pair's weighted
-    overlap is built once and every k x k block norm read from its 2-D
-    prefix sums; (j, i) is the transpose of (i, j), so pairs count twice."""
+# Task pairs whose k x k overlaps are formed at once hold at most this many
+# entries together (128 KiB): all pairs of many small layers in one product,
+# one pair at a time from 128 wide up.
+_PAIR_BLOCK = 1 << 14
+
+
+def _interference(singulars: np.ndarray, rights: np.ndarray, ks: Sequence[int]) -> np.ndarray:
+    """I(k) for each of ``ks`` from one layer's factors, stacked: ``(T, k)``
+    singular values and ``(T, k, n)`` right factors, or a stack of such
+    layers with leading axes, each read at every ``ks``; returns shape
+    ``(..., len(ks))``.
+
+    Each pair's weighted overlap is built once and every k x k block norm
+    read from its 2-D prefix sums; (j, i) is the transpose of (i, j), so
+    pairs count twice. The pairs (i, j), i < j, are summed in row-major
+    order.
+    """
+    tasks = singulars.shape[-2]
     if not ks:
-        return []
-    if len(factors) < 2:
+        return np.zeros((*singulars.shape[:-2], 0))
+    if tasks < 2:
         raise InsufficientTasks("interference is defined over task pairs")
-    weighted: list[np.ndarray] = []
-    for idx, f in enumerate(factors):
-        norm = float(np.linalg.norm(f.singulars))
-        if norm == 0.0:
-            raise ZeroTaskVector(f"delta {idx} is identically zero")
-        weighted.append((f.singulars / norm)[:, None] * f.right)
+    norms = np.sqrt((singulars[..., None, :] @ singulars[..., :, None])[..., 0, 0])
+    zero = np.argwhere(norms == 0.0)
+    if zero.size:
+        raise ZeroTaskVector(f"delta {zero[0, -1]} is identically zero")
+    weighted = (singulars / norms[..., None])[..., None] * rights
 
-    totals = np.zeros(len(ks))
-    for i in range(len(weighted)):
-        for j in range(i + 1, len(weighted)):
-            overlap = weighted[i] @ weighted[j].T
-            energy = np.zeros((overlap.shape[0] + 1, overlap.shape[1] + 1))
-            energy[1:, 1:] = np.cumsum(np.cumsum(overlap**2, axis=0), axis=1)
-            rows = np.minimum(ks, overlap.shape[0])
-            cols = np.minimum(ks, overlap.shape[1])
-            totals += 2.0 * np.sqrt(energy[rows, cols])
-    return [float(v) for v in totals]
+    k = weighted.shape[-2]
+    reads = np.minimum(ks, k)
+    first, second = np.triu_indices(tasks, 1)
+    layers = singulars[..., 0, 0].size
+    per_block = max(1, _PAIR_BLOCK // max(layers * k * k, 1))
+    parts = []
+    for start in range(0, len(first), per_block):
+        i, j = first[start:start + per_block], second[start:start + per_block]
+        overlap = weighted[..., i, :, :] @ np.swapaxes(weighted[..., j, :, :], -1, -2)
+        energy = np.zeros((*overlap.shape[:-2], k + 1, k + 1))
+        energy[..., 1:, 1:] = np.cumsum(np.cumsum(overlap**2, axis=-2), axis=-1)
+        parts.append(2.0 * np.sqrt(energy[..., reads, reads]))
+    return np.cumsum(np.concatenate(parts, axis=-2), axis=-2)[..., -1, :]
+
+
+def _stack_factors(factors: Sequence[LowRankFactor]) -> tuple[np.ndarray, np.ndarray]:
+    """The factors' singular values and right factors as ``(T, k)`` and
+    ``(T, k, n)`` stacks, zero-padded to the largest ``k``."""
+    k = max(f.k for f in factors)
+    singulars = np.zeros((len(factors), k))
+    rights = np.zeros((len(factors), k, factors[0].shape[1]))
+    for t, f in enumerate(factors):
+        singulars[t, :f.k] = f.singulars
+        rights[t, :f.k] = f.right
+    return singulars, rights
 
 
 def reconstruction_error(
@@ -185,7 +214,8 @@ def interference_report(
     raises :class:`RankError` naming that layer, and ``k = 0`` reports R
     only. All are read from the stored factors, whose spectra are
     zero-padded to full rank for a pruned set; R uses the tail-energy
-    identity, and the definitional residual form is exercised separately by
+    identity, one reverse cumulative sum of squares per factor, and the
+    definitional residual form is exercised separately by
     :func:`reconstruction_error`.
     """
     interference: dict[str, list[tuple[int, float]]] = {}
@@ -199,12 +229,15 @@ def interference_report(
             if not 0 <= k <= full:
                 raise RankError(f"{name}: k={k} outside [0, {full}]")
         i_ks = [k for k in r_ks if k >= 1]
-        layer_spectra = [np.pad(f.singulars, (0, full - f.k)) for f in factors]
-        spectra[name] = [[float(x) for x in s] for s in layer_spectra]
-        interference[name] = list(zip(i_ks, _interference(factors, i_ks)))
-        recon[name] = [
-            (k, float(sum(np.sum(s[k:] ** 2) for s in layer_spectra))) for k in r_ks
-        ]
+        layer_spectra = np.stack([np.pad(f.singulars, (0, full - f.k)) for f in factors])
+        spectra[name] = layer_spectra.tolist()
+        curve = _interference(*_stack_factors(factors), i_ks)
+        interference[name] = list(zip(i_ks, curve.tolist()))
+        # tails[t, k] = sum of s[t, i]**2 over i >= k, summed from the smallest term up.
+        tails = np.zeros((len(factors), full + 1))
+        tails[:, :full] = np.cumsum(layer_spectra[:, ::-1] ** 2, axis=1)[:, ::-1]
+        totals = np.cumsum(tails, axis=0)[-1]
+        recon[name] = [(k, float(totals[k])) for k in r_ks]
     return InterferenceReport(interference=interference, reconstruction=recon, spectra=spectra)
 
 

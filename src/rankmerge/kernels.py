@@ -22,6 +22,7 @@ __all__ = [
     "GRAM_MIN_GAP",
     "LowRankFactor",
     "svd",
+    "svd_stack",
     "truncate",
     "reconstruct",
     "frobenius_inner",
@@ -97,14 +98,59 @@ def svd(a: np.ndarray, k: int | None = None) -> LowRankFactor:
         return LowRankFactor(left=np.zeros((m, 0)), singulars=np.zeros(0), right=np.zeros((0, n)))
     factors = _gram_top(a, k) if k < full else None
     if factors is None:
-        factors = np.linalg.svd(a, full_matrices=False)
-    left, s, right = factors
-    # Fix signs so factors are reproducible across platforms.
-    flip = left[np.argmax(np.abs(left), axis=0), np.arange(left.shape[1])] < 0
-    left[:, flip] = -left[:, flip]
-    right[flip, :] = -right[flip, :]
+        left, s, right = (part[0] for part in _signed_svd(a[None]))
+    else:
+        left, s, right = factors
+        _fix_signs(left, right)
     f = LowRankFactor(left=left, singulars=s, right=right)
     return truncate(f, k) if f.k > k else f
+
+
+def svd_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVDs of every matrix of an ``(N, m, n)`` stack in one LAPACK call.
+
+    Returns ``(left, singulars, right)`` of shapes ``(N, m, k)``, ``(N, k)``
+    and ``(N, k, n)``, ``k = min(m, n)``. Slice ``i`` is bit for bit the
+    factor ``svd(a[i])`` returns, sign convention included. The stack is
+    checked for NaN and infinity first.
+    """
+    a = _require_finite(a)
+    if a.ndim != 3:
+        raise ShapeError(f"svd_stack needs an (N, m, n) stack, got shape {a.shape}")
+    return _signed_svd(a)
+
+
+def _signed_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full thin SVD of each slice of a finite float64 stack, sign-fixed."""
+    left, s, right = np.linalg.svd(a, full_matrices=False)
+    _fix_signs(left, right)
+    return left, s, right
+
+
+def _fix_signs(left: np.ndarray, right: np.ndarray) -> None:
+    """Make the largest-magnitude entry of each left singular vector
+    nonnegative, negating the matching right vector; in place, on 2-D
+    factors or on stacks of them, so factors are reproducible across
+    platforms.
+
+    The entry is the first of largest magnitude. It is found from each
+    column's largest and smallest entries, and only where their magnitudes
+    tie from where they first occur, because ``np.argmax`` across rows
+    would copy the whole stack.
+    """
+    if not left.size:
+        return
+    largest = np.max(left, axis=-2, keepdims=True)
+    smallest = np.min(left, axis=-2, keepdims=True)
+    flip = -smallest > largest
+    tie = -smallest == largest
+    if tie.any():
+        first_largest = np.argmax(left == largest, axis=-2)[..., None, :]
+        first_smallest = np.argmax(left == smallest, axis=-2)[..., None, :]
+        flip |= tie & (first_smallest < first_largest)
+    signs = np.where(flip, -1.0, 1.0)  # a product with -1.0 is an exact negation
+    left *= signs
+    right *= np.swapaxes(signs, -1, -2)
 
 
 def _gram_top(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -173,15 +219,15 @@ def nuclear_subgradient(a: np.ndarray) -> np.ndarray:
     above ``RANK_EPS * sigma_max``. At the zero matrix this is the zero
     matrix, which lies in the subdifferential there.
     """
-    return _factor_subgradient(svd(a))
+    f = svd(a)
+    return _factor_subgradient(f.left, f.singulars, f.right)
 
 
-def _factor_subgradient(f: LowRankFactor) -> np.ndarray:
-    """:func:`nuclear_subgradient` at the matrix ``f`` factors."""
-    if f.k == 0 or f.singulars[0] <= 0.0:
-        return np.zeros(f.shape, dtype=np.float64)
-    keep = f.singulars > RANK_EPS * f.singulars[0]
-    return f.left[:, keep] @ f.right[keep, :]
+def _factor_subgradient(left: np.ndarray, s: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """:func:`nuclear_subgradient` at the matrix ``left @ diag(s) @ right``:
+    the product of the leading factors whose singular values count."""
+    r = _singular_rank(s)
+    return left[:, :r] @ right[:r, :]
 
 
 def numerical_rank(a: np.ndarray) -> int:
@@ -191,6 +237,10 @@ def numerical_rank(a: np.ndarray) -> int:
 
 def _singular_rank(s: np.ndarray) -> int:
     """:func:`numerical_rank` of a matrix with nonincreasing singular values ``s``."""
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > RANK_EPS * s[0]))
+    return int(_singular_ranks(s[None])[0])
+
+
+def _singular_ranks(s: np.ndarray) -> np.ndarray:
+    """:func:`_singular_rank` of each row of an ``(N, k)`` array of spectra."""
+    top = s[:, :1]
+    return np.sum((s > RANK_EPS * top) & (top > 0.0), axis=1)

@@ -15,17 +15,15 @@ The origin is the merged model at coefficient zero: Matrix parameters add
 coefficient-weighted deltas to it, and every other tensor is the origin's.
 Each Matrix delta is stored as its thin SVD, computed once: in full, so
 pruning can slice it at any rank, or only the triples a rank budget keeps.
-Merging reconstructs from it. The SVDs are independent, so they run on a
-pool of threads, one per core that BLAS leaves free. All internal
-arithmetic is float64; each output tensor takes the origin's dtype.
+Merging reconstructs from it. The SVDs are independent, so they run on
+:mod:`~rankmerge.pool`'s threads, one per core that BLAS leaves free. All
+internal arithmetic is float64; each output tensor takes the origin's dtype.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +31,7 @@ import numpy as np
 from .errors import EmptyInput, NumericError, PlanError
 from .kernels import LowRankFactor, reconstruct, svd, truncate
 from .origin import select_origin
+from .pool import run_jobs
 from .tensor_store import Classifier, ParamClass, TensorMap, classify, validate_aligned
 
 __all__ = [
@@ -95,8 +94,9 @@ def build_task_vectors(
     one of them, or in a Matrix delta, raises :class:`NumericError` naming
     the tensor (and the task, for a delta).
 
-    The deltas are factored on :func:`_factor_workers` threads. Every factor,
-    and any error raised, is the same whatever the number of workers.
+    The deltas are factored on :func:`~rankmerge.pool.run_jobs`'s threads.
+    Every factor, and any error raised, is the same whatever the number of
+    workers.
     """
     if rank_ratio is not None:
         _check_ratio(rank_ratio)
@@ -117,54 +117,6 @@ def build_task_vectors(
     return TaskVectorSet(origin=origin, deltas=deltas)
 
 
-# Per-call thread variables of each BLAS that numpy may be built on, keyed
-# by a part of its build name, each in the order that library reads them.
-_BLAS_THREAD_VARS = {
-    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
-    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
-}
-
-
-def _blas_name() -> str:
-    """Lower-cased name of the BLAS numpy was built on; empty where numpy
-    does not report it, as in 1.24, whose ``show_config`` takes no ``mode``."""
-    try:
-        return str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]).lower()
-    except (TypeError, KeyError):
-        return ""
-
-
-def _factor_workers() -> int:
-    """Threads that factor deltas at once: usable CPUs over BLAS threads per call.
-
-    BLAS threads per call is read from the variables of the BLAS numpy
-    reports (:func:`_blas_name`): OpenBLAS's when its name contains
-    ``openblas``, MKL's when it contains ``mkl``. For any other name, or none,
-    it is the larger of the OpenBLAS and the MKL reading, so a variable that
-    only the other library reads cannot start the pool. Each library takes
-    the first of its variables that is set; none set, or a value that is not
-    a positive integer, counts as every usable CPU: BLAS may then spread
-    each call over every core, and a second worker beside it only competes
-    for them.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-
-    def threads(variables: tuple[str, ...]) -> int:
-        setting = next((os.environ[var] for var in variables if var in os.environ), "")
-        try:
-            value = int(setting)
-        except ValueError:
-            return cpus
-        return value if value >= 1 else cpus
-
-    name = _blas_name()
-    libraries = [lib for lib in _BLAS_THREAD_VARS if lib in name] or list(_BLAS_THREAD_VARS)
-    return max(1, cpus // max(threads(_BLAS_THREAD_VARS[lib]) for lib in libraries))
-
-
 def _factor_deltas(
     origin: TensorMap,
     finetuned: list[TensorMap],
@@ -174,18 +126,11 @@ def _factor_deltas(
     """SVD of ``finetuned[t][name] - origin[name]`` for each ``(name, t)`` job,
     cut to ``prune_rank(rank_ratio, m, n)`` triples when a ratio is given.
 
-    numpy's LAPACK calls release the GIL, so :func:`_factor_workers` threads
-    take jobs from one queue and factor side by side. The calling thread is
-    one of them: a thread of its own would add an allocator arena, and with
-    it peak memory. The largest matrices go first: the jobs that overlap
-    last, while every other factor is held, are then the smallest, and peak
-    memory stays near that of one job at a time. After a job fails no
-    further job starts, and the first failure in queue order is raised;
-    every job before it was started and runs to its end, so it is the same
-    failure for any number of workers.
+    The jobs run on :func:`~rankmerge.pool.run_jobs`, largest matrices first.
     """
 
-    def factor(name: str, t: int) -> LowRankFactor:
+    def factor(job: tuple[str, int]) -> LowRankFactor:
+        name, t = job
         delta = np.subtract(finetuned[t][name], origin[name], dtype=np.float64)
         k = None if rank_ratio is None else prune_rank(rank_ratio, *delta.shape)
         try:
@@ -195,35 +140,8 @@ def _factor_deltas(
                 f"{name}: task {t}'s deviation from the origin holds NaN or infinite values"
             ) from exc
 
-    queue = enumerate(sorted(jobs, key=lambda job: origin[job[0]].size, reverse=True))
-    lock, stop = threading.Lock(), threading.Event()
-    factors: dict[tuple[str, int], LowRankFactor] = {}
-    failures: dict[int, Exception] = {}
-
-    def work() -> None:
-        while not stop.is_set():
-            with lock:
-                position, job = next(queue, (None, None))
-            if job is None:
-                return
-            try:
-                factors[job] = factor(*job)
-            except Exception as exc:
-                failures[position] = exc
-                stop.set()
-
-    helpers = [threading.Thread(target=work) for _ in range(min(_factor_workers(), len(jobs)) - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()
-    finally:
-        stop.set()  # an interrupt of this thread stops the helpers after their current job
-        for helper in helpers:
-            helper.join()
-    if failures:
-        raise failures[min(failures)]
-    return factors
+    order = sorted(jobs, key=lambda job: origin[job[0]].size, reverse=True)
+    return dict(zip(order, run_jobs(order, factor)))
 
 
 def prune_rank(rank_ratio: float, m: int, n: int) -> int:

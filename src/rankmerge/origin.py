@@ -13,7 +13,8 @@ Matrix layers that task vectors are measured from:
   low rank.
 
 The iterative solver records a per-step trace of both objective families so
-their interplay can be inspected after the fact.
+their interplay can be inspected after the fact. Its layers are solved side
+by side on the factoring pool.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, EmptyInput, InsufficientTasks, NumericError, ShapeError
-from .kernels import _factor_subgradient, frobenius_inner, svd
+from .kernels import _factor_subgradient, svd_stack
+from .pool import run_jobs
 from .tensor_store import Classifier, ParamClass, TensorMap, _write_csv, classify, validate_aligned
 
 __all__ = [
@@ -88,9 +90,12 @@ def simmin_objective(origin: np.ndarray, layers: list[np.ndarray]) -> float:
     return sum(_pair_fips(deltas))
 
 
-def _pair_fips(deltas: list[np.ndarray]) -> list[float]:
-    """Frobenius inner product of every task pair (t, t') with t' < t."""
-    return [frobenius_inner(deltas[t], deltas[t2]) for t in range(len(deltas)) for t2 in range(t)]
+def _pair_fips(deltas: list[np.ndarray] | np.ndarray) -> list[float]:
+    """Frobenius inner product of every task pair (t, t') with t' < t, in
+    that order; the products share one buffer."""
+    product = np.empty_like(deltas[0])
+    return [float(np.sum(np.multiply(deltas[t], deltas[t2], out=product)))
+            for t in range(len(deltas)) for t2 in range(t)]
 
 
 def rankmin_origin(
@@ -109,41 +114,49 @@ def rankmin_origin(
     :class:`DivergenceError` if the running objective exceeds ten times the
     initial value.
 
-    Each iterate factors every task vector once: the singular values give
-    the objective there and the singular vectors the next subgradient.
+    Each iterate factors its T task vectors in one stacked SVD: the singular
+    values give the objective there and the singular vectors the next
+    subgradient, formed at once so the factors are not held while the next
+    iterate is factored.
     """
     if len(layers) < 2:
         raise InsufficientTasks("rankmin_origin needs at least two layers")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    thetas = [np.asarray(l, dtype=np.float64) for l in layers]
+    # Kept in their own dtype: each subtraction below widens to float64 exactly.
+    thetas = [np.asarray(l) for l in layers]
     theta = mean_origin(thetas)
+    deltas = np.empty((len(thetas), *theta.shape))
 
-    deltas = [t - theta for t in thetas]
-    factors = [svd(d) for d in deltas]
-    initial = sum(float(np.sum(f.singulars)) for f in factors)
+    def factor(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """At ``theta``: the task vectors' singular values, the subgradient
+        summed over tasks, the objective and the summed |FIP|."""
+        for t, layer in enumerate(thetas):
+            np.subtract(layer, theta, out=deltas[t])
+        left, s, right = svd_stack(deltas)
+        grad = np.zeros_like(theta)
+        for t in range(len(thetas)):
+            grad += _factor_subgradient(left[t], s[t], right[t])
+        return s, grad, sum(np.sum(s, axis=1).tolist()), sum(map(abs, _pair_fips(deltas)))
+
+    s, grad, initial, fip = factor(theta)
     trace = SolverTrace()
-    trace.records.append((0, initial, sum(map(abs, _pair_fips(deltas)))))
+    trace.records.append((0, initial, fip))
     if initial == 0.0:
         return theta, trace
 
     if step_size is None:
-        step_size = 0.1 * float(np.mean(np.concatenate([f.singulars for f in factors])))
+        step_size = 0.1 * float(np.mean(s.reshape(-1)))
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
 
     best_theta, best_obj = theta.copy(), initial
-    for s in range(1, steps + 1):
-        grad = np.zeros_like(theta)
-        for f in factors:
-            grad += _factor_subgradient(f)
-        theta = theta + (step_size / np.sqrt(s)) * (grad / len(thetas))
-        deltas = [t - theta for t in thetas]
-        factors = [svd(d) for d in deltas]
-        obj = sum(float(np.sum(f.singulars)) for f in factors)
+    for step in range(1, steps + 1):
+        theta = theta + (step_size / np.sqrt(step)) * (grad / len(thetas))
+        _, grad, obj, fip = factor(theta)
         if obj > 10.0 * initial:
-            raise DivergenceError(s, obj, initial)
-        trace.records.append((s, obj, sum(map(abs, _pair_fips(deltas)))))
+            raise DivergenceError(step, obj, initial)
+        trace.records.append((step, obj, fip))
         if obj < best_obj:
             best_theta, best_obj = theta.copy(), obj
     return best_theta, trace
@@ -172,7 +185,13 @@ def select_origin(
     ``rankmin_step_size`` (``None`` scales it from the spectra) for
     ``"rankmin"`` with two or more fine-tuned checkpoints, and the mean
     otherwise. Pass ``trace_out`` to collect the rank-minimization trace of
-    each solved layer by name.
+    each solved layer by name, in the checkpoint's order.
+
+    The other layers are computed first, one at a time. The solved layers
+    then run as jobs on :func:`~rankmerge.pool.run_jobs`, largest first, so
+    each solution and trace is the same whatever the number of workers, and
+    where several layers diverge the largest one's
+    :class:`DivergenceError` is raised.
 
     An unknown ``kind``, or for ``"rankmin"`` steps below 1 or a step size
     that is not positive, raises :class:`ValueError` before any work. A NaN
@@ -195,16 +214,28 @@ def select_origin(
                 raise NumericError(f"{name}: a checkpoint holds NaN or infinite values")
 
     entries: dict[str, np.ndarray] = {}
+    solve: list[str] = []
     for name, ref in pretrained.items():
         stacked = [fmap[name] for fmap in finetuned]
         matrix = classifier(name, ref) is ParamClass.MATRIX
         if matrix and kind == "pretrained":
             solved = ref
         elif matrix and kind == "rankmin" and len(stacked) >= 2:
-            solved, trace = rankmin_origin(stacked, rankmin_steps, rankmin_step_size)
-            if trace_out is not None:
-                trace_out[name] = trace
+            solved = ref  # replaced by the solution below, keeping this order
+            solve.append(name)
         else:
             solved = mean_origin(stacked)
         entries[name] = np.asarray(solved, dtype=ref.dtype)
+
+    def solve_layer(name: str) -> tuple[np.ndarray, SolverTrace]:
+        solution, trace = rankmin_origin([fmap[name] for fmap in finetuned], rankmin_steps,
+                                         rankmin_step_size)
+        return np.asarray(solution, dtype=pretrained[name].dtype), trace
+
+    order = sorted(solve, key=lambda name: pretrained[name].size, reverse=True)
+    solutions = dict(zip(order, run_jobs(order, solve_layer)))
+    for name in solve:
+        entries[name], trace = solutions[name]
+        if trace_out is not None:
+            trace_out[name] = trace
     return TensorMap(entries)

@@ -62,7 +62,7 @@ def _count_calls(monkeypatch, name: str) -> list:
     real = getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(np.shape(args[0]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, counted)
@@ -71,14 +71,15 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 @pytest.fixture
 def svd_calls(monkeypatch) -> list:
-    """Count calls to ``numpy.linalg.svd``; the list grows by one per call."""
+    """Count calls to ``numpy.linalg.svd``; the list grows by the shape of the
+    input, a stack of matrices or one matrix, per call."""
     return _count_calls(monkeypatch, "svd")
 
 
 @pytest.fixture
 def eigh_calls(monkeypatch) -> list:
     """Count calls to ``numpy.linalg.eigh``, which factors a top-k SVD
-    through the Gram matrix; the list grows by one per call."""
+    through the Gram matrix; the list grows by the input's shape per call."""
     return _count_calls(monkeypatch, "eigh")
 
 

@@ -106,3 +106,72 @@ def reference_simmin(origin: np.ndarray, layers) -> float:
             b = np.asarray(layers[j], dtype=np.float64) - origin
             total += float(np.sum(a * b))
     return total
+
+
+# ---------------------------------------------------------------------------
+# The bound certificate, one suite and one matrix at a time: the per-suite
+# route that the batched ``certify`` replaced, kept to check that every
+# certificate line stays bit for bit the same.
+
+
+def _reference_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((rows, cols)))
+    return q * np.sign(np.diag(r))[None, :]
+
+
+def _reference_ball(rng: np.random.Generator, dim: int, radius: float, count: int) -> np.ndarray:
+    directions = rng.standard_normal((count, dim))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    radii = radius * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / dim)
+    return directions / norms * radii
+
+
+def reference_suite(d, T, n, r, alpha, s_max, c, eta, seed):
+    """``(theta0, taus, inputs, row_bases)`` of one suite, drawn task by task."""
+    from rankmerge.rng import stream
+
+    rng = stream(seed, "synthetic-suite")
+    theta0 = rng.standard_normal((d, d))
+    taus, row_bases, inputs = [], [], []
+    for _ in range(T):
+        left = _reference_orthonormal(rng, d, r)
+        right = _reference_orthonormal(rng, d, r)
+        singulars = np.sort(rng.uniform(alpha, s_max, size=r))[::-1]
+        taus.append(left @ (singulars[:, None] * right.T))
+        row_bases.append(right)
+        coeffs = _reference_ball(rng, r, c * s_max, n)
+        noise = _reference_ball(rng, d, 1.0, n) * eta
+        inputs.append(coeffs @ right.T + noise)
+    return theta0, taus, inputs, row_bases
+
+
+def reference_certificate_line(d, T, n, r, alpha, s_max, c, eta, seed) -> str:
+    """The JSONL certificate of one suite: each update factored on its own,
+    I from a loop over task pairs, L from a loop over tasks."""
+    import json
+
+    _, taus, inputs, _ = reference_suite(d, T, n, r, alpha, s_max, c, eta, seed)
+    factors = [np.linalg.svd(tau, full_matrices=False) for tau in taus]
+    r_max = 0
+    for _, s, _ in factors:
+        r_max = max(r_max, int(np.sum(s > 1e-10 * s[0])) if s[0] > 0.0 else 0)
+    weighted = [(s / float(np.linalg.norm(s)))[:, None] * vt for _, s, vt in factors]
+    interference = np.zeros(1)
+    for i in range(T):
+        for j in range(i + 1, T):
+            overlap = weighted[i] @ weighted[j].T
+            energy = np.zeros((overlap.shape[0] + 1, overlap.shape[1] + 1))
+            energy[1:, 1:] = np.cumsum(np.cumsum(overlap**2, axis=0), axis=1)
+            interference += 2.0 * np.sqrt(energy[[r_max], [r_max]])
+    interference = float(interference[0])
+    k3 = s_max**2 * c * (r_max * s_max**2 / alpha**2)
+    bound = n * (k3 * interference + T * (T - 1) * s_max * eta) ** 2
+    loss = 0.0
+    for t in range(T):
+        others = sum(taus[s] for s in range(T) if s != t)
+        loss += float(np.sum((inputs[t] @ others.T) ** 2))
+    return json.dumps({
+        "seed": seed, "d": d, "T": T, "n": n, "r": r, "alpha": alpha, "s_max": s_max, "c": c,
+        "eta": eta, "L": loss, "I": interference, "bound": bound, "holds": bool(loss <= bound),
+    })

@@ -9,6 +9,8 @@ answer is known in closed form.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 
 import numpy as np
@@ -16,16 +18,22 @@ import pytest
 
 from rankmerge import (
     InvariantError,
+    NumericError,
     ParamError,
     SyntheticTaskSuite,
     certificate_json_line,
     certify_bound,
+    certify_bounds,
+    certify_suites,
     generate_suite,
+    generate_suites,
     task_interference_L,
     write_certificates,
 )
+from rankmerge import bounds
 
-from oracles import reference_cross_task_loss
+from conftest import _count_calls
+from oracles import reference_certificate_line, reference_cross_task_loss, reference_suite
 
 ARGS = dict(d=6, T=3, n=4, r=2, alpha=0.5, s_max=2.0, c=1.0, eta=0.3, seed=11)
 
@@ -175,7 +183,84 @@ def test_certify_factors_each_task_update_once(svd_calls):
     suite = generate_suite(**{**ARGS, "T": 4})
     svd_calls.clear()
     certify_bound(suite)
-    assert len(svd_calls) == suite.T
+    # One stacked SVD holds the suite's four updates.
+    assert svd_calls == [(suite.T, suite.d, suite.d)]
+
+
+def _spec(g: np.random.Generator, d: int, T: int, n: int, r: int) -> tuple:
+    alpha = float(g.uniform(0.2, 1.0))
+    return (d, T, n, r, alpha, alpha * float(g.uniform(1.0, 3.0)), float(g.uniform(0.5, 2.0)),
+            float(g.uniform(0.0, 0.5)), int(g.integers(0, 2**31)))
+
+
+# Two suites of every (d, T, n, r) that ``certify`` draws, side by side.
+SHAPE_SPECS = [
+    _spec(np.random.default_rng(shape), *shape)
+    for shape in itertools.product(range(4, 9), (3, 4), range(1, 6), range(1, 4))
+    for _ in range(2)
+]
+
+
+@pytest.mark.parametrize("chunk", [5, bounds._CHUNK])
+@pytest.mark.parametrize("shuffled", [False, True], ids=["by-shape", "shuffled"])
+def test_batched_certificates_are_the_per_suite_ones_bit_for_bit(monkeypatch, chunk, shuffled):
+    specs = list(SHAPE_SPECS)
+    if shuffled:
+        np.random.default_rng(7).shuffle(specs)
+    # An odd chunk splits the two suites of many shapes; the default one
+    # ends inside the shape groups of a shuffled run.
+    monkeypatch.setattr(bounds, "_CHUNK", chunk)
+    lines = [certificate_json_line(suite, cert) for suite, cert in certify_suites(specs)]
+    assert lines == [_reference_line(spec) for spec in specs]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_line(spec: tuple) -> str:
+    return reference_certificate_line(*spec)
+
+
+def test_batched_generation_is_the_per_suite_draw_bit_for_bit():
+    specs = SHAPE_SPECS[::7]
+    for suite, spec in zip(generate_suites(specs), specs):
+        theta0, taus, inputs, row_bases = reference_suite(*spec)
+        np.testing.assert_array_equal(suite.theta0, theta0)
+        for mine, theirs in zip([suite.taus, suite.inputs, suite.row_bases],
+                                [taus, inputs, row_bases], strict=True):
+            assert len(mine) == len(theirs) == suite.T
+            for a, b in zip(mine, theirs):
+                np.testing.assert_array_equal(a, b)
+
+
+def test_generation_and_certification_stack_once_per_shape(monkeypatch, svd_calls):
+    qr_calls = _count_calls(monkeypatch, "qr")
+    specs = [_spec(np.random.default_rng(i), d, T, 2, r)
+             for i, (d, T, r) in enumerate([(5, 3, 1), (6, 4, 2), (5, 4, 1), (5, 3, 2), (6, 3, 2)])]
+    suites = generate_suites(specs)
+    # One QR per (d, r): both factors of every task of those suites.
+    assert qr_calls == [(3 + 4, 2, 5, 1), (4 + 3, 2, 6, 2), (3, 2, 5, 2)]
+    certify_bounds(suites)
+    # One SVD per (d, T): every update of those suites.
+    assert svd_calls == [(3 + 3, 5, 5), (4, 6, 6), (4, 5, 5), (3, 6, 6)]
+
+
+def test_batched_certification_raises_for_the_first_broken_suite():
+    suites = generate_suites([(6, 3, 4, 2, 0.5, 2.0, 1.0, 0.3, seed) for seed in range(4)])
+    suites[3].taus[1] = np.zeros((6, 6))
+    suites[1].inputs[2] = suites[1].inputs[2] + 5.0
+    with pytest.raises(InvariantError, match="task 2 inputs leave the row space"):
+        certify_bounds(suites)
+    suites[2].taus[0] = np.full((6, 6), np.nan)
+    with pytest.raises(NumericError):
+        certify_bounds(suites)  # before any contract check
+    suites[3].taus[2] = np.zeros((5, 6))
+    with pytest.raises(InvariantError, match=r"tau 2 has shape \(5, 6\)"):
+        certify_bounds(suites)  # before any factoring
+
+
+def test_generation_checks_every_spec_before_any_draw(monkeypatch):
+    monkeypatch.setattr(bounds, "stream", lambda *args: pytest.fail("drew before checking"))
+    with pytest.raises(ParamError, match="T > 2"):
+        generate_suites([(6, 3, 4, 2, 0.5, 2.0, 1.0, 0.3, 0), (6, 2, 4, 2, 0.5, 2.0, 1.0, 0.3, 1)])
 
 
 def test_certify_rejects_corrupted_suites():

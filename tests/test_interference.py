@@ -23,6 +23,7 @@ from rankmerge import (
     RankError,
     ShapeError,
     SweepRow,
+    TensorMap,
     ZeroTaskVector,
     build_task_vectors,
     interference_report,
@@ -182,6 +183,32 @@ def test_report_on_a_pruned_set_matches_its_dense_deltas(rng):
             np.testing.assert_allclose(spec, np.linalg.svd(delta, compute_uv=False), atol=1e-12)
         for k, value in report.interference[name]:
             assert value == pytest.approx(row_space_interference(deltas, k), rel=1e-9)
+
+
+def test_report_reconstruction_is_the_tail_energy_at_every_k(rng):
+    # Decaying spectra over five decades, so that tails near full rank are
+    # far smaller than the whole energy.
+    g, (m, n), tasks = rng, (40, 24), 3
+    deltas = [(g.standard_normal((m, n)) * 10.0 ** -np.linspace(0, 5, n)) @ np.linalg.qr(
+        g.standard_normal((n, n)))[0] for _ in range(tasks)]
+    origin = g.standard_normal((m, n))
+    finetuned = [TensorMap({"w": origin + d}) for d in deltas]
+    tvs = build_task_vectors(TensorMap({"w": origin}), finetuned)
+    report = interference_report(tvs)
+    spectra = [tvs.deltas[t]["w"].singulars for t in range(tasks)]
+    energy = sum(float(np.sum(s**2)) for s in spectra)
+    eps = np.finfo(np.float64).eps
+    assert [k for k, _ in report.reconstruction["w"]] == list(range(n + 1))
+    for k, value in report.reconstruction["w"]:
+        # The same spectra summed tail by tail: n additions of positive
+        # terms, so the sums differ by at most 2 n eps of the value.
+        direct = sum(float(np.sum(s[k:] ** 2)) for s in spectra)
+        assert abs(value - direct) <= 2 * n * eps * direct
+        # The independent Gram route: each eigenvalue is off by about
+        # eps times the largest, so the tail by n of those.
+        oracle = sum(reference_tail_energy(f["w"] - origin, k) for f in finetuned)
+        assert abs(value - oracle) <= 8 * n * eps * energy
+    assert report.reconstruction["w"][-1] == (n, 0.0)
 
 
 @pytest.mark.parametrize("ks", [None, [1], [0, 2, 3, 5]])

@@ -15,6 +15,7 @@ from rankmerge import (
     numerical_rank,
     reconstruct,
     svd,
+    svd_stack,
     truncate,
 )
 from rankmerge.rng import orthonormal, stream
@@ -88,6 +89,60 @@ def test_svd_of_an_empty_matrix_has_no_triples(shape):
     f = svd(np.zeros(shape))
     assert f.k == 0 and f.shape == shape
     assert reconstruct(f).shape == shape
+
+
+# ---------------------------------------------------------------------------
+# stacked SVD
+
+
+def _per_matrix_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One matrix's thin SVD with the sign rule applied column by column."""
+    left, s, right = np.linalg.svd(a, full_matrices=False)
+    for j in range(len(s)):
+        if left[np.argmax(np.abs(left[:, j])), j] < 0:
+            left[:, j], right[j] = -left[:, j], -right[j]
+    return left, s, right
+
+
+HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+
+
+@pytest.mark.parametrize("shape", [(5, 8, 8), (4, 12, 5), (4, 5, 12), (3, 1, 4), (3, 4, 4)])
+def test_stacked_svd_is_the_per_matrix_svd_bit_for_bit(shape):
+    a = stream(19, f"stack-{shape}").standard_normal(shape)
+    a[0] = 0.0  # no direction at all
+    a[1, :, -1] = a[1, :, 0]  # rank deficient
+    if shape[1:] == (4, 4):
+        a[2] = HADAMARD  # every |entry| ties, and so do the singular values
+    left, s, right = svd_stack(a)
+    assert (left.shape, s.shape, right.shape) == (
+        (shape[0], shape[1], min(shape[1:])), (shape[0], min(shape[1:])),
+        (shape[0], min(shape[1:]), shape[2]),
+    )
+    for i in range(shape[0]):
+        f = svd(a[i])
+        for got, want, two_d in zip((left[i], s[i], right[i]), _per_matrix_svd(a[i]),
+                                    (f.left, f.singulars, f.right)):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(two_d, want)
+
+
+def test_stacked_svd_of_empty_stacks():
+    for shape in [(0, 3, 2), (2, 0, 3), (2, 3, 0)]:
+        left, s, right = svd_stack(np.zeros(shape))
+        k = min(shape[1:])
+        assert (left.shape, s.shape, right.shape) == (
+            (shape[0], shape[1], k), (shape[0], k), (shape[0], k, shape[2]))
+
+
+def test_stacked_svd_rejects_non_finite_and_non_stacks():
+    bad = np.ones((3, 2, 2))
+    bad[2, 1, 0] = np.inf
+    with pytest.raises(NumericError):
+        svd_stack(bad)
+    for shape in [(4, 4), (2, 2, 2, 2)]:
+        with pytest.raises(ShapeError):
+            svd_stack(np.ones(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import importlib
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,13 +28,11 @@ from rankmerge import (
     storage_cost,
     weight_average,
 )
+from rankmerge import pool
 from rankmerge.kernels import LowRankFactor, reconstruct, svd
 
 from conftest import random_tensor_map
 from oracles import reference_tail_energy
-
-# The module itself: the package re-exports its function ``merge`` under that name.
-merge_module = importlib.import_module("rankmerge.merge")
 
 SHAPES = {"layers.0.weight": (10, 7), "layers.1.weight": (6, 6), "layers.0.bias": (10,)}
 
@@ -178,7 +177,7 @@ def test_factor_workers_divides_usable_cpus_by_blas_threads(blas_setting, blas_r
     # A BLAS that is neither OpenBLAS nor MKL: both libraries' variables count.
     blas_reported("accelerate")
     blas_setting(cpus, **variables)
-    assert merge_module._factor_workers() == workers
+    assert pool.factor_workers() == workers
 
 
 @pytest.mark.parametrize(
@@ -203,14 +202,14 @@ def test_factor_workers_counts_only_the_variables_of_numpys_blas(blas_setting, b
                                                                  reported, variables, workers):
     blas_reported(reported)
     blas_setting(4, **variables)
-    assert merge_module._factor_workers() == workers
+    assert pool.factor_workers() == workers
 
 
 def test_factor_workers_counts_cpus_where_affinity_is_unknown(blas_setting, monkeypatch):
     blas_setting(4, OMP_NUM_THREADS="1")
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert merge_module._factor_workers() == 3
+    assert pool.factor_workers() == 3
 
 
 def _assert_same_factors(got, want) -> None:
@@ -229,11 +228,33 @@ def test_several_workers_factor_bit_for_bit_like_one(rng, blas_setting, dtype):
     finetuned = [random_tensor_map(rng, POOL_SHAPES, dtype=dtype) for _ in range(4)]
     for rank_ratio in (None, 0.08):  # full factors, and the top-k triples
         blas_setting(4)
-        assert merge_module._factor_workers() == 1
+        assert pool.factor_workers() == 1
         one = build_task_vectors(origin, finetuned, rank_ratio=rank_ratio)
         blas_setting(4, OMP_NUM_THREADS="1")
-        assert merge_module._factor_workers() == 4
+        assert pool.factor_workers() == 4
         _assert_same_factors(build_task_vectors(origin, finetuned, rank_ratio=rank_ratio), one)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_the_pool_returns_results_in_job_order_and_the_first_failure(blas_setting, workers):
+    blas_setting(workers, OMP_NUM_THREADS="1")
+    assert pool.run_jobs(list(range(9)), lambda job: job * job) == [j * j for j in range(9)]
+    assert pool.run_jobs([], lambda job: job) == []
+
+    started = []
+
+    def work(job: int) -> int:
+        started.append(job)
+        if job == 1:
+            time.sleep(0.05)  # fails after job 2 has failed, where both run at once
+            raise ValueError("job 1")
+        if job == 2:
+            raise ValueError("job 2")
+        return job
+
+    with pytest.raises(ValueError, match="job 1"):
+        pool.run_jobs([0, 1, 2, 3, 4, 5, 6, 7], work)
+    assert {0, 1} <= set(started) and len(started) <= workers + 2
 
 
 def test_many_workers_take_every_job_exactly_once(rng, blas_setting, svd_calls):

@@ -17,6 +17,7 @@ from rankmerge import (
     ShapeError,
     TensorMap,
 )
+from rankmerge import pool
 from rankmerge.kernels import nuclear_norm
 from rankmerge.origin import (
     SolverTrace,
@@ -142,7 +143,8 @@ def test_rankmin_trace_shape(rng):
 def test_rankmin_factors_each_task_once_per_iterate(rng, svd_calls):
     layers = _shared_plus_lowrank(rng, tasks=3)
     rankmin_origin(layers, steps=7)
-    assert len(svd_calls) == (7 + 1) * 3
+    # One stacked SVD of the three task vectors per iterate, warm start included.
+    assert svd_calls == [(3, 12, 9)] * (7 + 1)
 
 
 def test_rankmin_identical_layers_return_immediately(rng):
@@ -291,3 +293,59 @@ def test_select_origin_rejects_bad_settings_before_any_work(rng, svd_calls, task
     with pytest.raises(ValueError, match=message):
         select_origin(kind, pre, rest, **options)
     assert svd_calls == []
+
+
+# ---------------------------------------------------------------------------
+# rankmin layers on the factoring pool
+
+# Matrix layers of four sizes, listed smallest first, plus a vector.
+POOL_LAYERS = {"a.weight": (5, 4), "b.weight": (6, 9), "c.weight": (12, 7), "d.weight": (16, 10),
+               "d.bias": (16,)}
+
+
+def _pool_checkpoints(g: np.random.Generator, tasks: int = 3) -> tuple[TensorMap, list[TensorMap]]:
+    maps = [TensorMap({name: g.standard_normal(shape) for name, shape in POOL_LAYERS.items()})
+            for _ in range(tasks + 1)]
+    return maps[0], maps[1:]
+
+
+def test_rankmin_layers_solve_bit_for_bit_on_any_worker_count(rng, blas_setting):
+    pre, rest = _pool_checkpoints(rng)
+    runs = []
+    for workers in (1, 2, 4):
+        blas_setting(workers, OMP_NUM_THREADS="1")
+        assert pool.factor_workers() == workers
+        traces: dict[str, SolverTrace] = {}
+        runs.append((select_origin("rankmin", pre, rest, trace_out=traces, rankmin_steps=12),
+                     traces))
+    for out, traces in runs:
+        # Traces are collected in the checkpoint's order, whatever order the layers ran in.
+        assert list(traces) == ["a.weight", "b.weight", "c.weight", "d.weight"]
+        for name in traces:
+            alone, alone_trace = rankmin_origin([m[name] for m in rest], steps=12)
+            np.testing.assert_array_equal(out[name], alone)
+            assert traces[name].records == alone_trace.records
+        np.testing.assert_array_equal(out["d.bias"], mean_origin([m["d.bias"] for m in rest]))
+
+
+def test_the_largest_diverging_layer_is_raised_on_any_worker_count(rng, blas_setting):
+    pre, rest = _pool_checkpoints(rng)
+    # The solver diverges on the two middle layers. The largest of them,
+    # c.weight, runs first.
+    steps, size = 400, 1e6
+    with pytest.raises(DivergenceError) as largest:
+        rankmin_origin([m["c.weight"] for m in rest], steps=steps, step_size=size)
+    with pytest.raises(DivergenceError) as smaller:
+        rankmin_origin([m["b.weight"] for m in rest], steps=steps, step_size=size)
+    assert str(largest.value) != str(smaller.value)
+
+    def classifier(name, tensor):
+        return ParamClass.MATRIX if name in ("b.weight", "c.weight") else ParamClass.NON_MATRIX
+
+    for workers in (1, 2, 4):
+        blas_setting(workers, OMP_NUM_THREADS="1")
+        with pytest.raises(DivergenceError) as raised:
+            select_origin("rankmin", pre, rest, classifier=classifier, rankmin_steps=steps,
+                          rankmin_step_size=size)
+        assert (raised.value.step, raised.value.objective, raised.value.initial) == (
+            largest.value.step, largest.value.objective, largest.value.initial)
