@@ -39,9 +39,12 @@ def main() -> None:
     )
     print(f"\njoint mask + coefficient descent: entropy "
           f"{mask_history[0][1]:.4f} -> {mask_history[-1][1]:.4f}")
-    for (task, layer), a in sorted(logits.items()):
-        kept, _ = ste_masked_singulars(tvs.deltas[task][layer].singulars, a)
-        print(f"  task {task} {layer}: {np.count_nonzero(kept)}/{len(a)} singular values kept")
+    for task in range(tvs.task_count):
+        for layer in tvs.matrix_names():
+            # logits[layer] holds one row of mask logits per task.
+            a = logits[layer][task]
+            kept, _ = ste_masked_singulars(tvs.deltas[layer][task].singulars, a)
+            print(f"  task {task} {layer}: {np.count_nonzero(kept)}/{len(a)} singular values kept")
 
 
 if __name__ == "__main__":

@@ -170,20 +170,20 @@ def _initial_coefficients(tvs: TaskVectorSet) -> np.ndarray:
 
 def _coefficient_grads(
     values: np.ndarray, tvs: TaskVectorSet, model: ToyClassifier, batch: Batch
-) -> tuple[float, np.ndarray, dict[tuple[int, str], np.ndarray]]:
-    """Loss, coefficient gradient ``p · σ`` and, per (task, layer), the
-    projection ``p = diag(Uᵀ g V)`` of the weight gradient onto the factor."""
+) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
+    """Loss, coefficient gradient ``p · σ`` and, per layer, the ``(T, k)``
+    projections ``p = diag(Uᵀ g V)`` of the weight gradient onto each task's
+    factor."""
     merged = model.with_backbone(merge(tvs, values))
     loss, weight_grads = _entropy_and_weight_grads(merged, batch)
     grid = np.zeros((tvs.task_count, len(tvs.matrix_names())))
-    projections: dict[tuple[int, str], np.ndarray] = {}
+    projections: dict[str, np.ndarray] = {}
     for l, name in enumerate(tvs.matrix_names()):
         g = weight_grads[model.layer_names.index(name)]
-        for t in range(tvs.task_count):
-            f = tvs.deltas[t][name]
-            p = np.sum(f.left * (g @ f.right.T), axis=0)
-            grid[t, l] = float(np.sum(p * f.singulars))
-            projections[(t, name)] = p
+        f = tvs.deltas[name]
+        p = np.sum(f.left * (g @ np.swapaxes(f.right, -1, -2)), axis=-2)
+        grid[:, l] = np.sum(p * f.singulars, axis=-1)
+        projections[name] = p
     return loss, grid, projections
 
 
@@ -265,16 +265,16 @@ def ste_masked_singulars(
 
 
 def _masked(
-    tvs: TaskVectorSet, logits: dict[tuple[int, str], np.ndarray]
-) -> tuple[TaskVectorSet, dict[tuple[int, str], np.ndarray]]:
+    tvs: TaskVectorSet, logits: dict[str, np.ndarray]
+) -> tuple[TaskVectorSet, dict[str, np.ndarray]]:
     """The deltas with each mask applied, and each mask's straight-through
-    derivative, from one :func:`ste_masked_singulars` call per (task, layer)."""
-    deltas: list[dict[str, LowRankFactor]] = [{} for _ in tvs.deltas]
-    soft_paths: dict[tuple[int, str], np.ndarray] = {}
-    for (t, name), a in logits.items():
-        f = tvs.deltas[t][name]
-        kept, soft_paths[(t, name)] = ste_masked_singulars(f.singulars, a)
-        deltas[t][name] = LowRankFactor(f.left, kept, f.right)
+    derivative, from one :func:`ste_masked_singulars` call per layer."""
+    deltas: dict[str, LowRankFactor] = {}
+    soft_paths: dict[str, np.ndarray] = {}
+    for name, a in logits.items():
+        f = tvs.deltas[name]
+        kept, soft_paths[name] = ste_masked_singulars(f.singulars, a)
+        deltas[name] = LowRankFactor(f.left, kept, f.right)
     return dataclasses.replace(tvs, deltas=deltas), soft_paths
 
 
@@ -285,7 +285,7 @@ def adarank_adapt(
     init_k: int,
     steps: int = 30,
     lr: float = 1e-2,
-) -> tuple[dict[tuple[int, str], np.ndarray], np.ndarray, list[tuple[int, float, float]]]:
+) -> tuple[dict[str, np.ndarray], np.ndarray, list[tuple[int, float, float]]]:
     """Jointly descend entropy over singular-value masks and coefficients.
 
     Mask logits start at -1 with the leading ``init_k`` entries at +1, so
@@ -293,21 +293,21 @@ def adarank_adapt(
     values per (task, layer); ``init_k`` outside ``[0, k]`` of any delta
     raises :class:`ShapeError`. Gradients flow to the logits through the
     straight-through path and to the coefficients through the masked
-    deltas. Returns the logits by ``(task, layer name)`` (the mask keeps
-    the values :func:`ste_masked_singulars` keeps), the coefficient array
-    and the same history rows as :func:`adapt_coefficients`.
+    deltas. Returns the logits by layer name, one ``(task_count, k)`` row
+    per task (the mask keeps the values :func:`ste_masked_singulars`
+    keeps), the coefficient array and the same history rows as
+    :func:`adapt_coefficients`.
     """
     if not batches:
         raise EmptyBatch("need at least one adaptation batch")
-    logits: dict[tuple[int, str], np.ndarray] = {}
-    for t in range(tvs.task_count):
-        for name in tvs.matrix_names():
-            f = tvs.deltas[t][name]
-            if not 0 <= init_k <= f.k:
-                raise ShapeError(f"init_k={init_k} outside [0, {f.k}] at {name}")
-            a = -np.ones(f.k)
-            a[:init_k] = 1.0
-            logits[(t, name)] = a
+    logits: dict[str, np.ndarray] = {}
+    for name in tvs.matrix_names():
+        k = tvs.deltas[name].k
+        if not 0 <= init_k <= k:
+            raise ShapeError(f"init_k={init_k} outside [0, {k}] at {name}")
+        a = -np.ones((tvs.task_count, k))
+        a[:, :init_k] = 1.0
+        logits[name] = a
 
     values = _initial_coefficients(tvs)
     history: list[tuple[int, float, float]] = []
@@ -320,12 +320,11 @@ def adarank_adapt(
         history.append((step, loss, float(np.mean(values))))
 
         for l, name in enumerate(tvs.matrix_names()):
-            for t in range(tvs.task_count):
-                # d loss / d masked_singular_j = lambda * u_j^T g v_j
-                grad = float(values[t, l]) * projections[(t, name)] * soft_paths[(t, name)]
-                if not np.all(np.isfinite(grad)):
-                    raise NumericError(f"non-finite mask gradient at step {step}")
-                logits[(t, name)] = logits[(t, name)] - lr * grad
+            # d loss / d masked_singular_j = lambda * u_j^T g v_j
+            grad = values[:, l, None] * projections[name] * soft_paths[name]
+            if not np.all(np.isfinite(grad)):
+                raise NumericError(f"non-finite mask gradient at step {step}")
+            logits[name] = logits[name] - lr * grad
         values = values - lr * grid
 
     masked, _ = _masked(tvs, logits)

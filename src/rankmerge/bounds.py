@@ -309,8 +309,8 @@ def certify_bounds(suites: Sequence[SyntheticTaskSuite]) -> list[BoundCertificat
     for (d, T), members in _group(suites, lambda suite: (suite.d, suite.T)).items():
         group = [suites[i] for i in members]
         taus = np.array([suite.taus for suite in group])
-        _, singulars, rights = svd_stack(taus.reshape(-1, d, d))
-        singulars, rights = singulars.reshape(len(group), T, d), rights.reshape(taus.shape)
+        f = svd_stack(taus.reshape(-1, d, d))
+        singulars, rights = f.singulars.reshape(len(group), T, d), f.right.reshape(taus.shape)
         inputs = [np.array(suite.inputs) for suite in group]
         worst = np.array([_row_space_distance(x, np.array(suite.row_bases))
                           for x, suite in zip(inputs, group)])

@@ -44,7 +44,7 @@ from .errors import (
     ShapeError,
     ZeroTaskVector,
 )
-from .kernels import LowRankFactor, reconstruct, svd, svd_stack, truncate
+from .kernels import reconstruct, svd, svd_stack, truncate
 from .merge import TaskVectorSet, build_task_vectors, merge, prune_ranks
 from .origin import select_origin
 from .tensor_store import TensorMap, _write_csv, _write_json
@@ -77,8 +77,8 @@ def row_space_interference(deltas: Sequence[np.ndarray], k: int) -> float:
             raise ShapeError(f"delta shapes differ: {m.shape} vs {shape}")
     if not 1 <= k <= min(shape):
         raise RankError(f"k={k} outside [1, {min(shape)}]")
-    _, singulars, rights = svd_stack(np.stack(mats))
-    return float(_interference(singulars, rights, [k])[0])
+    f = svd_stack(np.stack(mats))
+    return float(_interference(f.singulars, f.right, [k])[0])
 
 
 # Task pairs whose k x k overlaps are formed at once hold at most this many
@@ -122,18 +122,6 @@ def _interference(singulars: np.ndarray, rights: np.ndarray, ks: Sequence[int]) 
         energy[..., 1:, 1:] = np.cumsum(np.cumsum(overlap**2, axis=-2), axis=-1)
         parts.append(2.0 * np.sqrt(energy[..., reads, reads]))
     return np.cumsum(np.concatenate(parts, axis=-2), axis=-2)[..., -1, :]
-
-
-def _stack_factors(factors: Sequence[LowRankFactor]) -> tuple[np.ndarray, np.ndarray]:
-    """The factors' singular values and right factors as ``(T, k)`` and
-    ``(T, k, n)`` stacks, zero-padded to the largest ``k``."""
-    k = max(f.k for f in factors)
-    singulars = np.zeros((len(factors), k))
-    rights = np.zeros((len(factors), k, factors[0].shape[1]))
-    for t, f in enumerate(factors):
-        singulars[t, :f.k] = f.singulars
-        rights[t, :f.k] = f.right
-    return singulars, rights
 
 
 def reconstruction_error(
@@ -222,19 +210,19 @@ def interference_report(
     recon: dict[str, list[tuple[int, float]]] = {}
     spectra: dict[str, list[list[float]]] = {}
     for name in tvs.matrix_names():
-        factors = [tvs.deltas[t][name] for t in range(tvs.task_count)]
-        full = min(factors[0].shape)
+        f = tvs.deltas[name]
+        full = min(f.shape)
         r_ks = list(ks) if ks is not None else list(range(0, full + 1))
         for k in r_ks:
             if not 0 <= k <= full:
                 raise RankError(f"{name}: k={k} outside [0, {full}]")
         i_ks = [k for k in r_ks if k >= 1]
-        layer_spectra = np.stack([np.pad(f.singulars, (0, full - f.k)) for f in factors])
+        layer_spectra = np.pad(f.singulars, ((0, 0), (0, full - f.k)))
         spectra[name] = layer_spectra.tolist()
-        curve = _interference(*_stack_factors(factors), i_ks)
+        curve = _interference(f.singulars, f.right, i_ks)
         interference[name] = list(zip(i_ks, curve.tolist()))
         # tails[t, k] = sum of s[t, i]**2 over i >= k, summed from the smallest term up.
-        tails = np.zeros((len(factors), full + 1))
+        tails = np.zeros((tvs.task_count, full + 1))
         tails[:, :full] = np.cumsum(layer_spectra[:, ::-1] ** 2, axis=1)[:, ::-1]
         totals = np.cumsum(tails, axis=0)[-1]
         recon[name] = [(k, float(totals[k])) for k in r_ks]

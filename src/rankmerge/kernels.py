@@ -44,11 +44,15 @@ GRAM_MIN_GAP = 1e-6
 
 @dataclass(frozen=True)
 class LowRankFactor:
-    """Truncated SVD triple ``left @ diag(singulars) @ right``.
+    """Truncated SVD triple ``left @ diag(singulars) @ right``, of one matrix
+    or of a stack of them.
 
     ``left`` is m x k with orthonormal columns, ``right`` is k x n with
     orthonormal rows, and ``singulars`` is nonincreasing and nonnegative.
-    ``k == 0`` is valid and reconstructs to the zero matrix.
+    ``k == 0`` is valid and reconstructs to the zero matrix. A stack of N
+    factors of one shape has ``left`` ``(N, m, k)``, ``singulars`` ``(N, k)``
+    and ``right`` ``(N, k, n)``; ``k`` and ``shape`` read the last axes, and
+    ``f[i]`` is slice ``i``'s factor.
     """
 
     left: np.ndarray
@@ -57,11 +61,14 @@ class LowRankFactor:
 
     @property
     def k(self) -> int:
-        return int(self.singulars.shape[0])
+        return int(self.singulars.shape[-1])
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (int(self.left.shape[0]), int(self.right.shape[1]))
+        return (int(self.left.shape[-2]), int(self.right.shape[-1]))
+
+    def __getitem__(self, i: int) -> LowRankFactor:
+        return LowRankFactor(left=self.left[i], singulars=self.singulars[i], right=self.right[i])
 
 
 def _require_finite(a: np.ndarray) -> np.ndarray:
@@ -98,21 +105,21 @@ def svd(a: np.ndarray, k: int | None = None) -> LowRankFactor:
         return LowRankFactor(left=np.zeros((m, 0)), singulars=np.zeros(0), right=np.zeros((0, n)))
     factors = _gram_top(a, k) if k < full else None
     if factors is None:
-        left, s, right = (part[0] for part in _signed_svd(a[None]))
+        f = _signed_svd(a[None])[0]
     else:
         left, s, right = factors
         _fix_signs(left, right)
-    f = LowRankFactor(left=left, singulars=s, right=right)
+        f = LowRankFactor(left=left, singulars=s, right=right)
     return truncate(f, k) if f.k > k else f
 
 
-def svd_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def svd_stack(a: np.ndarray) -> LowRankFactor:
     """Thin SVDs of every matrix of an ``(N, m, n)`` stack in one LAPACK call.
 
-    Returns ``(left, singulars, right)`` of shapes ``(N, m, k)``, ``(N, k)``
-    and ``(N, k, n)``, ``k = min(m, n)``. Slice ``i`` is bit for bit the
-    factor ``svd(a[i])`` returns, sign convention included. The stack is
-    checked for NaN and infinity first.
+    Returns the stacked :class:`LowRankFactor`: ``left`` ``(N, m, k)``,
+    ``singulars`` ``(N, k)`` and ``right`` ``(N, k, n)``, ``k = min(m, n)``.
+    Slice ``i`` is bit for bit the factor ``svd(a[i])`` returns, sign
+    convention included. The stack is checked for NaN and infinity first.
     """
     a = _require_finite(a)
     if a.ndim != 3:
@@ -120,11 +127,11 @@ def svd_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _signed_svd(a)
 
 
-def _signed_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _signed_svd(a: np.ndarray) -> LowRankFactor:
     """Full thin SVD of each slice of a finite float64 stack, sign-fixed."""
     left, s, right = np.linalg.svd(a, full_matrices=False)
     _fix_signs(left, right)
-    return left, s, right
+    return LowRankFactor(left=left, singulars=s, right=right)
 
 
 def _fix_signs(left: np.ndarray, right: np.ndarray) -> None:
@@ -170,7 +177,8 @@ def _gram_top(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def truncate(f: LowRankFactor, k: int) -> LowRankFactor:
-    """Keep the ``k`` largest singular triples of ``f``.
+    """Keep the ``k`` largest singular triples of ``f``, or of each factor of
+    a stack.
 
     The result is the best rank-k Frobenius approximation of the matrix the
     factor represents (Eckart-Young). ``k`` must satisfy 0 <= k <= f.k. The
@@ -179,7 +187,9 @@ def truncate(f: LowRankFactor, k: int) -> LowRankFactor:
     if not 0 <= k <= f.k:
         raise RankError(f"rank {k} outside [0, {f.k}]")
     return LowRankFactor(
-        left=f.left[:, :k].copy(), singulars=f.singulars[:k].copy(), right=f.right[:k, :].copy()
+        left=f.left[..., :k].copy(),
+        singulars=f.singulars[..., :k].copy(),
+        right=f.right[..., :k, :].copy(),
     )
 
 
@@ -219,15 +229,14 @@ def nuclear_subgradient(a: np.ndarray) -> np.ndarray:
     above ``RANK_EPS * sigma_max``. At the zero matrix this is the zero
     matrix, which lies in the subdifferential there.
     """
-    f = svd(a)
-    return _factor_subgradient(f.left, f.singulars, f.right)
+    return _factor_subgradient(svd(a))
 
 
-def _factor_subgradient(left: np.ndarray, s: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """:func:`nuclear_subgradient` at the matrix ``left @ diag(s) @ right``:
-    the product of the leading factors whose singular values count."""
-    r = _singular_rank(s)
-    return left[:, :r] @ right[:r, :]
+def _factor_subgradient(f: LowRankFactor) -> np.ndarray:
+    """:func:`nuclear_subgradient` at the matrix ``f`` represents: the
+    product of the leading factors whose singular values count."""
+    r = _singular_rank(f.singulars)
+    return f.left[:, :r] @ f.right[:r, :]
 
 
 def numerical_rank(a: np.ndarray) -> int:

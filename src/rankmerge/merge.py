@@ -15,6 +15,7 @@ The origin is the merged model at coefficient zero: Matrix parameters add
 coefficient-weighted deltas to it, and every other tensor is the origin's.
 Each Matrix delta is stored as its thin SVD, computed once: in full, so
 pruning can slice it at any rank, or only the triples a rank budget keeps.
+A layer's T factors are one stack, ``(T, ...)`` along every axis.
 Merging reconstructs from it. The SVDs are independent, so they run on
 :mod:`~rankmerge.pool`'s threads, one per core that BLAS leaves free. All
 internal arithmetic is float64; each output tensor takes the origin's dtype.
@@ -48,11 +49,12 @@ __all__ = [
 
 @dataclass
 class TaskVectorSet:
-    """An origin, the merged model at coefficient zero, plus per-task,
-    per-layer deviations.
+    """An origin, the merged model at coefficient zero, plus per-layer,
+    per-task deviations.
 
-    ``deltas[t][name]`` holds task ``t``'s deviation on Matrix layer
-    ``name`` as its float64 thin SVD: all ``min(m, n)`` triples after
+    ``deltas[name]`` holds the ``task_count`` deviations on Matrix layer
+    ``name`` as one stacked float64 thin SVD, and ``deltas[name][t]`` is
+    task ``t``'s: all ``min(m, n)`` triples after
     :func:`build_task_vectors` without a ``rank_ratio``, and the leading
     ``k = prune_rank(rank_ratio, m, n)`` after it with one, or after
     :func:`prune_ranks`. Non-matrix parameters carry no deltas; they merge
@@ -60,15 +62,12 @@ class TaskVectorSet:
     """
 
     origin: TensorMap
-    deltas: list[dict[str, LowRankFactor]]
-
-    @property
-    def task_count(self) -> int:
-        return len(self.deltas)
+    deltas: dict[str, LowRankFactor]
+    task_count: int
 
     def matrix_names(self) -> list[str]:
         """Matrix layer names, sorted: the column order of coefficient arrays."""
-        return sorted(self.deltas[0]) if self.deltas else []
+        return sorted(self.deltas)
 
 
 def build_task_vectors(
@@ -94,9 +93,10 @@ def build_task_vectors(
     one of them, or in a Matrix delta, raises :class:`NumericError` naming
     the tensor (and the task, for a delta).
 
-    The deltas are factored on :func:`~rankmerge.pool.run_jobs`'s threads.
-    Every factor, and any error raised, is the same whatever the number of
-    workers.
+    Each layer's stack is allocated first. The deltas are then factored on
+    :func:`~rankmerge.pool.run_jobs`'s threads, one job per (layer, task),
+    largest matrices first, each writing its task's slot. Every factor, and
+    any error raised, is the same whatever the number of workers.
     """
     if rank_ratio is not None:
         _check_ratio(rank_ratio)
@@ -104,44 +104,34 @@ def build_task_vectors(
         raise EmptyInput("build_task_vectors needs at least one checkpoint")
     validate_aligned([origin, *finetuned])
 
-    jobs: list[tuple[str, int]] = []
+    tasks = len(finetuned)
+    deltas: dict[str, LowRankFactor] = {}
     for name, arr in origin.items():
         if classifier(name, arr) is ParamClass.MATRIX:
-            jobs += [(name, t) for t in range(len(finetuned))]
+            m, n = arr.shape
+            k = min(m, n) if rank_ratio is None else prune_rank(rank_ratio, m, n)
+            deltas[name] = LowRankFactor(
+                left=np.empty((tasks, m, k)), singulars=np.empty((tasks, k)),
+                right=np.empty((tasks, k, n)),
+            )
         elif not np.all(np.isfinite(arr)):
             raise NumericError(f"{name}: the origin holds NaN or infinite values")
-    factors = _factor_deltas(origin, finetuned, jobs, rank_ratio)
-    deltas: list[dict[str, LowRankFactor]] = [{} for _ in finetuned]
-    for name, t in jobs:
-        deltas[t][name] = factors[name, t]
-    return TaskVectorSet(origin=origin, deltas=deltas)
 
-
-def _factor_deltas(
-    origin: TensorMap,
-    finetuned: list[TensorMap],
-    jobs: list[tuple[str, int]],
-    rank_ratio: float | None,
-) -> dict[tuple[str, int], LowRankFactor]:
-    """SVD of ``finetuned[t][name] - origin[name]`` for each ``(name, t)`` job,
-    cut to ``prune_rank(rank_ratio, m, n)`` triples when a ratio is given.
-
-    The jobs run on :func:`~rankmerge.pool.run_jobs`, largest matrices first.
-    """
-
-    def factor(job: tuple[str, int]) -> LowRankFactor:
+    def factor(job: tuple[str, int]) -> None:
         name, t = job
         delta = np.subtract(finetuned[t][name], origin[name], dtype=np.float64)
-        k = None if rank_ratio is None else prune_rank(rank_ratio, *delta.shape)
+        out = deltas[name]
         try:
-            return svd(delta, k)
+            f = svd(delta, out.k)
         except NumericError as exc:
             raise NumericError(
                 f"{name}: task {t}'s deviation from the origin holds NaN or infinite values"
             ) from exc
+        out.left[t], out.singulars[t], out.right[t] = f.left, f.singulars, f.right
 
-    order = sorted(jobs, key=lambda job: origin[job[0]].size, reverse=True)
-    return dict(zip(order, run_jobs(order, factor)))
+    jobs = [(name, t) for name in deltas for t in range(tasks)]
+    run_jobs(sorted(jobs, key=lambda job: origin[job[0]].size, reverse=True), factor)
+    return TaskVectorSet(origin=origin, deltas=deltas, task_count=tasks)
 
 
 def prune_rank(rank_ratio: float, m: int, n: int) -> int:
@@ -171,13 +161,10 @@ def prune_ranks(tvs: TaskVectorSet, rank_ratio: float) -> TaskVectorSet:
     when there is no Matrix layer to prune.
     """
     _check_ratio(rank_ratio)
-    pruned = [
-        {
-            name: truncate(f, min(f.k, prune_rank(rank_ratio, *f.shape)))
-            for name, f in per_task.items()
-        }
-        for per_task in tvs.deltas
-    ]
+    pruned = {
+        name: truncate(f, min(f.k, prune_rank(rank_ratio, *f.shape)))
+        for name, f in tvs.deltas.items()
+    }
     return dataclasses.replace(tvs, deltas=pruned)
 
 
@@ -211,9 +198,9 @@ def merge(tvs: TaskVectorSet, lam: float | np.ndarray) -> TensorMap:
     entries = dict(tvs.origin.items())
     for l, name in enumerate(tvs.matrix_names()):
         acc = tvs.origin[name].astype(np.float64)
-        for t, per_task in enumerate(tvs.deltas):
+        for t in range(tvs.task_count):
             if coefficients[t, l] != 0.0:
-                acc += coefficients[t, l] * reconstruct(per_task[name])
+                acc += coefficients[t, l] * reconstruct(tvs.deltas[name][t])
         entries[name] = acc.astype(tvs.origin[name].dtype)
     return TensorMap(entries)
 

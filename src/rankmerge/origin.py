@@ -133,11 +133,12 @@ def rankmin_origin(
         summed over tasks, the objective and the summed |FIP|."""
         for t, layer in enumerate(thetas):
             np.subtract(layer, theta, out=deltas[t])
-        left, s, right = svd_stack(deltas)
+        f = svd_stack(deltas)
         grad = np.zeros_like(theta)
         for t in range(len(thetas)):
-            grad += _factor_subgradient(left[t], s[t], right[t])
-        return s, grad, sum(np.sum(s, axis=1).tolist()), sum(map(abs, _pair_fips(deltas)))
+            grad += _factor_subgradient(f[t])
+        objective = sum(np.sum(f.singulars, axis=1).tolist())
+        return f.singulars, grad, objective, sum(map(abs, _pair_fips(deltas)))
 
     s, grad, initial, fip = factor(theta)
     trace = SolverTrace()
@@ -191,7 +192,7 @@ def select_origin(
     then run as jobs on :func:`~rankmerge.pool.run_jobs`, largest first, so
     each solution and trace is the same whatever the number of workers, and
     where several layers diverge the largest one's
-    :class:`DivergenceError` is raised.
+    :class:`DivergenceError` is raised, its message naming the layer.
 
     An unknown ``kind``, or for ``"rankmin"`` steps below 1 or a step size
     that is not positive, raises :class:`ValueError` before any work. A NaN
@@ -228,8 +229,12 @@ def select_origin(
         entries[name] = np.asarray(solved, dtype=ref.dtype)
 
     def solve_layer(name: str) -> tuple[np.ndarray, SolverTrace]:
-        solution, trace = rankmin_origin([fmap[name] for fmap in finetuned], rankmin_steps,
-                                         rankmin_step_size)
+        try:
+            solution, trace = rankmin_origin([fmap[name] for fmap in finetuned], rankmin_steps,
+                                             rankmin_step_size)
+        except DivergenceError as exc:
+            exc.args = (f"{name}: {exc}",)  # name the layer; step, objective, initial stay
+            raise
         return np.asarray(solution, dtype=pretrained[name].dtype), trace
 
     order = sorted(solve, key=lambda name: pretrained[name].size, reverse=True)

@@ -268,17 +268,18 @@ def _read_container(fh: BinaryIO, size: int) -> TensorMap:
         if tag not in _DTYPE_TAGS:
             raise UnsupportedDtype(f"entry '{name}' declares dtype {tag!r}")
         shape = spec["shape"]
+        # ``type(...) is int``: a JSON true or false parses to a bool, an int subclass.
         if (
             not isinstance(shape, list)
             or not shape
-            or not all(isinstance(d, int) and d >= 1 for d in shape)
+            or not all(type(d) is int and d >= 1 for d in shape)
         ):
             raise FormatError(f"entry '{name}' has invalid shape {shape!r}")
         offsets = spec["data_offsets"]
         if (
             not isinstance(offsets, list)
             or len(offsets) != 2
-            or not all(isinstance(o, int) for o in offsets)
+            or not all(type(o) is int for o in offsets)
             or offsets[0] < 0
             or offsets[1] < offsets[0]
         ):

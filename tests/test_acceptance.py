@@ -301,7 +301,7 @@ def test_reconstruction_curve_is_a_tail_energy():
         values = [v for _, v in curve]
         ok = ok and all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
         ok = ok and values[-1] <= 1e-8 * max(values[0], 1e-300)
-        deltas = [reconstruct(tvs.deltas[t][name]) for t in range(tvs.task_count)]
+        deltas = [reconstruct(tvs.deltas[name][t]) for t in range(tvs.task_count)]
         origin = np.zeros_like(deltas[0])
         for k, v in curve:
             residual_route = reconstruction_error(deltas, origin, k)

@@ -216,7 +216,7 @@ def test_adapt_coefficients_requires_batches():
 
 def test_adapt_coefficients_flags_non_finite_losses():
     model, tvs, batch = _bed(8)
-    tvs.deltas[0][LAYERS[0]].singulars[0] = np.nan
+    tvs.deltas[LAYERS[0]][0].singulars[0] = np.nan
     with pytest.raises(NumericError):
         adapt_coefficients(tvs, model, [batch], steps=3)
 
@@ -261,11 +261,12 @@ def test_ste_shape_mismatch():
 def test_adarank_initial_masks_keep_the_top_k():
     model, tvs, batch = _bed(9)
     logits, values, history = adarank_adapt(tvs, model, [batch], init_k=2, steps=0)
-    assert set(logits) == {(t, n) for t in range(3) for n in LAYERS}
-    for (t, name), a in logits.items():
-        singulars = tvs.deltas[t][name].singulars
+    assert sorted(logits) == sorted(LAYERS)
+    for name, a in logits.items():
+        singulars = tvs.deltas[name].singulars
+        assert a.shape == singulars.shape == (3, tvs.deltas[name].k)
         masked, _ = ste_masked_singulars(singulars, a)
-        np.testing.assert_array_equal(masked, np.where(np.arange(len(a)) < 2, singulars, 0.0))
+        np.testing.assert_array_equal(masked, np.where(np.arange(a.shape[1]) < 2, singulars, 0.0))
     assert len(history) == 1
     assert values.shape == (3, len(LAYERS))
     assert float(np.mean(values)) == pytest.approx(INIT_COEFFICIENT)

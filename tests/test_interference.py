@@ -159,7 +159,7 @@ def test_report_curves_match_the_scalar_routes(rng):
     tvs, _ = _report_tvs(rng)
     report = interference_report(tvs)
     name = "enc.0.weight"
-    deltas = [reconstruct(tvs.deltas[t][name]) for t in range(tvs.task_count)]
+    deltas = [reconstruct(tvs.deltas[name][t]) for t in range(tvs.task_count)]
     for k, value in report.interference[name]:
         assert value == pytest.approx(row_space_interference(deltas, k), rel=1e-12)
     # The report sums spectral tails; reconstruction_error subtracts an
@@ -176,9 +176,9 @@ def test_report_on_a_pruned_set_matches_its_dense_deltas(rng):
     pruned = prune_ranks(tvs, 0.4)
     report = interference_report(pruned)
     for name in pruned.matrix_names():
-        deltas = [reconstruct(pruned.deltas[t][name]) for t in range(pruned.task_count)]
+        deltas = [reconstruct(pruned.deltas[name][t]) for t in range(pruned.task_count)]
         for spec, delta in zip(report.spectra[name], deltas):
-            kept = pruned.deltas[0][name].k
+            kept = pruned.deltas[name][0].k
             assert len(spec) == min(delta.shape) and spec[kept:] == [0.0] * (len(spec) - kept)
             np.testing.assert_allclose(spec, np.linalg.svd(delta, compute_uv=False), atol=1e-12)
         for k, value in report.interference[name]:
@@ -195,7 +195,7 @@ def test_report_reconstruction_is_the_tail_energy_at_every_k(rng):
     finetuned = [TensorMap({"w": origin + d}) for d in deltas]
     tvs = build_task_vectors(TensorMap({"w": origin}), finetuned)
     report = interference_report(tvs)
-    spectra = [tvs.deltas[t]["w"].singulars for t in range(tasks)]
+    spectra = [tvs.deltas["w"][t].singulars for t in range(tasks)]
     energy = sum(float(np.sum(s**2)) for s in spectra)
     eps = np.finfo(np.float64).eps
     assert [k for k, _ in report.reconstruction["w"]] == list(range(n + 1))

@@ -114,14 +114,15 @@ def test_stacked_svd_is_the_per_matrix_svd_bit_for_bit(shape):
     a[1, :, -1] = a[1, :, 0]  # rank deficient
     if shape[1:] == (4, 4):
         a[2] = HADAMARD  # every |entry| ties, and so do the singular values
-    left, s, right = svd_stack(a)
-    assert (left.shape, s.shape, right.shape) == (
+    stacked = svd_stack(a)
+    assert (stacked.left.shape, stacked.singulars.shape, stacked.right.shape) == (
         (shape[0], shape[1], min(shape[1:])), (shape[0], min(shape[1:])),
         (shape[0], min(shape[1:]), shape[2]),
     )
+    assert (stacked.k, stacked.shape) == (min(shape[1:]), shape[1:])
     for i in range(shape[0]):
-        f = svd(a[i])
-        for got, want, two_d in zip((left[i], s[i], right[i]), _per_matrix_svd(a[i]),
+        f, g = svd(a[i]), stacked[i]
+        for got, want, two_d in zip((g.left, g.singulars, g.right), _per_matrix_svd(a[i]),
                                     (f.left, f.singulars, f.right)):
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(two_d, want)
@@ -129,9 +130,9 @@ def test_stacked_svd_is_the_per_matrix_svd_bit_for_bit(shape):
 
 def test_stacked_svd_of_empty_stacks():
     for shape in [(0, 3, 2), (2, 0, 3), (2, 3, 0)]:
-        left, s, right = svd_stack(np.zeros(shape))
+        f = svd_stack(np.zeros(shape))
         k = min(shape[1:])
-        assert (left.shape, s.shape, right.shape) == (
+        assert (f.left.shape, f.singulars.shape, f.right.shape) == (
             (shape[0], shape[1], k), (shape[0], k), (shape[0], k, shape[2]))
 
 
@@ -225,6 +226,17 @@ def test_truncate_keeps_leading_triples(matrix):
     assert np.array_equal(cut.singulars, f.singulars[:2])
     assert np.array_equal(cut.left, f.left[:, :2])
     assert np.array_equal(cut.right, f.right[:2, :])
+
+
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_truncating_a_stack_truncates_each_slice_bit_for_bit(k):
+    stacked = svd_stack(stream(23, "truncate-stack").standard_normal((4, 7, 5)))
+    cut = truncate(stacked, k)
+    assert (cut.k, cut.shape, cut.left.shape) == (k, (7, 5), (4, 7, k))
+    for i in range(4):
+        want = truncate(stacked[i], k)
+        for part in ("left", "singulars", "right"):
+            np.testing.assert_array_equal(getattr(cut[i], part), getattr(want, part))
 
 
 def test_truncate_is_idempotent(matrix):

@@ -53,7 +53,7 @@ def test_deltas_are_float64_checkpoint_minus_origin(rng):
     assert tvs.matrix_names() == ["layers.0.weight", "layers.1.weight"]
     for t, fmap in enumerate(finetuned):
         for name in tvs.matrix_names():
-            factor = tvs.deltas[t][name]
+            factor = tvs.deltas[name][t]
             expected = svd(fmap[name].astype(np.float64) - origin[name].astype(np.float64))
             for got, want in zip(
                 (factor.left, factor.singulars, factor.right),
@@ -125,10 +125,10 @@ def test_ratio_zero_factors_nothing(rng, svd_calls, eigh_calls):
     finetuned = [random_tensor_map(rng, POOL_SHAPES) for _ in range(3)]
     tvs = build_task_vectors(origin, finetuned, rank_ratio=0.0)
     assert svd_calls == [] and eigh_calls == []
-    for per_task in tvs.deltas:
-        assert sorted(per_task) == tvs.matrix_names()
-        for name, f in per_task.items():
-            assert f.k == 0 and f.shape == POOL_SHAPES[name]
+    assert tvs.matrix_names() == sorted(n for n in POOL_SHAPES if n.endswith("weight"))
+    assert tvs.task_count == 3
+    for name, f in tvs.deltas.items():
+        assert f.k == 0 and f.shape == POOL_SHAPES[name] and f.singulars.shape == (3, 0)
 
 
 @pytest.mark.parametrize("ratio", [-0.25, 1.5])
@@ -214,12 +214,10 @@ def test_factor_workers_counts_cpus_where_affinity_is_unknown(blas_setting, monk
 
 def _assert_same_factors(got, want) -> None:
     """Same ``deltas`` dict order and bit-identical factors."""
-    for mine, theirs in zip(got.deltas, want.deltas, strict=True):
-        assert list(mine) == list(theirs)
-        for name in mine:
-            for part in ("left", "singulars", "right"):
-                np.testing.assert_array_equal(getattr(mine[name], part),
-                                              getattr(theirs[name], part))
+    assert list(got.deltas) == list(want.deltas) and got.task_count == want.task_count
+    for name, f in got.deltas.items():
+        for part in ("left", "singulars", "right"):
+            np.testing.assert_array_equal(getattr(f, part), getattr(want.deltas[name], part))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -313,9 +311,9 @@ def test_prune_full_ratio_is_lossless(rng):
     pruned = prune_ranks(tvs, 1.0)
     for t in range(tvs.task_count):
         for name in tvs.matrix_names():
-            assert isinstance(pruned.deltas[t][name], LowRankFactor)
+            assert isinstance(pruned.deltas[name][t], LowRankFactor)
             np.testing.assert_allclose(
-                reconstruct(pruned.deltas[t][name]), reconstruct(tvs.deltas[t][name]), atol=1e-12
+                reconstruct(pruned.deltas[name][t]), reconstruct(tvs.deltas[name][t]), atol=1e-12
             )
 
 
@@ -324,14 +322,14 @@ def test_prune_zero_ratio_kills_every_delta(rng):
     pruned = prune_ranks(build_task_vectors(origin, finetuned), 0.0)
     for t in range(pruned.task_count):
         for name in pruned.matrix_names():
-            assert np.all(reconstruct(pruned.deltas[t][name]) == 0.0)
+            assert np.all(reconstruct(pruned.deltas[name][t]) == 0.0)
 
 
 def test_pruned_factor_holds_only_its_retained_triples(rng):
     shape = (300, 200)
     origin = TensorMap({"w": rng.standard_normal(shape)})
     tvs = build_task_vectors(origin, [TensorMap({"w": rng.standard_normal(shape)})])
-    f = prune_ranks(tvs, 0.08).deltas[0]["w"]
+    f = prune_ranks(tvs, 0.08).deltas["w"]
     assert f.k == 16
     for part in (f.left, f.singulars, f.right):
         assert part.base is None
@@ -344,9 +342,9 @@ def test_prune_residual_is_the_spectral_tail(rng):
     pruned = prune_ranks(tvs, 0.4)
     name = "layers.0.weight"
     k = prune_rank(0.4, *SHAPES[name])
-    residual = reconstruct(tvs.deltas[0][name]) - reconstruct(pruned.deltas[0][name])
+    residual = reconstruct(tvs.deltas[name][0]) - reconstruct(pruned.deltas[name][0])
     assert np.sum(residual**2) == pytest.approx(
-        reference_tail_energy(reconstruct(tvs.deltas[0][name]), k), rel=1e-10
+        reference_tail_energy(reconstruct(tvs.deltas[name][0]), k), rel=1e-10
     )
 
 
@@ -383,7 +381,7 @@ def test_merge_takes_columns_in_matrix_name_order(rng):
     out = merge(tvs, table)
     first, second = tvs.matrix_names()
     np.testing.assert_array_equal(
-        out[first], origin[first] + reconstruct(tvs.deltas[0][first])
+        out[first], origin[first] + reconstruct(tvs.deltas[first][0])
     )
     np.testing.assert_array_equal(out[second], origin[second])
 
@@ -399,9 +397,19 @@ def test_merge_matches_manual_sum(rng):
     for name in tvs.matrix_names():
         expected = origin[name].astype(np.float64)
         for t in range(tvs.task_count):
-            expected = expected + 0.4 * reconstruct(tvs.deltas[t][name])
+            expected = expected + 0.4 * reconstruct(tvs.deltas[name][t])
         np.testing.assert_allclose(out[name], expected, rtol=1e-14)
     np.testing.assert_array_equal(out["layers.0.bias"], origin["layers.0.bias"])
+
+
+def test_a_set_without_matrix_layers_keeps_its_task_count():
+    origin = TensorMap({"bias": np.zeros(4)})
+    finetuned = [TensorMap({"bias": np.full(4, float(t))}) for t in range(3)]
+    tvs = build_task_vectors(origin, finetuned)
+    assert tvs.task_count == 3 and tvs.deltas == {} and tvs.matrix_names() == []
+    assert merge(tvs, np.zeros((3, 0))) == origin
+    with pytest.raises(PlanError, match=r"\(3, 0\)"):
+        merge(tvs, np.zeros((2, 0)))
 
 
 @pytest.mark.parametrize("kind", ["pretrained", "mean", "rankmin"])
@@ -552,8 +560,7 @@ def test_rank_budget_merges_and_indexes_like_the_full_svd(rng, dtype, ratio):
     origin = select_origin("mean", pretrained, finetuned)
     full = prune_ranks(build_task_vectors(origin, finetuned), ratio)
     budget = build_task_vectors(origin, finetuned, rank_ratio=ratio)
-    for mine, theirs in zip(budget.deltas, full.deltas, strict=True):
-        assert {n: f.k for n, f in mine.items()} == {n: f.k for n, f in theirs.items()}
+    assert {n: f.k for n, f in budget.deltas.items()} == {n: f.k for n, f in full.deltas.items()}
     assert _relative_mismatch(cart_merge(pretrained, finetuned, ratio, 0.3),
                               merge(full, 0.3)) <= F32_RTOL
     for t in range(len(finetuned)):

@@ -349,3 +349,4 @@ def test_the_largest_diverging_layer_is_raised_on_any_worker_count(rng, blas_set
                           rankmin_step_size=size)
         assert (raised.value.step, raised.value.objective, raised.value.initial) == (
             largest.value.step, largest.value.objective, largest.value.initial)
+        assert str(raised.value) == f"c.weight: {largest.value}"

@@ -137,8 +137,13 @@ def _spec(start: int) -> str:
         (f'{{"a":{_spec(0)},"b":{_spec(4)}}}', 12),
         (f'{{"a":{_spec(0)},"b":{_spec(12)}}}', 20),
         (f'{{"a":{_spec(0)}}}', 12),
+        # JSON booleans are not integers: false used to load as offset 0, and
+        # true as a dimension escaped as a TypeError.
+        ('{"a":{"dtype":"F32","shape":[2],"data_offsets":[false,8]}}', 8),
+        ('{"a":{"dtype":"F32","shape":[true,2],"data_offsets":[0,8]}}', 8),
     ],
-    ids=["duplicate-key", "overlapping-offsets", "gapped-offsets", "trailing-bytes"],
+    ids=["duplicate-key", "overlapping-offsets", "gapped-offsets", "trailing-bytes",
+         "boolean-offset", "boolean-dimension"],
 )
 def test_load_rejects_malformed_layout(tmp_path, header, data_len):
     path = tmp_path / "bad.ckpt"
