@@ -163,11 +163,6 @@ def entropy_loss(model: ToyClassifier, batch: Batch) -> float:
     return loss
 
 
-def _initial_coefficients(tvs: TaskVectorSet) -> np.ndarray:
-    """Every coefficient at ``INIT_COEFFICIENT``, where adaptation starts."""
-    return np.full((tvs.task_count, len(tvs.matrix_names())), INIT_COEFFICIENT)
-
-
 def _coefficient_grads(
     values: np.ndarray, tvs: TaskVectorSet, model: ToyClassifier, batch: Batch
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
@@ -221,18 +216,7 @@ def adapt_coefficients(
     """
     if not batches:
         raise EmptyBatch("need at least one adaptation batch")
-    values = _initial_coefficients(tvs)
-    history: list[tuple[int, float, float]] = []
-    for step in range(steps):
-        batch = batches[step % len(batches)]
-        loss, grid, _ = _coefficient_grads(values, tvs, model, batch)
-        if not np.isfinite(loss) or not np.all(np.isfinite(grid)):
-            raise NumericError(f"non-finite entropy gradient at step {step}")
-        history.append((step, loss, float(np.mean(values))))
-        values = values - lr * grid
-    final_loss = entropy_loss(model.with_backbone(merge(tvs, values)), batches[0])
-    history.append((steps, final_loss, float(np.mean(values))))
-    return values, history
+    return _descend(tvs, model, batches, steps, lr, {})[1:]
 
 
 def write_adaptation_csv(history: Sequence[tuple[int, float, float]], path: str | Path) -> None:
@@ -267,9 +251,9 @@ def ste_masked_singulars(
 def _masked(
     tvs: TaskVectorSet, logits: dict[str, np.ndarray]
 ) -> tuple[TaskVectorSet, dict[str, np.ndarray]]:
-    """The deltas with each mask applied, and each mask's straight-through
-    derivative, from one :func:`ste_masked_singulars` call per layer."""
-    deltas: dict[str, LowRankFactor] = {}
+    """The deltas with each layer's mask in ``logits`` applied, and each
+    mask's straight-through derivative; other layers keep their factors."""
+    deltas = dict(tvs.deltas)
     soft_paths: dict[str, np.ndarray] = {}
     for name, a in logits.items():
         f = tvs.deltas[name]
@@ -308,8 +292,14 @@ def adarank_adapt(
         a = -np.ones((tvs.task_count, k))
         a[:, :init_k] = 1.0
         logits[name] = a
+    return _descend(tvs, model, batches, steps, lr, logits)
 
-    values = _initial_coefficients(tvs)
+
+def _descend(tvs: TaskVectorSet, model: ToyClassifier, batches: Sequence[Batch], steps: int,
+             lr: float, logits: dict[str, np.ndarray]):
+    """Both adaptations' descent, over the coefficients and the mask logits
+    of each layer in ``logits``; returns ``(logits, values, history)``."""
+    values = np.full((tvs.task_count, len(tvs.matrix_names())), INIT_COEFFICIENT)
     history: list[tuple[int, float, float]] = []
     for step in range(steps):
         batch = batches[step % len(batches)]
@@ -320,11 +310,12 @@ def adarank_adapt(
         history.append((step, loss, float(np.mean(values))))
 
         for l, name in enumerate(tvs.matrix_names()):
-            # d loss / d masked_singular_j = lambda * u_j^T g v_j
-            grad = values[:, l, None] * projections[name] * soft_paths[name]
-            if not np.all(np.isfinite(grad)):
-                raise NumericError(f"non-finite mask gradient at step {step}")
-            logits[name] = logits[name] - lr * grad
+            if name in logits:
+                # d loss / d masked_singular_j = lambda * u_j^T g v_j
+                grad = values[:, l, None] * projections[name] * soft_paths[name]
+                if not np.all(np.isfinite(grad)):
+                    raise NumericError(f"non-finite mask gradient at step {step}")
+                logits[name] = logits[name] - lr * grad
         values = values - lr * grid
 
     masked, _ = _masked(tvs, logits)

@@ -192,16 +192,20 @@ def merge(tvs: TaskVectorSet, lam: float | np.ndarray) -> TensorMap:
     infinite coefficient, raises :class:`PlanError` before anything is
     assembled. Matrix layers add each delta, reconstructed from its factor,
     with its coefficient (zero coefficients are skipped); every other tensor
-    is the origin's. Each output tensor takes the origin's dtype.
+    is the origin's. Each output tensor takes the origin's dtype; a merged
+    layer that is not finite in it raises :class:`NumericError` naming it.
     """
     coefficients = _coefficients(tvs, lam)
     entries = dict(tvs.origin.items())
-    for l, name in enumerate(tvs.matrix_names()):
-        acc = tvs.origin[name].astype(np.float64)
-        for t in range(tvs.task_count):
-            if coefficients[t, l] != 0.0:
-                acc += coefficients[t, l] * reconstruct(tvs.deltas[name][t])
-        entries[name] = acc.astype(tvs.origin[name].dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, in the output dtype
+        for l, name in enumerate(tvs.matrix_names()):
+            acc = tvs.origin[name].astype(np.float64)
+            for t in range(tvs.task_count):
+                if coefficients[t, l] != 0.0:
+                    acc += coefficients[t, l] * reconstruct(tvs.deltas[name][t])
+            out = entries[name] = acc.astype(tvs.origin[name].dtype)
+            if not np.all(np.isfinite(out)):
+                raise NumericError(f"{name}: the merged layer is not finite in {out.dtype}")
     return TensorMap(entries)
 
 

@@ -175,3 +175,68 @@ def reference_certificate_line(d, T, n, r, alpha, s_max, c, eta, seed) -> str:
         "seed": seed, "d": d, "T": T, "n": n, "r": r, "alpha": alpha, "s_max": s_max, "c": c,
         "eta": eta, "L": loss, "I": interference, "bound": bound, "holds": bool(loss <= bound),
     })
+
+
+# ---------------------------------------------------------------------------
+# The two coefficient-descent loops that one shared loop replaced: plain
+# coefficients, and coefficients with a mask on every layer. Kept to check
+# that both adaptations stay bit for bit the same.
+
+
+def _reference_masked(tvs, logits):
+    """The set holding only the masked layers, and each mask's soft path."""
+    import dataclasses
+
+    from rankmerge.adaptation import ste_masked_singulars
+    from rankmerge.kernels import LowRankFactor
+
+    deltas, soft_paths = {}, {}
+    for name, a in logits.items():
+        f = tvs.deltas[name]
+        kept, soft_paths[name] = ste_masked_singulars(f.singulars, a)
+        deltas[name] = LowRankFactor(f.left, kept, f.right)
+    return dataclasses.replace(tvs, deltas=deltas), soft_paths
+
+
+def reference_adapt_coefficients(tvs, model, batches, steps, lr):
+    """``(values, history)`` of plain coefficient descent."""
+    from rankmerge.adaptation import INIT_COEFFICIENT, _coefficient_grads, entropy_loss
+    from rankmerge.merge import merge
+
+    values = np.full((tvs.task_count, len(tvs.matrix_names())), INIT_COEFFICIENT)
+    history = []
+    for step in range(steps):
+        batch = batches[step % len(batches)]
+        loss, grid, _ = _coefficient_grads(values, tvs, model, batch)
+        history.append((step, loss, float(np.mean(values))))
+        values = values - lr * grid
+    final_loss = entropy_loss(model.with_backbone(merge(tvs, values)), batches[0])
+    history.append((steps, final_loss, float(np.mean(values))))
+    return values, history
+
+
+def reference_adarank_adapt(tvs, model, batches, init_k, steps, lr):
+    """``(logits, values, history)`` of joint mask and coefficient descent."""
+    from rankmerge.adaptation import INIT_COEFFICIENT, _coefficient_grads, entropy_loss
+    from rankmerge.merge import merge
+
+    logits = {}
+    for name in tvs.matrix_names():
+        a = -np.ones((tvs.task_count, tvs.deltas[name].k))
+        a[:, :init_k] = 1.0
+        logits[name] = a
+    values = np.full((tvs.task_count, len(tvs.matrix_names())), INIT_COEFFICIENT)
+    history = []
+    for step in range(steps):
+        batch = batches[step % len(batches)]
+        masked, soft_paths = _reference_masked(tvs, logits)
+        loss, grid, projections = _coefficient_grads(values, masked, model, batch)
+        history.append((step, loss, float(np.mean(values))))
+        for l, name in enumerate(tvs.matrix_names()):
+            grad = values[:, l, None] * projections[name] * soft_paths[name]
+            logits[name] = logits[name] - lr * grad
+        values = values - lr * grid
+    masked, _ = _reference_masked(tvs, logits)
+    final_loss = entropy_loss(model.with_backbone(merge(masked, values)), batches[0])
+    history.append((steps, final_loss, float(np.mean(values))))
+    return logits, values, history

@@ -29,6 +29,7 @@ from rankmerge import (
     coefficient_gradient,
     entropy_loss,
     merge,
+    prune_ranks,
     signal_noise_suite,
     ste_masked_singulars,
     weight_average,
@@ -36,7 +37,12 @@ from rankmerge import (
 from rankmerge.adaptation import INIT_COEFFICIENT, write_adaptation_csv
 from rankmerge.rng import stream
 
-from oracles import fd_gradient, reference_entropy
+from oracles import (
+    fd_gradient,
+    reference_adapt_coefficients,
+    reference_adarank_adapt,
+    reference_entropy,
+)
 
 LAYERS = ("net.0.weight", "net.1.weight")
 
@@ -287,6 +293,42 @@ def test_adarank_rejects_oversized_init_k():
     for init_k in (99, -1):
         with pytest.raises(ShapeError):
             adarank_adapt(tvs, model, [batch], init_k=init_k)
+
+
+def test_adarank_checks_the_batches_before_init_k():
+    model, tvs, _ = _bed(11)
+    for init_k in (99, -1):
+        with pytest.raises(EmptyBatch):
+            adarank_adapt(tvs, model, [], init_k=init_k)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 15])
+@pytest.mark.parametrize("ratio", [1.0, 0.3])
+@pytest.mark.parametrize("seed", range(4))
+def test_both_adaptations_are_the_reference_loops_bit_for_bit(seed, ratio, steps):
+    """One shared loop, masking no layer or every layer, descends exactly
+    as the two separate loops it replaced, on two batches used in turn."""
+    model, tvs, batch = _bed(seed)
+    tvs = prune_ranks(tvs, ratio)
+    g = stream(seed, "adaptation-tests-second-batch")
+    second = Batch(task_ids=g.integers(0, tvs.task_count, size=9),
+                   inputs=g.standard_normal((9, model.input_dim)))
+    batches, lr = [batch, second], 10.0  # large enough that some masks flip
+
+    values, history = adapt_coefficients(tvs, model, batches, steps=steps, lr=lr)
+    expected_values, expected_history = reference_adapt_coefficients(tvs, model, batches, steps, lr)
+    np.testing.assert_array_equal(values, expected_values)
+    assert history == expected_history
+
+    k = min(f.k for f in tvs.deltas.values())
+    for init_k in (0, 2, k):
+        logits, values, history = adarank_adapt(tvs, model, batches, init_k, steps=steps, lr=lr)
+        expected = reference_adarank_adapt(tvs, model, batches, init_k, steps, lr)
+        assert list(logits) == list(expected[0])
+        for name in logits:
+            np.testing.assert_array_equal(logits[name], expected[0][name])
+        np.testing.assert_array_equal(values, expected[1])
+        assert history == expected[2]
 
 
 # ---------------------------------------------------------------------------

@@ -249,11 +249,18 @@ def test_analyze_rank_outside_a_layer_is_a_domain_error(k, layer, checkpoints, t
     assert not out.exists()
 
 
-def test_analyze_respects_matrix_excludes(checkpoints, tmp_path, capsys):
+# Two ways to keep only enc.0.weight on the SVD path.
+NARROWING = [
+    pytest.param(["--matrix-exclude", "enc.1.*"], id="exclude"),
+    pytest.param(["--matrix-include", "enc.0.*"], id="include"),
+]
+
+
+@pytest.mark.parametrize("narrowing", NARROWING)
+def test_analyze_respects_matrix_excludes(narrowing, checkpoints, tmp_path, capsys):
     pretrained, tasks = checkpoints
     out = tmp_path / "anx"
-    argv = ["analyze", "--pretrained", pretrained, "--out-dir", str(out),
-            "--matrix-exclude", "enc.1.*"]
+    argv = ["analyze", "--pretrained", pretrained, "--out-dir", str(out), *narrowing]
     for t in tasks:
         argv += ["--task", t]
     assert main(argv) == 0
@@ -262,13 +269,14 @@ def test_analyze_respects_matrix_excludes(checkpoints, tmp_path, capsys):
     assert set(payload["layers"]) == {"enc.0.weight"}
 
 
-def test_merge_rankmin_skips_the_solver_on_excluded_layers(checkpoints, tmp_path, capsys):
+@pytest.mark.parametrize("narrowing", NARROWING)
+def test_merge_rankmin_skips_the_solver_on_excluded_layers(narrowing, checkpoints, tmp_path,
+                                                           capsys):
     pretrained, tasks = checkpoints
     rankmin = ["--origin", "rankmin", "--rankmin-steps", "10"]
     full, narrowed = tmp_path / "full", tmp_path / "narrowed"
     assert main(_merge_args(pretrained, tasks, full, rankmin)) == 0
-    assert main(_merge_args(pretrained, tasks, narrowed,
-                            [*rankmin, "--matrix-exclude", "enc.1.*"])) == 0
+    assert main(_merge_args(pretrained, tasks, narrowed, [*rankmin, *narrowing])) == 0
     capsys.readouterr()
     assert (narrowed / "trace_enc.0.weight.csv").exists()
     assert not (narrowed / "trace_enc.1.weight.csv").exists()
@@ -281,6 +289,15 @@ def test_merge_rankmin_skips_the_solver_on_excluded_layers(checkpoints, tmp_path
     np.testing.assert_array_equal(
         merged["enc.0.weight"], load_checkpoint(full / "merged.ckpt")["enc.0.weight"]
     )
+
+
+def test_merge_that_overflows_the_checkpoint_dtype_is_a_domain_error(checkpoints, tmp_path,
+                                                                      capsys):
+    pretrained, tasks = checkpoints
+    out = tmp_path / "out"
+    assert main(_merge_args(pretrained, tasks, out, ["--lam", "1.7e308", "--ratio", "0.5"])) == 1
+    assert "enc.0.weight: the merged layer is not finite in float64" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_out_of_range_ratio_is_a_domain_error_without_matrix_layers(checkpoints, tmp_path,

@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankmerge import (
     ArchitectureMismatch,
@@ -30,6 +32,7 @@ from rankmerge import (
 )
 from rankmerge import pool
 from rankmerge.kernels import LowRankFactor, reconstruct, svd
+from rankmerge.rng import stream
 
 from conftest import random_tensor_map
 from oracles import reference_tail_energy
@@ -424,6 +427,27 @@ def test_merge_casts_to_checkpoint_dtype(rng):
     tvs = build_task_vectors(origin, finetuned)
     out = merge(tvs, 1.0)
     assert all(out[name].dtype == np.float32 for name in out.names())
+
+
+@settings(max_examples=40, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), lam=st.floats(-1e308, 1e308),
+       ratio=st.floats(0.0, 1.0))
+@example(dtype=np.float32, lam=1e39, ratio=0.5)
+@example(dtype=np.float64, lam=1.7e308, ratio=0.5)
+@example(dtype=np.float64, lam=-1e308, ratio=1.0)
+def test_merge_returns_finite_tensors_or_names_the_layer_that_overflows(dtype, lam, ratio):
+    origin, finetuned = _fleet(stream(0, "merge-overflow"), dtype=dtype)
+    tvs = build_task_vectors(origin, finetuned, rank_ratio=ratio)
+    try:
+        out = merge(tvs, lam)
+    except NumericError as exc:
+        # Deltas of these checkpoints are O(1), so only a huge coefficient overflows.
+        assert abs(lam) > 1e30
+        name, message = str(exc).split(": ")
+        assert name in tvs.matrix_names()
+        assert message == f"the merged layer is not finite in {np.dtype(dtype).name}"
+        return
+    assert all(np.all(np.isfinite(out[name])) for name in out.names())
 
 
 def test_merge_validates_table_before_assembling(rng, monkeypatch):
