@@ -52,7 +52,6 @@ from .kernels import (
     numerical_rank,
     reconstruct,
     svd,
-    svd_stack,
     truncate,
 )
 from .merge import (

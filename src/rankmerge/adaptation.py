@@ -67,6 +67,8 @@ class Batch:
             raise ShapeError(
                 f"batch needs (N,) task ids and (N, d) inputs, got {self.task_ids.shape} and {self.inputs.shape}"
             )
+        if not np.issubdtype(self.task_ids.dtype, np.integer):
+            raise ShapeError(f"task ids must be integers, got dtype {self.task_ids.dtype}")
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -124,13 +126,17 @@ def _entropy_and_weight_grads(
     weight matrix, accumulated in a fixed per-sample order."""
     if len(batch) == 0:
         raise EmptyBatch("entropy of an empty batch is undefined")
+    tasks = np.unique(batch.task_ids)
+    missing = tasks[(tasks < 0) | (tasks >= len(model.heads))]
+    if missing.size:
+        raise ShapeError(f"task id {missing[0]} outside [0, {len(model.heads)}): no such head")
     acts = model._activations(batch.inputs)
     features = acts[-1]
     n = len(batch)
 
     per_sample = np.zeros(n)
     d_features = np.zeros_like(features)
-    for task in np.unique(batch.task_ids):
+    for task in tasks:
         idx = np.flatnonzero(batch.task_ids == task)
         head = model.heads[int(task)]
         logits = head @ features[:, idx]
@@ -157,7 +163,8 @@ def entropy_loss(model: ToyClassifier, batch: Batch) -> float:
     """Mean Shannon entropy of the predicted posteriors over the batch.
 
     Bounded by ``[0, log C]`` for C classes; raises :class:`EmptyBatch`
-    on an empty batch.
+    on an empty batch, and :class:`ShapeError` naming a task id that picks
+    no head.
     """
     loss, _ = _entropy_and_weight_grads(model, batch)
     return loss
@@ -243,7 +250,8 @@ def ste_masked_singulars(
     a = np.asarray(logits, dtype=np.float64)
     if s.shape != a.shape:
         raise ShapeError(f"singulars {s.shape} and logits {a.shape} must align")
-    soft = 1.0 / (1.0 + np.exp(-a))
+    with np.errstate(over="ignore"):  # exp(-a) -> inf below a ~ -709, and 1 / inf is 0
+        soft = 1.0 / (1.0 + np.exp(-a))
     masked = np.where(soft > 0.5, s, 0.0)
     return masked, s * soft * (1.0 - soft)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvariantError, ParamError
 from .interference import _interference
-from .kernels import _singular_ranks, svd_stack
+from .kernels import _singular_ranks, svd
 from .rng import stream
 from .tensor_store import _write_text
 
@@ -309,7 +309,7 @@ def certify_bounds(suites: Sequence[SyntheticTaskSuite]) -> list[BoundCertificat
     for (d, T), members in _group(suites, lambda suite: (suite.d, suite.T)).items():
         group = [suites[i] for i in members]
         taus = np.array([suite.taus for suite in group])
-        f = svd_stack(taus.reshape(-1, d, d))
+        f = svd(taus.reshape(-1, d, d))
         singulars, rights = f.singulars.reshape(len(group), T, d), f.right.reshape(taus.shape)
         inputs = [np.array(suite.inputs) for suite in group]
         worst = np.array([_row_space_distance(x, np.array(suite.row_bases))
@@ -324,7 +324,7 @@ def certify_bounds(suites: Sequence[SyntheticTaskSuite]) -> list[BoundCertificat
     certificates: list = [None] * len(suites)
     for members, group, taus, singulars, rights, inputs in groups:
         d = taus.shape[-1]
-        ranks = _singular_ranks(singulars.reshape(-1, d)).reshape(len(group), -1).max(axis=1)
+        ranks = _singular_ranks(singulars).max(axis=1)
         curves = _interference(singulars, rights, range(1, d + 1))
         for i, suite, r_max, curve, others, x in zip(
             members, group, ranks.tolist(), curves, _others(taus), inputs

@@ -44,7 +44,7 @@ from .errors import (
     ShapeError,
     ZeroTaskVector,
 )
-from .kernels import reconstruct, svd, svd_stack, truncate
+from .kernels import reconstruct, svd, truncate
 from .merge import TaskVectorSet, build_task_vectors, merge, prune_ranks
 from .origin import select_origin
 from .tensor_store import TensorMap, _write_csv, _write_json
@@ -77,7 +77,7 @@ def row_space_interference(deltas: Sequence[np.ndarray], k: int) -> float:
             raise ShapeError(f"delta shapes differ: {m.shape} vs {shape}")
     if not 1 <= k <= min(shape):
         raise RankError(f"k={k} outside [1, {min(shape)}]")
-    f = svd_stack(np.stack(mats))
+    f = svd(np.stack(mats))
     return float(_interference(f.singulars, f.right, [k])[0])
 
 

@@ -4,9 +4,10 @@ Everything here is pure and deterministic: the SVD applies a fixed sign
 convention (largest-magnitude entry of each left singular vector made
 nonnegative) so factors reproduce bit-for-bit across runs, and singular
 values below ``RANK_EPS * sigma_max`` are treated as numerical zeros when
-counting rank or forming subgradients. Asked for fewer triples than the full
-rank, the SVD takes them from the eigenvectors of the smaller Gram matrix
-when float64 can resolve them that way, and from the full SVD otherwise.
+counting rank or forming subgradients. The SVD factors a matrix, or a stack
+of them in one LAPACK call. Asked for fewer triples than the full rank, it
+takes them from the eigenvectors of the smaller Gram matrix when float64 can
+resolve them that way, and from the full SVD otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "GRAM_MIN_GAP",
     "LowRankFactor",
     "svd",
-    "svd_stack",
     "truncate",
     "reconstruct",
     "frobenius_inner",
@@ -78,8 +78,16 @@ def _require_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_matrix(a: np.ndarray) -> np.ndarray:
+    a = _require_finite(a)
+    if a.ndim != 2:
+        raise ShapeError(f"need a 2-D matrix, got shape {a.shape}")
+    return a
+
+
 def svd(a: np.ndarray, k: int | None = None) -> LowRankFactor:
-    """Thin SVD of a 2-D matrix as a :class:`LowRankFactor`, or its top ``k`` triples.
+    """Thin SVD of a matrix, or of each matrix of an ``(..., m, n)`` stack, as
+    a :class:`LowRankFactor`, or its top ``k`` triples.
 
     Returns ``k`` triples, ``min(m, n)`` when ``k`` is None, with singular
     values sorted nonincreasing: the factor :func:`truncate` would keep of
@@ -88,50 +96,29 @@ def svd(a: np.ndarray, k: int | None = None) -> LowRankFactor:
     at every ``k``; ``k == 0`` factors nothing. For ``0 < k < min(m, n)``
     the triples come from ``np.linalg.eigh`` of the smaller Gram matrix, and
     from the full SVD when its eigen-gap at ``k`` is below
-    ``GRAM_MIN_GAP`` of its largest eigenvalue (or that is zero). The sign
-    convention makes the largest-magnitude entry of each left singular
-    vector nonnegative; ties among equal singular values keep the backend's
-    column order.
+    ``GRAM_MIN_GAP`` of its largest eigenvalue (or that is zero); in a
+    stack, one such slice sends every slice to the full SVD. A stack is one
+    LAPACK call, and slice ``i`` of the result is bit for bit the factor of
+    ``a[i]`` by the same route. The sign convention makes the
+    largest-magnitude entry of each left singular vector nonnegative; ties
+    among equal singular values keep the backend's column order.
     """
     a = _require_finite(a)
-    if a.ndim != 2:
-        raise ShapeError(f"svd needs a 2-D matrix, got shape {a.shape}")
-    m, n = a.shape
+    if a.ndim < 2:
+        raise ShapeError(f"svd needs a matrix or a stack of them, got shape {a.shape}")
+    *lead, m, n = a.shape
     full = min(m, n)
     k = full if k is None else k
     if not 0 <= k <= full:
         raise RankError(f"rank {k} outside [0, {full}]")
     if k == 0:
-        return LowRankFactor(left=np.zeros((m, 0)), singulars=np.zeros(0), right=np.zeros((0, n)))
+        return LowRankFactor(left=np.zeros((*lead, m, 0)), singulars=np.zeros((*lead, 0)),
+                             right=np.zeros((*lead, 0, n)))
     factors = _gram_top(a, k) if k < full else None
-    if factors is None:
-        f = _signed_svd(a[None])[0]
-    else:
-        left, s, right = factors
-        _fix_signs(left, right)
-        f = LowRankFactor(left=left, singulars=s, right=right)
-    return truncate(f, k) if f.k > k else f
-
-
-def svd_stack(a: np.ndarray) -> LowRankFactor:
-    """Thin SVDs of every matrix of an ``(N, m, n)`` stack in one LAPACK call.
-
-    Returns the stacked :class:`LowRankFactor`: ``left`` ``(N, m, k)``,
-    ``singulars`` ``(N, k)`` and ``right`` ``(N, k, n)``, ``k = min(m, n)``.
-    Slice ``i`` is bit for bit the factor ``svd(a[i])`` returns, sign
-    convention included. The stack is checked for NaN and infinity first.
-    """
-    a = _require_finite(a)
-    if a.ndim != 3:
-        raise ShapeError(f"svd_stack needs an (N, m, n) stack, got shape {a.shape}")
-    return _signed_svd(a)
-
-
-def _signed_svd(a: np.ndarray) -> LowRankFactor:
-    """Full thin SVD of each slice of a finite float64 stack, sign-fixed."""
-    left, s, right = np.linalg.svd(a, full_matrices=False)
+    left, s, right = np.linalg.svd(a, full_matrices=False) if factors is None else factors
     _fix_signs(left, right)
-    return LowRankFactor(left=left, singulars=s, right=right)
+    f = LowRankFactor(left=left, singulars=s, right=right)
+    return truncate(f, k) if f.k > k else f
 
 
 def _fix_signs(left: np.ndarray, right: np.ndarray) -> None:
@@ -161,19 +148,23 @@ def _fix_signs(left: np.ndarray, right: np.ndarray) -> None:
 
 
 def _gram_top(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Top-``k`` ``(left, singulars, right)`` of ``a`` from the eigenvectors of
-    ``aᵀa`` (``aaᵀ`` when ``a`` is wide), before the sign convention; None
-    when the eigen-gap at ``k`` is too small for float64 to resolve."""
-    wide = a.shape[0] < a.shape[1]
-    b = a.T if wide else a
-    values, vectors = np.linalg.eigh(b.T @ b)
-    values, vectors = values[::-1], vectors[:, ::-1]
-    if not values[0] > 0.0 or values[k - 1] - values[k] < GRAM_MIN_GAP * values[0]:
+    """Top-``k`` ``(left, singulars, right)`` of each matrix of ``a`` from the
+    eigenvectors of ``aᵀa`` (``aaᵀ`` when the matrices are wide), before the
+    sign convention; None when the eigen-gap at ``k`` of any matrix is too
+    small for float64 to resolve."""
+    wide = a.shape[-2] < a.shape[-1]
+    b = np.swapaxes(a, -1, -2) if wide else a
+    values, vectors = np.linalg.eigh(np.swapaxes(b, -1, -2) @ b)
+    values, vectors = values[..., ::-1], vectors[..., ::-1]
+    top = values[..., 0]
+    if not np.all(top > 0.0) or np.any(values[..., k - 1] - values[..., k] < GRAM_MIN_GAP * top):
         return None
-    s = np.sqrt(values[:k])
-    right = np.ascontiguousarray(vectors[:, :k].T)
-    left = (b @ right.T) / s
-    return (right.T.copy(), s, left.T.copy()) if wide else (left, s, right)
+    s = np.sqrt(values[..., :k])
+    right = np.ascontiguousarray(np.swapaxes(vectors[..., :k], -1, -2))
+    left = (b @ np.swapaxes(right, -1, -2)) / s[..., None, :]
+    if wide:
+        return np.swapaxes(right, -1, -2).copy(), s, np.swapaxes(left, -1, -2).copy()
+    return left, s, right
 
 
 def truncate(f: LowRankFactor, k: int) -> LowRankFactor:
@@ -194,10 +185,11 @@ def truncate(f: LowRankFactor, k: int) -> LowRankFactor:
 
 
 def reconstruct(f: LowRankFactor) -> np.ndarray:
-    """Materialize ``left @ diag(singulars) @ right`` as a dense matrix."""
+    """Materialize ``left @ diag(singulars) @ right`` as a dense matrix, or
+    as a stack of them from a stacked factor."""
     if f.k == 0:
-        return np.zeros(f.shape, dtype=np.float64)
-    return f.left @ (f.singulars[:, None] * f.right)
+        return np.zeros((*f.singulars.shape[:-1], *f.shape), dtype=np.float64)
+    return f.left @ (f.singulars[..., None] * f.right)
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -218,7 +210,7 @@ def nuclear_norm(a: np.ndarray) -> float:
 
     Always >= the Frobenius norm, with equality iff rank(a) <= 1.
     """
-    a = _require_finite(a)
+    a = _require_matrix(a)
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
@@ -229,27 +221,23 @@ def nuclear_subgradient(a: np.ndarray) -> np.ndarray:
     above ``RANK_EPS * sigma_max``. At the zero matrix this is the zero
     matrix, which lies in the subdifferential there.
     """
-    return _factor_subgradient(svd(a))
+    return _factor_subgradient(svd(_require_matrix(a)))
 
 
 def _factor_subgradient(f: LowRankFactor) -> np.ndarray:
     """:func:`nuclear_subgradient` at the matrix ``f`` represents: the
     product of the leading factors whose singular values count."""
-    r = _singular_rank(f.singulars)
+    r = int(_singular_ranks(f.singulars))
     return f.left[:, :r] @ f.right[:r, :]
 
 
 def numerical_rank(a: np.ndarray) -> int:
     """Count singular values above ``RANK_EPS * sigma_max``."""
-    return _singular_rank(np.linalg.svd(_require_finite(a), compute_uv=False))
-
-
-def _singular_rank(s: np.ndarray) -> int:
-    """:func:`numerical_rank` of a matrix with nonincreasing singular values ``s``."""
-    return int(_singular_ranks(s[None])[0])
+    return int(_singular_ranks(np.linalg.svd(_require_matrix(a), compute_uv=False)))
 
 
 def _singular_ranks(s: np.ndarray) -> np.ndarray:
-    """:func:`_singular_rank` of each row of an ``(N, k)`` array of spectra."""
-    top = s[:, :1]
-    return np.sum((s > RANK_EPS * top) & (top > 0.0), axis=1)
+    """:func:`numerical_rank` of each matrix of a stack, from its nonincreasing
+    singular values ``s`` of shape ``(..., k)``."""
+    top = s[..., :1]
+    return np.sum((s > RANK_EPS * top) & (top > 0.0), axis=-1)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, EmptyInput, InsufficientTasks, NumericError, ShapeError
-from .kernels import _factor_subgradient, svd_stack
+from .kernels import _factor_subgradient, svd
 from .pool import run_jobs
 from .tensor_store import Classifier, ParamClass, TensorMap, _write_csv, classify, validate_aligned
 
@@ -133,7 +133,7 @@ def rankmin_origin(
         summed over tasks, the objective and the summed |FIP|."""
         for t, layer in enumerate(thetas):
             np.subtract(layer, theta, out=deltas[t])
-        f = svd_stack(deltas)
+        f = svd(deltas)
         grad = np.zeros_like(theta)
         for t in range(len(thetas)):
             grad += _factor_subgradient(f[t])

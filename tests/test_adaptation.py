@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ def test_batch_validation():
     with pytest.raises(ShapeError):
         Batch(task_ids=np.zeros(2, dtype=int), inputs=np.zeros((3, 4)))
     assert len(Batch(task_ids=np.zeros(3, dtype=int), inputs=np.zeros((3, 4)))) == 3
+
+
+@pytest.mark.parametrize("ids", [[0.0, 1.0], [0.5, 1.0], [True, False]], ids=["float", "fraction", "bool"])
+def test_batch_rejects_task_ids_that_are_not_integers(ids):
+    with pytest.raises(ShapeError, match="integers"):
+        Batch(task_ids=np.array(ids), inputs=np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("ids", [[1, 1, -1, 0], [0, 2, 1, 1], [5, 0, 0, 0]], ids=["negative", "at-count", "above"])
+def test_entropy_names_a_task_id_with_no_head(ids):
+    suite = signal_noise_suite(1)  # two heads
+    model, bad = suite.template, [i for i in ids if not 0 <= i < 2][0]
+    batch = Batch(task_ids=np.array(ids), inputs=suite.batch.inputs[:4])
+    with pytest.raises(ShapeError, match=rf"task id {bad} outside \[0, 2\)"):
+        entropy_loss(model, batch)
 
 
 def test_classifier_rejects_broken_chains(rng):
@@ -257,6 +273,15 @@ def test_ste_backward_matches_soft_finite_differences(rng):
         return float(np.sum(singulars / (1.0 + np.exp(-a))))
 
     np.testing.assert_allclose(grad, fd_gradient(soft_sum, logits), atol=1e-8)
+
+
+def test_ste_saturated_logits_warn_nothing():
+    """exp(1000) overflows; the sigmoid's limit 0 (or 1) is exact, not a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        masked, grad = ste_masked_singulars(np.array([2.0, 1.0]), np.array([-1000.0, 1000.0]))
+    np.testing.assert_array_equal(masked, [0.0, 1.0])
+    np.testing.assert_array_equal(grad, [0.0, 0.0])
 
 
 def test_ste_shape_mismatch():

@@ -15,7 +15,6 @@ from rankmerge import (
     numerical_rank,
     reconstruct,
     svd,
-    svd_stack,
     truncate,
 )
 from rankmerge.rng import orthonormal, stream
@@ -78,10 +77,9 @@ def test_svd_rejects_non_finite():
 
 
 def test_svd_rejects_non_matrix_shapes():
-    with pytest.raises(ShapeError):
-        svd(np.zeros(4))
-    with pytest.raises(ShapeError):
-        svd(np.zeros((2, 2, 2)))
+    for shape in [(), (4,)]:
+        with pytest.raises(ShapeError):
+            svd(np.zeros(shape))
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
@@ -114,7 +112,7 @@ def test_stacked_svd_is_the_per_matrix_svd_bit_for_bit(shape):
     a[1, :, -1] = a[1, :, 0]  # rank deficient
     if shape[1:] == (4, 4):
         a[2] = HADAMARD  # every |entry| ties, and so do the singular values
-    stacked = svd_stack(a)
+    stacked = svd(a)
     assert (stacked.left.shape, stacked.singulars.shape, stacked.right.shape) == (
         (shape[0], shape[1], min(shape[1:])), (shape[0], min(shape[1:])),
         (shape[0], min(shape[1:]), shape[2]),
@@ -130,20 +128,62 @@ def test_stacked_svd_is_the_per_matrix_svd_bit_for_bit(shape):
 
 def test_stacked_svd_of_empty_stacks():
     for shape in [(0, 3, 2), (2, 0, 3), (2, 3, 0)]:
-        f = svd_stack(np.zeros(shape))
+        f = svd(np.zeros(shape))
         k = min(shape[1:])
         assert (f.left.shape, f.singulars.shape, f.right.shape) == (
             (shape[0], shape[1], k), (shape[0], k), (shape[0], k, shape[2]))
 
 
+def _planted_stack(shape: tuple[int, ...]) -> np.ndarray:
+    """A stack of matrices with well-separated spectra, each its own."""
+    g = stream(29, f"planted-stack-{shape}")
+    *lead, m, n = shape
+    full = min(m, n)
+    out = np.empty(shape)
+    for idx in np.ndindex(*lead):
+        singulars = float(g.uniform(1.0, 4.0)) * 0.7 ** np.arange(full)
+        out[idx] = (orthonormal(g, m, full) * singulars) @ orthonormal(g, n, full).T
+    return out
+
+
+def _assert_same_factor(got: LowRankFactor, want: LowRankFactor) -> None:
+    for part in ("left", "singulars", "right"):
+        np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+
+
+@pytest.mark.parametrize("k", [None, 3], ids=["full", "gram"])
+@pytest.mark.parametrize("shape", [(4, 12, 7), (2, 3, 6, 11)], ids=["3-D", "4-D"])
+def test_svd_of_a_stack_is_the_svd_of_each_slice_bit_for_bit(shape, k, svd_calls, eigh_calls):
+    a = _planted_stack(shape)
+    stacked = svd(a, k)
+    # One LAPACK call for the whole stack, on the route k asks for.
+    full = min(shape[-2:])
+    assert (svd_calls, eigh_calls) == (([shape], []) if k is None else ([], [(*shape[:-2], full, full)]))
+    want_k = full if k is None else k
+    assert (stacked.k, stacked.shape, stacked.left.shape) == (
+        want_k, shape[-2:], (*shape[:-2], shape[-2], want_k))
+    for idx in np.ndindex(*shape[:-2]):
+        _assert_same_factor(stacked[idx], svd(a[idx], k))
+
+
+def test_a_tied_slice_sends_the_whole_stack_to_the_full_svd(svd_calls, eigh_calls):
+    a = _planted_stack((3, 4, 4))
+    a[1] = HADAMARD  # all four singular values tie, so the Gram gap at k closes
+    stacked = svd(a, 2)
+    assert (svd_calls, eigh_calls) == ([(3, 4, 4)], [(3, 4, 4)])
+    for i in range(3):
+        _assert_same_factor(stacked[i], truncate(svd(a[i]), 2))
+
+
 def test_stacked_svd_rejects_non_finite_and_non_stacks():
     bad = np.ones((3, 2, 2))
     bad[2, 1, 0] = np.inf
-    with pytest.raises(NumericError):
-        svd_stack(bad)
-    for shape in [(4, 4), (2, 2, 2, 2)]:
+    for k in (None, 0, 1):
+        with pytest.raises(NumericError):
+            svd(bad, k)
+    for shape in [(), (4,)]:
         with pytest.raises(ShapeError):
-            svd_stack(np.ones(shape))
+            svd(np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +270,24 @@ def test_truncate_keeps_leading_triples(matrix):
 
 @pytest.mark.parametrize("k", [0, 2, 5])
 def test_truncating_a_stack_truncates_each_slice_bit_for_bit(k):
-    stacked = svd_stack(stream(23, "truncate-stack").standard_normal((4, 7, 5)))
+    stacked = svd(stream(23, "truncate-stack").standard_normal((4, 7, 5)))
     cut = truncate(stacked, k)
     assert (cut.k, cut.shape, cut.left.shape) == (k, (7, 5), (4, 7, k))
     for i in range(4):
         want = truncate(stacked[i], k)
         for part in ("left", "singulars", "right"):
             np.testing.assert_array_equal(getattr(cut[i], part), getattr(want, part))
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 4), (3, 4, 6)], ids=["tall", "wide"])
+def test_reconstructing_a_stack_reconstructs_each_slice_bit_for_bit(shape):
+    f = svd(stream(31, f"reconstruct-stack-{shape}").standard_normal(shape))
+    for k in (min(shape[1:]), 2, 0):
+        cut = truncate(f, k)
+        dense = reconstruct(cut)
+        assert dense.shape == shape
+        for i in range(shape[0]):
+            np.testing.assert_array_equal(dense[i], reconstruct(cut[i]))
 
 
 def test_truncate_is_idempotent(matrix):
@@ -333,6 +384,13 @@ def test_nuclear_subgradient_skips_tiny_singulars():
     a = u @ np.diag([5.0, 1e-14]) @ v
     sub = nuclear_subgradient(a)
     assert np.allclose(sub, np.outer(u[:, 0], v[0]), atol=1e-10)
+
+
+@pytest.mark.parametrize("fn", [nuclear_norm, nuclear_subgradient, numerical_rank])
+def test_matrix_functions_reject_stacks_and_vectors(fn):
+    for shape in [(2, 3, 3), (3,)]:
+        with pytest.raises(ShapeError):
+            fn(np.ones(shape))
 
 
 def test_numerical_rank_counts_significant_spectrum():
