@@ -45,11 +45,6 @@ from .interference import (
 )
 from .kernels import (
     LowRankFactor,
-    frobenius_inner,
-    frobenius_norm,
-    nuclear_norm,
-    nuclear_subgradient,
-    numerical_rank,
     reconstruct,
     svd,
     truncate,

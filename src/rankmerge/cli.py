@@ -77,14 +77,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _positive_finite(text: str) -> float:
-    """Type of a step-size flag: a finite number above zero."""
-    value = _finite(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
-    return value
-
-
 def _positive_int(text: str) -> int:
     """Type of a count flag: anything but a positive integer is a usage error."""
     try:
@@ -226,8 +218,7 @@ def _cmd_merge(args: argparse.Namespace) -> Outcome:
     clf = _classifier(args.matrix_include, args.matrix_exclude)
     traces: dict[str, SolverTrace] = {}
     origin = select_origin(args.origin, pretrained, tasks, trace_out=traces, classifier=clf,
-                           rankmin_steps=args.rankmin_steps,
-                           rankmin_step_size=args.rankmin_step_size)
+                           rankmin_steps=args.rankmin_steps)
     merged = merge(build_task_vectors(origin, tasks, clf, rank_ratio=args.ratio), args.lam)
     target = Path(args.out_dir) / "merged.ckpt"
     artifacts: Artifacts = {
@@ -252,8 +243,7 @@ def _cmd_analyze(args: argparse.Namespace) -> Outcome:
     pretrained, tasks, paths = _load_inputs(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
     origin = select_origin(args.origin, pretrained, tasks, classifier=clf,
-                           rankmin_steps=args.rankmin_steps,
-                           rankmin_step_size=args.rankmin_step_size)
+                           rankmin_steps=args.rankmin_steps)
     report = interference_report(build_task_vectors(origin, tasks, clf), args.ks)
     artifacts = {"interference.json": report.write_json, "interference.csv": report.write_csv}
     target = Path(args.out_dir) / "interference.json"
@@ -378,10 +368,8 @@ def _add_checkpoint_flags(sub: argparse.ArgumentParser) -> None:
 def _add_origin_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--origin", choices=["mean", "pretrained", "rankmin"], default="mean",
                      help="origin the task vectors are taken from")
-    sub.add_argument("--rankmin-steps", dest="rankmin_steps", type=_positive_int, default=200,
+    sub.add_argument("--rankmin-steps", dest="rankmin_steps", type=_positive_int, default=20,
                      help="solver steps of the rankmin origin")
-    sub.add_argument("--rankmin-step-size", dest="rankmin_step_size", type=_positive_finite,
-                     help="solver step size; none scales it from the spectra")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,6 @@ __all__ = [
     "ShapeError",
     "EmptyInput",
     "InsufficientTasks",
-    "DivergenceError",
     "PlanError",
     "ZeroTaskVector",
     "EvaluationError",
@@ -77,19 +76,6 @@ class EmptyInput(RankmergeError):
 
 class InsufficientTasks(RankmergeError):
     """An operation defined over task pairs received fewer than two tasks."""
-
-
-class DivergenceError(RankmergeError):
-    """The iterative solver's objective exceeded its divergence guard."""
-
-    def __init__(self, step: int, objective: float, initial: float):
-        self.step = step
-        self.objective = objective
-        self.initial = initial
-        super().__init__(
-            f"objective {objective:.6g} exceeded 10x the initial value "
-            f"{initial:.6g} at step {step}"
-        )
 
 
 # --- merge engine -----------------------------------------------------------

@@ -3,11 +3,11 @@ r"""Dense linear-algebra primitives used throughout the merge pipeline.
 Everything here is pure and deterministic: the SVD applies a fixed sign
 convention (largest-magnitude entry of each left singular vector made
 nonnegative) so factors reproduce bit-for-bit across runs, and singular
-values below ``RANK_EPS * sigma_max`` are treated as numerical zeros when
-counting rank or forming subgradients. The SVD factors a matrix, or a stack
-of them in one LAPACK call. Asked for fewer triples than the full rank, it
-takes them from the eigenvectors of the smaller Gram matrix when float64 can
-resolve them that way, and from the full SVD otherwise.
+values below ``RANK_EPS * sigma_max`` are treated as numerical zeros. The
+SVD factors a matrix, or a stack of them in one LAPACK call. Asked for fewer
+triples than the full rank, it takes them from the eigenvectors of the
+smaller Gram matrix when float64 can hold and resolve them that way, and
+from the full SVD otherwise.
 """
 
 from __future__ import annotations
@@ -25,11 +25,6 @@ __all__ = [
     "svd",
     "truncate",
     "reconstruct",
-    "frobenius_inner",
-    "frobenius_norm",
-    "nuclear_norm",
-    "nuclear_subgradient",
-    "numerical_rank",
 ]
 
 # Relative threshold below which a singular value counts as zero.
@@ -71,20 +66,6 @@ class LowRankFactor:
         return LowRankFactor(left=self.left[i], singulars=self.singulars[i], right=self.right[i])
 
 
-def _require_finite(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise NumericError("input contains NaN or infinite entries")
-    return a
-
-
-def _require_matrix(a: np.ndarray) -> np.ndarray:
-    a = _require_finite(a)
-    if a.ndim != 2:
-        raise ShapeError(f"need a 2-D matrix, got shape {a.shape}")
-    return a
-
-
 def svd(a: np.ndarray, k: int | None = None) -> LowRankFactor:
     """Thin SVD of a matrix, or of each matrix of an ``(..., m, n)`` stack, as
     a :class:`LowRankFactor`, or its top ``k`` triples.
@@ -95,15 +76,17 @@ def svd(a: np.ndarray, k: int | None = None) -> LowRankFactor:
     :class:`RankError` is raised. The input is checked for NaN and infinity
     at every ``k``; ``k == 0`` factors nothing. For ``0 < k < min(m, n)``
     the triples come from ``np.linalg.eigh`` of the smaller Gram matrix, and
-    from the full SVD when its eigen-gap at ``k`` is below
-    ``GRAM_MIN_GAP`` of its largest eigenvalue (or that is zero); in a
-    stack, one such slice sends every slice to the full SVD. A stack is one
-    LAPACK call, and slice ``i`` of the result is bit for bit the factor of
-    ``a[i]`` by the same route. The sign convention makes the
+    from the full SVD when that matrix overflows float64 or its eigen-gap
+    at ``k`` is below ``GRAM_MIN_GAP`` of its largest eigenvalue (or that
+    is zero); in a stack, one such slice sends every slice to the full SVD.
+    A stack is one LAPACK call, and slice ``i`` of the result is bit for bit
+    the factor of ``a[i]`` by the same route. The sign convention makes the
     largest-magnitude entry of each left singular vector nonnegative; ties
     among equal singular values keep the backend's column order.
     """
-    a = _require_finite(a)
+    a = np.asarray(a, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise NumericError("input contains NaN or infinite entries")
     if a.ndim < 2:
         raise ShapeError(f"svd needs a matrix or a stack of them, got shape {a.shape}")
     *lead, m, n = a.shape
@@ -150,11 +133,15 @@ def _fix_signs(left: np.ndarray, right: np.ndarray) -> None:
 def _gram_top(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Top-``k`` ``(left, singulars, right)`` of each matrix of ``a`` from the
     eigenvectors of ``aᵀa`` (``aaᵀ`` when the matrices are wide), before the
-    sign convention; None when the eigen-gap at ``k`` of any matrix is too
-    small for float64 to resolve."""
+    sign convention; None when a Gram matrix overflows float64 or the
+    eigen-gap at ``k`` of any matrix is too small for float64 to resolve."""
     wide = a.shape[-2] < a.shape[-1]
     b = np.swapaxes(a, -1, -2) if wide else a
-    values, vectors = np.linalg.eigh(np.swapaxes(b, -1, -2) @ b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.swapaxes(b, -1, -2) @ b
+    if not np.all(np.isfinite(gram)):
+        return None
+    values, vectors = np.linalg.eigh(gram)
     values, vectors = values[..., ::-1], vectors[..., ::-1]
     top = values[..., 0]
     if not np.all(top > 0.0) or np.any(values[..., k - 1] - values[..., k] < GRAM_MIN_GAP * top):
@@ -192,52 +179,9 @@ def reconstruct(f: LowRankFactor) -> np.ndarray:
     return f.left @ (f.singulars[..., None] * f.right)
 
 
-def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
-    r"""Frobenius inner product :math:`\sum_{ij} a_{ij} b_{ij}`."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
-
-
-def nuclear_norm(a: np.ndarray) -> float:
-    r"""Sum of singular values :math:`\|a\|_* = \sum_i \sigma_i(a)`.
-
-    Always >= the Frobenius norm, with equality iff rank(a) <= 1.
-    """
-    a = _require_matrix(a)
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
-def nuclear_subgradient(a: np.ndarray) -> np.ndarray:
-    """A subgradient of the nuclear norm at ``a``.
-
-    Returns ``U_r @ V_rᵀ`` from the thin SVD restricted to singular values
-    above ``RANK_EPS * sigma_max``. At the zero matrix this is the zero
-    matrix, which lies in the subdifferential there.
-    """
-    return _factor_subgradient(svd(_require_matrix(a)))
-
-
-def _factor_subgradient(f: LowRankFactor) -> np.ndarray:
-    """:func:`nuclear_subgradient` at the matrix ``f`` represents: the
-    product of the leading factors whose singular values count."""
-    r = int(_singular_ranks(f.singulars))
-    return f.left[:, :r] @ f.right[:r, :]
-
-
-def numerical_rank(a: np.ndarray) -> int:
-    """Count singular values above ``RANK_EPS * sigma_max``."""
-    return int(_singular_ranks(np.linalg.svd(_require_matrix(a), compute_uv=False)))
-
-
 def _singular_ranks(s: np.ndarray) -> np.ndarray:
-    """:func:`numerical_rank` of each matrix of a stack, from its nonincreasing
-    singular values ``s`` of shape ``(..., k)``."""
+    """Count of the singular values above ``RANK_EPS * sigma_max`` of each
+    matrix of a stack, from its nonincreasing singular values ``s`` of shape
+    ``(..., k)``."""
     top = s[..., :1]
     return np.sum((s > RANK_EPS * top) & (top > 0.0), axis=-1)

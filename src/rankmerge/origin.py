@@ -8,7 +8,7 @@ Matrix layers that task vectors are measured from:
 * mean — elementwise average of the fine-tuned checkpoints, which is the
   closed-form minimizer of the pairwise-similarity objective
   :math:`\sum_t \sum_{t'<t} \langle \theta_t-\theta, \theta_{t'}-\theta \rangle_F`,
-* rank minimization — subgradient descent on
+* rank minimization — majorize-minimize descent on
   :math:`\sum_t \|\theta_t - \theta\|_*`, pushing every task vector toward
   low rank.
 
@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError, EmptyInput, InsufficientTasks, NumericError, ShapeError
-from .kernels import _factor_subgradient, svd
+from .errors import EmptyInput, InsufficientTasks, NumericError, ShapeError
+from .kernels import RANK_EPS, LowRankFactor, svd
 from .pool import run_jobs
 from .tensor_store import Classifier, ParamClass, TensorMap, _write_csv, classify, validate_aligned
 
@@ -83,41 +83,66 @@ def mean_origin(layers: list[np.ndarray]) -> np.ndarray:
 
 def simmin_objective(origin: np.ndarray, layers: list[np.ndarray]) -> float:
     r"""Pairwise-similarity objective
-    :math:`\sum_t \sum_{t'<t} \langle \theta_t-\theta, \theta_{t'}-\theta \rangle_F`."""
+    :math:`\sum_t \sum_{t'<t} \langle \theta_t-\theta, \theta_{t'}-\theta \rangle_F`.
+
+    A layer whose shape is not the origin's raises :class:`ShapeError`. A NaN
+    or infinity in a layer raises :class:`NumericError` naming its
+    position, and so does an objective that is not finite in float64.
+    """
     if len(layers) < 2:
         raise InsufficientTasks("simmin_objective is defined over task pairs")
-    deltas = [np.asarray(l, dtype=np.float64) - np.asarray(origin, dtype=np.float64) for l in layers]
-    return sum(_pair_fips(deltas))
+    origin = np.asarray(origin, dtype=np.float64)
+    arrays = [np.asarray(l, dtype=np.float64) for l in layers]
+    for i, arr in enumerate(arrays):
+        if arr.shape != origin.shape:
+            raise ShapeError(f"layer shape {arr.shape} != {origin.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise NumericError(f"simmin_objective: layer {i} holds NaN or infinite values")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = sum(_pair_fips([arr - origin for arr in arrays]))
+    if not np.isfinite(value):
+        raise NumericError("simmin_objective: the objective is not finite in float64")
+    return value
 
 
 def _pair_fips(deltas: list[np.ndarray] | np.ndarray) -> list[float]:
     """Frobenius inner product of every task pair (t, t') with t' < t, in
-    that order; the products share one buffer."""
+    that order; the products share one buffer. A product that overflows
+    float64 gives an infinity or NaN, without a warning."""
     product = np.empty_like(deltas[0])
-    return [float(np.sum(np.multiply(deltas[t], deltas[t2], out=product)))
-            for t in range(len(deltas)) for t2 in range(t)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [float(np.sum(np.multiply(deltas[t], deltas[t2], out=product)))
+                for t in range(len(deltas)) for t2 in range(t)]
 
 
-def rankmin_origin(
-    layers: list[np.ndarray],
-    steps: int = 200,
-    step_size: float | None = None,
-) -> tuple[np.ndarray, SolverTrace]:
-    r"""Minimize :math:`\sum_t \|\theta_t - \theta\|_*` by subgradient descent.
+def rankmin_origin(layers: list[np.ndarray], steps: int = 20) -> tuple[np.ndarray, SolverTrace]:
+    r"""Minimize :math:`\sum_t \|\theta_t - \theta\|_*` by majorize-minimize.
 
-    Starts from the mean (the pairwise-similarity optimum, a strong warm
-    start) and iterates
-    :math:`\theta \leftarrow \theta + \eta_s \cdot \tfrac{1}{T}\sum_t
-    \partial\|\theta_t-\theta\|_*` with the diminishing step
-    :math:`\eta_s = \text{step\_size}/\sqrt{s}`. The best iterate is kept, so
-    the returned objective never exceeds the initial one. Raises
-    :class:`DivergenceError` if the running objective exceeds ten times the
-    initial value.
+    Starts from the mean (the pairwise-similarity optimum) and takes
+    ``steps`` steps of iteratively reweighted least squares (Fornasier,
+    Rauhut and Ward 2011; Mohan and Fazel 2012). With each task vector
+    :math:`D_t = \theta_t - \theta = U_t \Sigma_t V_t^\top` of a tall
+    layer, a step is
+
+    .. math::
+        \theta \leftarrow \theta
+        + \Big(\sum_t U_t \Sigma_t W_t V_t^\top\Big)
+          \Big(\sum_t V_t W_t V_t^\top\Big)^{-1},
+        \qquad W_t = \operatorname{diag}\big(1/\sqrt{\sigma^2 + \delta^2}\big),
+
+    with :math:`\delta` ``RANK_EPS`` times the largest singular value at the
+    mean; for a wide layer the weight acts on the left. Each step minimizes a
+    quadratic that touches the smoothed objective
+    :math:`\sum_t \operatorname{tr}(D_t^\top D_t + \delta^2 I)^{1/2}` from
+    above, so that objective never rises and there is no step size. The
+    weights are scaled by that singular value, which leaves the step as it
+    is and keeps them in range at any scale of the input.
 
     Each iterate factors its T task vectors in one stacked SVD: the singular
-    values give the objective there and the singular vectors the next
-    subgradient, formed at once so the factors are not held while the next
-    iterate is factored.
+    values give the trace's objective and the factors the next step. The
+    trace has one row per iterate; a sum of |FIP| that overflows float64 is
+    recorded as it comes, an infinity or NaN. Layers must be 2-D, or
+    :class:`ShapeError` is raised.
     """
     if len(layers) < 2:
         raise InsufficientTasks("rankmin_origin needs at least two layers")
@@ -126,41 +151,46 @@ def rankmin_origin(
     # Kept in their own dtype: each subtraction below widens to float64 exactly.
     thetas = [np.asarray(l) for l in layers]
     theta = mean_origin(thetas)
+    if theta.ndim != 2:
+        raise ShapeError(f"rankmin_origin needs 2-D layers, got shape {theta.shape}")
     deltas = np.empty((len(thetas), *theta.shape))
 
-    def factor(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """At ``theta``: the task vectors' singular values, the subgradient
-        summed over tasks, the objective and the summed |FIP|."""
+    def factor(theta: np.ndarray) -> tuple[LowRankFactor, float, float]:
+        """At ``theta``: the task vectors' stacked factor, the objective and
+        the summed |FIP|."""
         for t, layer in enumerate(thetas):
             np.subtract(layer, theta, out=deltas[t])
         f = svd(deltas)
-        grad = np.zeros_like(theta)
-        for t in range(len(thetas)):
-            grad += _factor_subgradient(f[t])
-        objective = sum(np.sum(f.singulars, axis=1).tolist())
-        return f.singulars, grad, objective, sum(map(abs, _pair_fips(deltas)))
+        return f, sum(np.sum(f.singulars, axis=1).tolist()), sum(map(abs, _pair_fips(deltas)))
 
-    s, grad, initial, fip = factor(theta)
-    trace = SolverTrace()
-    trace.records.append((0, initial, fip))
-    if initial == 0.0:
+    f, objective, fip = factor(theta)
+    trace = SolverTrace([(0, objective, fip)])
+    if objective == 0.0:
         return theta, trace
-
-    if step_size is None:
-        step_size = 0.1 * float(np.mean(s.reshape(-1)))
-    if step_size <= 0:
-        raise ValueError("step_size must be > 0")
-
-    best_theta, best_obj = theta.copy(), initial
+    top = float(np.max(f.singulars))
     for step in range(1, steps + 1):
-        theta = theta + (step_size / np.sqrt(step)) * (grad / len(thetas))
-        _, grad, obj, fip = factor(theta)
-        if obj > 10.0 * initial:
-            raise DivergenceError(step, obj, initial)
-        trace.records.append((step, obj, fip))
-        if obj < best_obj:
-            best_theta, best_obj = theta.copy(), obj
-    return best_theta, trace
+        theta = theta + _majorize_minimize(f, top)
+        del f  # not held while the next iterate is factored
+        f, objective, fip = factor(theta)
+        trace.records.append((step, objective, fip))
+    return theta, trace
+
+
+def _majorize_minimize(f: LowRankFactor, top: float) -> np.ndarray:
+    """The step of :func:`rankmin_origin` from the stacked factor ``f`` of
+    the task vectors, with ``top`` the largest singular value at the mean.
+
+    The tasks' triples are laid side by side, so each sum over tasks is one
+    matrix product."""
+    tasks, m, k = f.left.shape
+    n = f.right.shape[-1]
+    weights = (1.0 / np.hypot(f.singulars / top, RANK_EPS)).reshape(-1)
+    scaled = f.singulars.reshape(-1) * weights
+    left = np.swapaxes(f.left, 0, 1).reshape(m, tasks * k)
+    right = f.right.reshape(tasks * k, n)
+    if m >= n:
+        return np.linalg.solve((right.T * weights) @ right, (right.T * scaled) @ left.T).T
+    return np.linalg.solve((left * weights) @ left.T, (left * scaled) @ right)
 
 
 def select_origin(
@@ -170,8 +200,7 @@ def select_origin(
     trace_out: dict[str, SolverTrace] | None = None,
     classifier: Classifier = classify,
     *,
-    rankmin_steps: int = 200,
-    rankmin_step_size: float | None = None,
+    rankmin_steps: int = 20,
 ) -> TensorMap:
     """Assemble the origin, the merged model at coefficient zero, of ``kind``.
 
@@ -182,30 +211,27 @@ def select_origin(
     it with ``"mean"``. Every tensor takes the checkpoint dtype. A layer that
     ``classifier`` keeps off the SVD path is the fine-tuned mean in every
     kind. A Matrix layer is the pretrained array for ``"pretrained"``, the
-    :func:`rankmin_origin` solution after ``rankmin_steps`` steps of
-    ``rankmin_step_size`` (``None`` scales it from the spectra) for
+    :func:`rankmin_origin` solution after ``rankmin_steps`` steps for
     ``"rankmin"`` with two or more fine-tuned checkpoints, and the mean
     otherwise. Pass ``trace_out`` to collect the rank-minimization trace of
     each solved layer by name, in the checkpoint's order.
 
     The other layers are computed first, one at a time. The solved layers
     then run as jobs on :func:`~rankmerge.pool.run_jobs`, largest first, so
-    each solution and trace is the same whatever the number of workers, and
-    where several layers diverge the largest one's
-    :class:`DivergenceError` is raised, its message naming the layer.
+    each solution and trace is the same whatever the number of workers. A
+    solved layer whose trace holds a value that is not finite in float64
+    raises :class:`NumericError` naming the layer; where several do, it is
+    the largest one's.
 
-    An unknown ``kind``, or for ``"rankmin"`` steps below 1 or a step size
-    that is not positive, raises :class:`ValueError` before any work. A NaN
-    or infinity in any tensor of any input, the pretrained checkpoint
-    included, raises :class:`NumericError` naming the tensor, whatever the
-    kind.
+    An unknown ``kind``, or for ``"rankmin"`` steps below 1, raises
+    :class:`ValueError` before any work. A NaN or infinity in any tensor of
+    any input, the pretrained checkpoint included, raises
+    :class:`NumericError` naming the tensor, whatever the kind.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     if kind == "rankmin" and rankmin_steps < 1:
         raise ValueError("rankmin needs steps >= 1")
-    if kind == "rankmin" and rankmin_step_size is not None and rankmin_step_size <= 0:
-        raise ValueError("rankmin needs step_size > 0")
     if not finetuned:
         raise EmptyInput("select_origin needs at least one fine-tuned checkpoint")
     validate_aligned([pretrained, *finetuned])
@@ -229,12 +255,9 @@ def select_origin(
         entries[name] = np.asarray(solved, dtype=ref.dtype)
 
     def solve_layer(name: str) -> tuple[np.ndarray, SolverTrace]:
-        try:
-            solution, trace = rankmin_origin([fmap[name] for fmap in finetuned], rankmin_steps,
-                                             rankmin_step_size)
-        except DivergenceError as exc:
-            exc.args = (f"{name}: {exc}",)  # name the layer; step, objective, initial stay
-            raise
+        solution, trace = rankmin_origin([fmap[name] for fmap in finetuned], rankmin_steps)
+        if not np.all(np.isfinite(trace.records)):
+            raise NumericError(f"{name}: the rank-minimization trace is not finite in float64")
         return np.asarray(solution, dtype=pretrained[name].dtype), trace
 
     order = sorted(solve, key=lambda name: pretrained[name].size, reverse=True)

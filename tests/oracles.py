@@ -28,6 +28,37 @@ def reference_nuclear_norm(a: np.ndarray) -> float:
     return float(np.sum(reference_singulars(a)))
 
 
+def reference_subgradient_rankmin(layers, steps: int = 200) -> tuple[np.ndarray, float]:
+    r"""``(theta, objective)`` of the best iterate of the subgradient solver
+    that the majorize-minimize step replaced, each task factored on its own.
+
+    From the mean, :math:`\theta \leftarrow \theta + \eta_s \tfrac{1}{T}
+    \sum_t U_t V_t^\top` over the singular values above ``1e-10`` of the
+    largest, with :math:`\eta_s = 0.1\,\bar\sigma / \sqrt{s}` and
+    :math:`\bar\sigma` the mean singular value at the mean."""
+    thetas = [np.asarray(l, dtype=np.float64) for l in layers]
+    theta = sum(thetas) / len(thetas)
+
+    def factor(theta):
+        objective, grad, spectra = 0.0, np.zeros_like(theta), []
+        for layer in thetas:
+            u, s, vt = np.linalg.svd(layer - theta, full_matrices=False)
+            r = int(np.sum(s > 1e-10 * s[0])) if s[0] > 0.0 else 0
+            grad += u[:, :r] @ vt[:r]
+            objective += float(np.sum(s))
+            spectra.append(s)
+        return objective, grad, np.concatenate(spectra)
+
+    best, grad, spectra = factor(theta)
+    best_theta, step_size = theta, 0.1 * float(np.mean(spectra))
+    for step in range(1, steps + 1):
+        theta = theta + (step_size / np.sqrt(step)) * (grad / len(thetas))
+        objective, grad, _ = factor(theta)
+        if objective < best:
+            best_theta, best = theta, objective
+    return best_theta, best
+
+
 def reference_tail_energy(a: np.ndarray, k: int) -> float:
     """Squared Frobenius distance from A to its best rank-k approximation."""
     s = reference_singulars(a)

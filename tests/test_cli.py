@@ -130,14 +130,12 @@ def test_samplesize_overflow_is_a_domain_error(tmp_path, capsys):
         (["adapt", "--iters", "0"], None),
         (["adapt"], {"iters": -2}),
         (["merge", "--origin", "rankmin", "--rankmin-steps", "0"], None),
-        (["merge", "--origin", "rankmin", "--rankmin-step-size", "0"], None),
-        (["merge"], {"rankmin_step_size": -1}),
     ],
     ids=["lam-nan", "lam-inf", "z-inf", "config-suites-2.5", "config-task-index-1.7",
          "config-iters-true", "config-origin-bogus", "ks-1.5", "config-lam-nan",
          "config-ratio-list", "ratios-empty", "lambdas-blank", "ks-empty",
          "config-lambdas-empty", "suites-0", "iters-0", "config-iters-negative",
-         "rankmin-steps-0", "rankmin-step-size-0", "config-rankmin-step-size-negative"],
+         "rankmin-steps-0"],
 )
 def test_bad_parameter_values_are_usage_errors(argv, config, checkpoints, tmp_path, capsys):
     pretrained, tasks = checkpoints
@@ -148,6 +146,26 @@ def test_bad_parameter_values_are_usage_errors(argv, config, checkpoints, tmp_pa
     out = tmp_path / "out"
     assert main(argv + ["--out-dir", str(out)]) == 2
     assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (["--rankmin-step-size", "1"], None, "--rankmin-step-size"),
+        ([], {"rankmin_step_size": 1}, "rankmin_step_size"),
+    ],
+    ids=["flag", "config-key"],
+)
+def test_the_removed_step_size_is_a_usage_error(checkpoints, tmp_path, capsys, argv, config,
+                                               named):
+    pretrained, tasks = checkpoints
+    out = tmp_path / "out"
+    argv = _merge_args(pretrained, tasks, out, ["--origin", "rankmin", *argv])
+    if config is not None:
+        argv += ["--config", _config(tmp_path, config)]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -297,6 +315,35 @@ def test_merge_that_overflows_the_checkpoint_dtype_is_a_domain_error(checkpoints
     out = tmp_path / "out"
     assert main(_merge_args(pretrained, tasks, out, ["--lam", "1.7e308", "--ratio", "0.5"])) == 1
     assert "enc.0.weight: the merged layer is not finite in float64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture
+def huge_checkpoints(checkpoints):
+    """The float64 checkpoints scaled by 1e160: finite, but their squared
+    entries, and so the Gram matrices and |FIP| sums, overflow float64."""
+    for path in [checkpoints[0], *checkpoints[1]]:
+        ckpt = load_checkpoint(path)
+        save_checkpoint(TensorMap({name: 1e160 * arr for name, arr in ckpt.items()}), path)
+    return checkpoints
+
+
+def test_merge_of_huge_checkpoints_takes_the_full_svd(huge_checkpoints, tmp_path, capsys):
+    pretrained, tasks = huge_checkpoints
+    out = tmp_path / "out"
+    assert main(_merge_args(pretrained, tasks, out, ["--ratio", "0.5"])) == 0
+    capsys.readouterr()
+    merged = load_checkpoint(out / "merged.ckpt")
+    assert all(np.all(np.isfinite(arr)) for _, arr in merged.items())
+
+
+def test_rankmin_trace_that_overflows_is_a_domain_error(huge_checkpoints, tmp_path, capsys):
+    pretrained, tasks = huge_checkpoints
+    out = tmp_path / "out"
+    argv = _merge_args(pretrained, tasks, out, ["--origin", "rankmin", "--ratio", "1"])
+    assert main(argv) == 1
+    assert ("enc.0.weight: the rank-minimization trace is not finite in float64"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -18,6 +18,6 @@ def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(script)], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr

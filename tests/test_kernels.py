@@ -1,5 +1,7 @@
 """SVD kernel contracts, checked against Gram-matrix spectra and identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,18 +10,14 @@ from rankmerge import (
     NumericError,
     RankError,
     ShapeError,
-    frobenius_inner,
-    frobenius_norm,
-    nuclear_norm,
-    nuclear_subgradient,
-    numerical_rank,
     reconstruct,
     svd,
     truncate,
 )
+from rankmerge.kernels import _singular_ranks
 from rankmerge.rng import orthonormal, stream
 
-from oracles import reference_nuclear_norm, reference_singulars, reference_tail_energy
+from oracles import reference_singulars, reference_tail_energy
 
 TOLS = {"atol": 1e-10, "rtol": 1e-10}
 
@@ -240,6 +238,19 @@ def test_top_k_falls_back_to_the_full_svd_where_the_gram_gap_closes(make, svd_ca
         np.testing.assert_array_equal(getattr(f, part), getattr(want, part))
 
 
+@pytest.mark.parametrize("shape", [(6, 4), (4, 6), (3, 6, 4)], ids=["tall", "wide", "stack"])
+def test_top_k_falls_back_to_the_full_svd_where_the_gram_overflows(shape, svd_calls, eigh_calls):
+    a = stream(14, f"gram-overflow-{shape}").standard_normal(shape)
+    a[(0,) * (a.ndim - 2)] *= 1e160  # the matrix, or the first slice of the stack
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = svd(a, 2)
+    assert (len(svd_calls), eigh_calls) == (1, [])
+    want = truncate(svd(a), 2)
+    for part in ("left", "singulars", "right"):
+        np.testing.assert_array_equal(getattr(f, part), getattr(want, part))
+
+
 def test_rank_zero_factors_nothing(matrix, svd_calls, eigh_calls):
     f = svd(matrix, 0)
     assert f.k == 0 and f.shape == matrix.shape
@@ -325,82 +336,14 @@ def test_eckart_young_residual_equals_tail_energy():
             assert residual == pytest.approx(expected, rel=1e-8, abs=1e-12)
 
 
-def test_frobenius_inner_is_bilinear():
-    g = stream(13, "kernel-tests")
-    a, b, c = (g.standard_normal((5, 7)) for _ in range(3))
-    x, y = float(g.uniform(-2, 2)), float(g.uniform(-2, 2))
-    lhs = frobenius_inner(x * a + y * b, c)
-    rhs = x * frobenius_inner(a, c) + y * frobenius_inner(b, c)
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-    assert frobenius_inner(a, b) == pytest.approx(frobenius_inner(b, a), rel=1e-12)
-    assert frobenius_inner(a, a) == pytest.approx(frobenius_norm(a) ** 2, rel=1e-12)
-
-
-def test_frobenius_inner_shape_mismatch():
-    with pytest.raises(ShapeError):
-        frobenius_inner(np.zeros((2, 3)), np.zeros((3, 2)))
-
-
-def test_nuclear_norm_matches_gram_route(matrix):
-    assert nuclear_norm(matrix) == pytest.approx(reference_nuclear_norm(matrix), rel=1e-9)
-
-
-def test_nuclear_norm_triangle_inequality():
-    g = stream(14, "kernel-tests")
-    for _ in range(20):
-        a, b = g.standard_normal((6, 4)), g.standard_normal((6, 4))
-        assert nuclear_norm(a + b) <= nuclear_norm(a) + nuclear_norm(b) + 1e-10
-
-
-def test_nuclear_subgradient_of_full_rank_is_uv():
-    g = stream(15, "kernel-tests")
-    a = g.standard_normal((7, 5))
-    f = svd(a)
-    expected = f.left @ f.right
-    assert np.allclose(nuclear_subgradient(a), expected, atol=1e-10)
-
-
-def test_nuclear_subgradient_direction_increases_norm():
-    """<G, A> equals the nuclear norm itself for the subgradient at A, the
-    defining property used by the origin solver's descent step."""
-    g = stream(16, "kernel-tests")
-    for _ in range(10):
-        a = g.standard_normal((6, 6))
-        sub = nuclear_subgradient(a)
-        assert frobenius_inner(sub, a) == pytest.approx(nuclear_norm(a), rel=1e-9)
-        # operator norm of the subgradient is at most 1
-        assert np.linalg.svd(sub, compute_uv=False)[0] <= 1.0 + 1e-10
-
-
-def test_nuclear_subgradient_of_zero_matrix_is_zero():
-    assert np.all(nuclear_subgradient(np.zeros((4, 3))) == 0.0)
-
-
-def test_nuclear_subgradient_skips_tiny_singulars():
-    """Directions whose singular value is numerically zero are excluded so
-    the subgradient never amplifies floating-point dust."""
-    u = np.eye(4)[:, :2]
-    v = np.eye(3)[:2, :]
-    a = u @ np.diag([5.0, 1e-14]) @ v
-    sub = nuclear_subgradient(a)
-    assert np.allclose(sub, np.outer(u[:, 0], v[0]), atol=1e-10)
-
-
-@pytest.mark.parametrize("fn", [nuclear_norm, nuclear_subgradient, numerical_rank])
-def test_matrix_functions_reject_stacks_and_vectors(fn):
-    for shape in [(2, 3, 3), (3,)]:
-        with pytest.raises(ShapeError):
-            fn(np.ones(shape))
-
-
 def test_numerical_rank_counts_significant_spectrum():
     g = stream(17, "kernel-tests")
     left = np.linalg.qr(g.standard_normal((8, 8)))[0]
     right = np.linalg.qr(g.standard_normal((6, 6)))[0]
     s = np.array([4.0, 2.0, 1e-3, 0.0, 0.0, 0.0])
     a = left[:, :6] @ np.diag(s) @ right
-    assert numerical_rank(a) == 3
-    assert numerical_rank(np.zeros((5, 5))) == 0
+    assert _singular_ranks(svd(a).singulars) == 3
+    assert _singular_ranks(svd(np.zeros((5, 5))).singulars) == 0
 
 
 def test_low_rank_factor_shape_and_k(matrix):
