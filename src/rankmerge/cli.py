@@ -48,13 +48,14 @@ from .merge import (
     weight_average,
 )
 from .origin import SolverTrace, select_origin
+from .pool import run_jobs
 from .rng import stream
 from .tensor_store import (
     ParamClass,
+    _load_hashed,
     _write_json,
     _write_text,
     classify,
-    load_checkpoint,
     save_checkpoint,
 )
 from .toysuites import classification_sweep_suite, signal_noise_suite
@@ -192,19 +193,22 @@ def _classifier(includes: Sequence[str], excludes: Sequence[str]):
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple:
+    """The ``--pretrained`` and ``--task`` checkpoints, and the SHA-256 of
+    each by path: each file is read once, as a job on the pool, and its
+    digest is of the bytes that were loaded."""
     if not args.pretrained or not args.task:
         raise _UsageError("--pretrained and at least one --task checkpoint are required")
     paths = [Path(args.pretrained)] + [Path(p) for p in args.task]
-    pretrained = load_checkpoint(paths[0])
-    tasks = [load_checkpoint(p) for p in paths[1:]]
-    return pretrained, tasks, paths
+    loaded = run_jobs(paths, _load_hashed)
+    digests = {str(path): digest for path, (_, digest) in zip(paths, loaded)}
+    return loaded[0][0], [tmap for tmap, _ in loaded[1:]], digests
 
 
-# What a command computed: its input paths, its artifacts in write order
-# (file name -> writer taking the target path), its stdout line and its exit
-# status. ``main`` does the writing.
+# What a command computed: the SHA-256 of each input file by path, its
+# artifacts in write order (file name -> writer taking the target path), its
+# stdout line and its exit status. ``main`` does the writing.
 Artifacts = dict[str, Callable[[Path], None]]
-Outcome = tuple[list[Path], Artifacts, str, int]
+Outcome = tuple[dict[str, str], Artifacts, str, int]
 
 
 def _trace_file_name(layer: str) -> str:
@@ -214,7 +218,7 @@ def _trace_file_name(layer: str) -> str:
 
 
 def _cmd_merge(args: argparse.Namespace) -> Outcome:
-    pretrained, tasks, paths = _load_inputs(args)
+    pretrained, tasks, inputs = _load_inputs(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
     traces: dict[str, SolverTrace] = {}
     origin = select_origin(args.origin, pretrained, tasks, trace_out=traces, classifier=clf,
@@ -227,27 +231,27 @@ def _cmd_merge(args: argparse.Namespace) -> Outcome:
     }
     for layer in sorted(traces):
         artifacts[_trace_file_name(layer)] = traces[layer].write_csv
-    return paths, artifacts, f"merged {len(tasks)} checkpoints -> {target}", 0
+    return inputs, artifacts, f"merged {len(tasks)} checkpoints -> {target}", 0
 
 
 def _cmd_index(args: argparse.Namespace) -> Outcome:
-    pretrained, tasks, paths = _load_inputs(args)
+    pretrained, tasks, inputs = _load_inputs(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
     indexed = cart_indexing(pretrained, tasks, args.ratio, args.task_index, clf)
     target = Path(args.out_dir) / "indexed.ckpt"
     line = f"reconstructed task {args.task_index} -> {target}"
-    return paths, {target.name: lambda path: save_checkpoint(indexed, path)}, line, 0
+    return inputs, {target.name: lambda path: save_checkpoint(indexed, path)}, line, 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> Outcome:
-    pretrained, tasks, paths = _load_inputs(args)
+    pretrained, tasks, inputs = _load_inputs(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
     origin = select_origin(args.origin, pretrained, tasks, classifier=clf,
                            rankmin_steps=args.rankmin_steps)
     report = interference_report(build_task_vectors(origin, tasks, clf), args.ks)
     artifacts = {"interference.json": report.write_json, "interference.csv": report.write_csv}
     target = Path(args.out_dir) / "interference.json"
-    return paths, artifacts, f"analyzed {len(report.interference)} matrix layers -> {target}", 0
+    return inputs, artifacts, f"analyzed {len(report.interference)} matrix layers -> {target}", 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Outcome:
@@ -263,7 +267,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Outcome:
     target = Path(args.out_dir) / "sweep.csv"
     line = (f"{len(rows)} grid cells -> {target} (best mean accuracy "
             f"{best.mean_accuracy:.4f} at ratio={best.ratio}, lambda={best.lam})")
-    return [], {target.name: lambda path: write_sweep_csv(rows, path)}, line, 0
+    return {}, {target.name: lambda path: write_sweep_csv(rows, path)}, line, 0
 
 
 def _cmd_certify(args: argparse.Namespace) -> Outcome:
@@ -287,7 +291,7 @@ def _cmd_certify(args: argparse.Namespace) -> Outcome:
     text = "".join(lines)
     target = Path(args.out_dir) / "certificates.jsonl"
     line = f"{len(lines) - failures}/{len(lines)} certificates hold -> {target}"
-    return [], {target.name: lambda path: _write_text(path, text)}, line, int(failures > 0)
+    return {}, {target.name: lambda path: _write_text(path, text)}, line, int(failures > 0)
 
 
 def _cmd_adapt(args: argparse.Namespace) -> Outcome:
@@ -308,28 +312,31 @@ def _cmd_adapt(args: argparse.Namespace) -> Outcome:
     }
     line = (f"entropy {history[0][1]:.4f} -> {history[-1][1]:.4f} over "
             f"{args.iters} steps; coefficients in {Path(args.out_dir) / 'coefficients.json'}")
-    return [], artifacts, line, 0
+    return {}, artifacts, line, 0
 
 
 def _cmd_samplesize(args: argparse.Namespace) -> Outcome:
     m = sample_size(args.a, args.b, args.epsilon, args.z)
-    return [], {"samplesize.json": lambda path: _write_json(path, {"m": m}, indent=None)}, str(m), 0
+    return {}, {"samplesize.json": lambda path: _write_json(path, {"m": m}, indent=None)}, str(m), 0
 
 
-def _write_outputs(args: argparse.Namespace, inputs: list[Path], artifacts: Artifacts) -> None:
+def _write_outputs(args: argparse.Namespace, inputs: dict[str, str],
+                   artifacts: Artifacts) -> None:
     """Create ``--out-dir``, write each artifact atomically in order, and
     then ``manifest.json``: the parsed parameters and the SHA-256 of every
-    input and output."""
+    input and output. ``inputs`` holds the checkpoints' digests, taken as
+    they were loaded; ``--config`` and the outputs are hashed here."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, write in artifacts.items():
         write(out / name)
-    input_paths = inputs + ([Path(args.config)] if args.config else [])
+    if args.config:
+        inputs = {**inputs, str(Path(args.config)): _sha256(Path(args.config))}
     _write_json(out / "manifest.json", {
         "command": args.command,
         "version": __version__,
         "parameters": {k: v for k, v in vars(args).items() if k != "command"},
-        "inputs": {str(p): _sha256(p) for p in input_paths},
+        "inputs": inputs,
         "outputs": {name: _sha256(out / name) for name in artifacts},
     })
 

@@ -13,8 +13,8 @@ Matrix layers that task vectors are measured from:
   low rank.
 
 The iterative solver records a per-step trace of both objective families so
-their interplay can be inspected after the fact. Its layers are solved side
-by side on the factoring pool.
+their interplay can be inspected after the fact. :func:`select_origin`
+computes its layers side by side on the factoring pool.
 """
 
 from __future__ import annotations
@@ -60,25 +60,27 @@ class SolverTrace:
 def mean_origin(layers: list[np.ndarray]) -> np.ndarray:
     """Elementwise mean of the layers; the task vectors around it sum to zero.
 
-    A NaN or infinity in a layer, or a sum that overflows float64, raises
-    :class:`NumericError` naming the position of the first bad layer.
+    The layers are summed in order into one float64 buffer, which is then
+    divided by their count. A NaN or infinity in a layer, or a sum that
+    overflows float64, raises :class:`NumericError` naming the position of
+    the first bad layer.
     """
     if not layers:
         raise EmptyInput("mean_origin needs at least one layer")
-    first = np.asarray(layers[0], dtype=np.float64)
-    out = first.copy()
+    out = np.array(layers[0], dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for layer in layers[1:]:
-            arr = np.asarray(layer, dtype=np.float64)
-            if arr.shape != first.shape:
-                raise ShapeError(f"layer shape {arr.shape} != {first.shape}")
-            out += arr
+            layer = np.asarray(layer)
+            if layer.shape != out.shape:
+                raise ShapeError(f"layer shape {layer.shape} != {out.shape}")
+            np.add(out, layer, out=out)
     if not np.all(np.isfinite(out)):
         for i, layer in enumerate(layers):
             if not np.all(np.isfinite(layer)):
                 raise NumericError(f"mean_origin: layer {i} holds NaN or infinite values")
         raise NumericError("mean_origin: the sum of the layers overflows float64")
-    return out / len(layers)
+    out /= len(layers)
+    return out
 
 
 def simmin_objective(origin: np.ndarray, layers: list[np.ndarray]) -> float:
@@ -216,17 +218,18 @@ def select_origin(
     otherwise. Pass ``trace_out`` to collect the rank-minimization trace of
     each solved layer by name, in the checkpoint's order.
 
-    The other layers are computed first, one at a time. The solved layers
-    then run as jobs on :func:`~rankmerge.pool.run_jobs`, largest first, so
-    each solution and trace is the same whatever the number of workers. A
-    solved layer whose trace holds a value that is not finite in float64
-    raises :class:`NumericError` naming the layer; where several do, it is
-    the largest one's.
+    The layers are checked, and then computed, on
+    :func:`~rankmerge.pool.run_jobs`: one job per layer each time, largest
+    first, so each result and trace, and any error raised, is the same
+    whatever the number of workers. A NaN or infinity in any tensor of any
+    input, the pretrained checkpoint included, raises :class:`NumericError`
+    naming the tensor before any layer is computed, whatever the kind. A
+    mean that overflows float64, and a solved layer whose trace holds a
+    value that is not finite in float64, raise it too, naming the layer.
+    Where several layers fail, it is the largest one's.
 
     An unknown ``kind``, or for ``"rankmin"`` steps below 1, raises
-    :class:`ValueError` before any work. A NaN or infinity in any tensor of
-    any input, the pretrained checkpoint included, raises
-    :class:`NumericError` naming the tensor, whatever the kind.
+    :class:`ValueError` before any work.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
@@ -235,35 +238,34 @@ def select_origin(
     if not finetuned:
         raise EmptyInput("select_origin needs at least one fine-tuned checkpoint")
     validate_aligned([pretrained, *finetuned])
-    for fmap in (pretrained, *finetuned):
-        for name, arr in fmap.items():
-            if not np.all(np.isfinite(arr)):
+
+    def check(name: str) -> None:
+        for fmap in (pretrained, *finetuned):
+            if not np.all(np.isfinite(fmap[name])):
                 raise NumericError(f"{name}: a checkpoint holds NaN or infinite values")
 
-    entries: dict[str, np.ndarray] = {}
-    solve: list[str] = []
-    for name, ref in pretrained.items():
+    def compute(name: str) -> tuple[np.ndarray, SolverTrace | None]:
+        ref = pretrained[name]
         stacked = [fmap[name] for fmap in finetuned]
         matrix = classifier(name, ref) is ParamClass.MATRIX
         if matrix and kind == "pretrained":
-            solved = ref
-        elif matrix and kind == "rankmin" and len(stacked) >= 2:
-            solved = ref  # replaced by the solution below, keeping this order
-            solve.append(name)
-        else:
-            solved = mean_origin(stacked)
-        entries[name] = np.asarray(solved, dtype=ref.dtype)
-
-    def solve_layer(name: str) -> tuple[np.ndarray, SolverTrace]:
-        solution, trace = rankmin_origin([fmap[name] for fmap in finetuned], rankmin_steps)
+            return ref, None
+        try:
+            if not (matrix and kind == "rankmin" and len(stacked) >= 2):
+                return np.asarray(mean_origin(stacked), dtype=ref.dtype), None
+            solution, trace = rankmin_origin(stacked, rankmin_steps)
+        except NumericError as exc:
+            raise NumericError(f"{name}: {exc}") from exc
         if not np.all(np.isfinite(trace.records)):
             raise NumericError(f"{name}: the rank-minimization trace is not finite in float64")
-        return np.asarray(solution, dtype=pretrained[name].dtype), trace
+        return np.asarray(solution, dtype=ref.dtype), trace
 
-    order = sorted(solve, key=lambda name: pretrained[name].size, reverse=True)
-    solutions = dict(zip(order, run_jobs(order, solve_layer)))
-    for name in solve:
-        entries[name], trace = solutions[name]
-        if trace_out is not None:
+    order = sorted(pretrained.names(), key=lambda name: pretrained[name].size, reverse=True)
+    run_jobs(order, check)
+    layers = dict(zip(order, run_jobs(order, compute)))
+    entries: dict[str, np.ndarray] = {}
+    for name in pretrained.names():
+        entries[name], trace = layers[name]
+        if trace is not None and trace_out is not None:
             trace_out[name] = trace
     return TensorMap(entries)

@@ -1,11 +1,14 @@
 """A pool of threads for independent numpy jobs: one thread per core that
 BLAS leaves free.
 
-numpy's LAPACK calls release the GIL, so jobs that spend their time in them
-run side by side. :func:`run_jobs` is used for the (task, layer) factorings
-of :func:`~rankmerge.merge.build_task_vectors` and the rank-minimizing
-layers of :func:`~rankmerge.origin.select_origin`. Results, and any error
-raised, are the same whatever the number of workers.
+numpy's LAPACK calls and elementwise loops, file reads and SHA-256 updates
+release the GIL, so jobs that spend their time in them run side by side.
+:func:`run_jobs` runs the checkpoint commands' stages one job per piece:
+each input file, loaded and hashed in one read (:mod:`rankmerge.cli`); each
+origin layer, checked and then computed, whether a mean or a rank-minimizing
+solve (:func:`~rankmerge.origin.select_origin`); and each (task, layer)
+factoring (:func:`~rankmerge.merge.build_task_vectors`). Results, and any
+error raised, are the same whatever the number of workers.
 """
 
 from __future__ import annotations

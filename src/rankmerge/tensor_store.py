@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import hashlib
 import io
 import json
 import os
@@ -225,9 +226,10 @@ def load_checkpoint(path: str | Path) -> TensorMap:
     size of memory; the arrays are aligned and read-only, and
     :class:`TensorMap` stores them as they are.
 
-    Raises :class:`FormatError` for malformed or inconsistent headers
-    (including repeated keys and buffers that do not tile the data section
-    exactly), :class:`UnsupportedDtype` for dtypes outside
+    The header and the layout of the buffers are checked before any tensor
+    is read. Raises :class:`FormatError` for malformed or inconsistent
+    headers (including repeated keys and buffers that do not tile the data
+    section exactly), :class:`UnsupportedDtype` for dtypes outside
     {float32, float64}, and :class:`TruncationError` when a declared buffer
     extends past the file.
     """
@@ -235,16 +237,32 @@ def load_checkpoint(path: str | Path) -> TensorMap:
         return _read_container(fh, os.fstat(fh.fileno()).st_size)
 
 
-def _read_container(fh: BinaryIO, size: int) -> TensorMap:
+def _load_hashed(path: str | Path) -> tuple[TensorMap, str]:
+    """:func:`load_checkpoint` of ``path``, plus the SHA-256 hex digest of the
+    bytes it read. Those are the whole file, read once: a checked header
+    leaves no byte outside the length, the header and the tensor buffers."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        tmap = _read_container(fh, os.fstat(fh.fileno()).st_size, digest.update)
+    return tmap, digest.hexdigest()
+
+
+def _read_container(
+    fh: BinaryIO, size: int, seen: Callable[[bytes | memoryview], object] = lambda data: None
+) -> TensorMap:
+    """The checkpoint in ``fh``, a file of ``size`` bytes, read front to back;
+    ``seen`` is given each run of bytes in the order they were read."""
     if size < 8:
         raise FormatError("file shorter than the 8-byte header length")
-    (header_len,) = struct.unpack("<Q", fh.read(8))
+    prefix = fh.read(8)
+    (header_len,) = struct.unpack("<Q", prefix)
     if 8 + header_len > size:
         raise FormatError(
             f"declared header length {header_len} exceeds file size {size}"
         )
+    raw_header = fh.read(header_len)
     try:
-        header = json.loads(fh.read(header_len).decode("utf-8"), object_pairs_hook=_unique_keys)
+        header = json.loads(raw_header.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"header is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(header, dict):
@@ -257,7 +275,7 @@ def _read_container(fh: BinaryIO, size: int) -> TensorMap:
     ):
         raise FormatError("__metadata__ must map strings to strings")
 
-    entries: dict[str, np.ndarray] = {}
+    layout: list[tuple[int, int, str, list[int], np.dtype]] = []
     for name, spec in header.items():
         if not isinstance(spec, dict):
             raise FormatError(f"entry '{name}' is not an object")
@@ -297,14 +315,10 @@ def _read_container(fh: BinaryIO, size: int) -> TensorMap:
                 f"entry '{name}' declares bytes up to {end} but the data "
                 f"section holds only {data_len}"
             )
-        arr = np.empty(shape, dtype=dtype)
-        fh.seek(8 + header_len + start)
-        if fh.readinto(memoryview(arr).cast("B")) != expected:
-            raise TruncationError(f"entry '{name}': the file ended while it was read")
-        arr.flags.writeable = False
-        entries[name] = arr
+        layout.append((start, end, name, shape, dtype))
+    layout.sort()
     cursor = 0
-    for start, end in sorted(spec["data_offsets"] for spec in header.values()):
+    for start, end, *_ in layout:
         if start != cursor:
             raise FormatError(
                 f"tensor buffers overlap or leave a gap at byte {min(start, cursor)}"
@@ -312,6 +326,19 @@ def _read_container(fh: BinaryIO, size: int) -> TensorMap:
         cursor = end
     if cursor != data_len:
         raise FormatError(f"{data_len - cursor} bytes follow the last tensor buffer")
+
+    # The buffers tile the data section, so they are read in one sweep.
+    seen(prefix)
+    seen(raw_header)
+    entries: dict[str, np.ndarray] = {}
+    for start, end, name, shape, dtype in layout:
+        arr = np.empty(shape, dtype=dtype)
+        view = memoryview(arr).cast("B")
+        if fh.readinto(view) != end - start:
+            raise TruncationError(f"entry '{name}': the file ended while it was read")
+        seen(view)
+        arr.flags.writeable = False
+        entries[name] = arr
     return TensorMap(entries, metadata)
 
 

@@ -271,3 +271,11 @@ def reference_adarank_adapt(tvs, model, batches, init_k, steps, lr):
     final_loss = entropy_loss(model.with_backbone(merge(masked, values)), batches[0])
     history.append((steps, final_loss, float(np.mean(values))))
     return logits, values, history
+
+
+def reference_mean(layers) -> np.ndarray:
+    """The float64 sum of the layers in list order, divided by their count."""
+    total = np.asarray(layers[0], dtype=np.float64)
+    for layer in layers[1:]:
+        total = total + np.asarray(layer, dtype=np.float64)
+    return total / len(layers)

@@ -7,12 +7,15 @@ runs auditable and reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rankmerge import TensorMap, load_checkpoint, save_checkpoint, weight_average
+from rankmerge import cli, tensor_store
 from rankmerge.cli import _COMMANDS, build_parser, main
 from rankmerge.rng import stream
 
@@ -309,6 +312,18 @@ def test_merge_rankmin_skips_the_solver_on_excluded_layers(narrowing, checkpoint
     )
 
 
+def test_mean_that_overflows_float64_is_a_domain_error_naming_the_layer(tmp_path, capsys):
+    pieces = {"a.weight": np.ones((3, 3)), "b.bias": np.ones(3), "b.weight": np.ones((4, 3))}
+    huge = TensorMap({**pieces, "b.weight": np.full((4, 3), 1.7e308)})
+    paths = [str(tmp_path / f"{name}.ckpt") for name in ("pre", "task0", "task1")]
+    for path, tmap in zip(paths, (TensorMap(pieces), huge, huge)):
+        save_checkpoint(tmap, path)
+    out = tmp_path / "out"
+    assert main(_merge_args(paths[0], paths[1:], out, ["--origin", "mean"])) == 1
+    assert "error: b.weight: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_merge_that_overflows_the_checkpoint_dtype_is_a_domain_error(checkpoints, tmp_path,
                                                                       capsys):
     pretrained, tasks = checkpoints
@@ -433,6 +448,34 @@ def test_commands_compute_and_leave_the_writing_to_main(command, checkpoints, tm
     assert not out.exists()
     assert status == 0 and line and artifacts
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["merge", "index", "analyze"])
+def test_manifest_input_digests_are_of_the_files_read_once(command, checkpoints, tmp_path,
+                                                          capsys, monkeypatch):
+    pretrained, tasks = checkpoints
+    inputs = [pretrained, *tasks]
+    real_open, real_sha256 = open, cli._sha256
+    opened: list[str] = []
+
+    def counted_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    def outputs_only(path):
+        assert str(path) not in inputs, f"{path} was read again to be hashed"
+        return real_sha256(path)
+
+    monkeypatch.setattr(tensor_store, "open", counted_open, raising=False)
+    monkeypatch.setattr(cli, "_sha256", outputs_only)
+    out = tmp_path / "out"
+    assert main(_small_run(command, checkpoints, out)) == 0
+    capsys.readouterr()
+    assert sorted(path for path in opened if path in inputs) == sorted(inputs)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {
+        path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs
+    }
 
 
 def test_failed_manifest_write_keeps_the_previous_one(checkpoints, tmp_path, capsys,

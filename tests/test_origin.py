@@ -29,6 +29,7 @@ from rankmerge.rng import orthonormal, stream
 
 from oracles import (
     fd_gradient,
+    reference_mean,
     reference_nuclear_norm,
     reference_simmin,
     reference_subgradient_rankmin,
@@ -71,6 +72,15 @@ def test_mean_origin_rejects_empty_and_misaligned(rng):
         mean_origin([rng.standard_normal((3, 4)), poisoned])
     with pytest.raises(NumericError, match="overflow"):
         mean_origin([np.full((2, 2), 1e308), np.full((2, 2), 1e308)])
+
+
+@pytest.mark.parametrize("tasks", [1, 2, 5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mean_origin_is_the_ordered_float64_sum_over_the_count(rng, dtype, tasks):
+    layers = [l.astype(dtype) for l in _layers(rng, count=tasks, shape=(33, 17))]
+    got = mean_origin(layers)
+    assert got.dtype == np.float64
+    assert got.tobytes() == reference_mean(layers).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +390,7 @@ def test_select_origin_rejects_bad_settings_before_any_work(rng, svd_calls, task
 
 
 # ---------------------------------------------------------------------------
-# rankmin layers on the factoring pool
+# origin layers on the factoring pool
 
 # Matrix layers of four sizes, listed smallest first, plus a vector.
 POOL_LAYERS = {"a.weight": (5, 4), "b.weight": (6, 9), "c.weight": (12, 7), "d.weight": (16, 10),
@@ -429,3 +439,49 @@ def test_the_largest_overflowing_layer_is_raised_on_any_worker_count(rng, blas_s
         with pytest.raises(NumericError) as raised:
             select_origin("rankmin", pre, rest, rankmin_steps=3)
         assert str(raised.value) == "c.weight: the rank-minimization trace is not finite in float64"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["mean", "pretrained"])
+def test_mean_and_pretrained_layers_are_bit_identical_on_any_worker_count(rng, blas_setting,
+                                                                          kind, dtype):
+    pre, rest = _pool_checkpoints(rng)
+    pre = TensorMap({name: arr.astype(dtype) for name, arr in pre.items()})
+    rest = [TensorMap({name: arr.astype(dtype) for name, arr in m.items()}) for m in rest]
+    for workers in (1, 2, 4):
+        blas_setting(workers, OMP_NUM_THREADS="1")
+        out = select_origin(kind, pre, rest)
+        assert out.names() == pre.names()
+        for name, arr in out.items():
+            if kind == "pretrained" and arr.ndim == 2:
+                expected = pre[name]
+            else:
+                expected = reference_mean([m[name] for m in rest]).astype(dtype)
+            assert arr.dtype == dtype and arr.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["mean", "pretrained", "rankmin"])
+def test_the_largest_layer_whose_mean_overflows_is_raised_on_any_worker_count(rng, blas_setting,
+                                                                              kind):
+    pre, rest = _pool_checkpoints(rng)
+    # Every task holds 1.7e308 in a.weight, c.weight and d.bias: finite, but
+    # their sums overflow float64. c.weight is the largest of them. The
+    # pretrained kind passes its Matrix layers through and averages d.bias.
+    rest = [TensorMap({name: np.full_like(arr, 1.7e308) if name in ("a.weight", "c.weight",
+                                                                      "d.bias") else arr
+                       for name, arr in m.items()}) for m in rest]
+    expected = "d.bias" if kind == "pretrained" else "c.weight"
+    for workers in (1, 2, 4):
+        blas_setting(workers, OMP_NUM_THREADS="1")
+        with pytest.raises(NumericError, match=f"^{expected}: .*overflows float64"):
+            select_origin(kind, pre, rest, rankmin_steps=2)
+
+
+def test_every_input_is_checked_before_any_layer_is_solved(rng, svd_calls):
+    pre, rest = _pool_checkpoints(rng)
+    bias = rest[2]["d.bias"].copy()
+    bias[5] = np.inf
+    rest[2] = TensorMap({**dict(rest[2].items()), "d.bias": bias})
+    with pytest.raises(NumericError, match="^d.bias: a checkpoint holds NaN or infinite values"):
+        select_origin("rankmin", pre, rest, rankmin_steps=2)
+    assert svd_calls == []

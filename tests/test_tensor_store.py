@@ -1,5 +1,6 @@
 """Container round-trips, parameter classification, and alignment checks."""
 
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -22,6 +23,7 @@ from rankmerge import (
 
 from conftest import random_tensor_map
 from rankmerge.rng import stream
+from rankmerge.tensor_store import _load_hashed, _read_container
 
 
 @pytest.fixture
@@ -149,8 +151,30 @@ def test_load_rejects_malformed_layout(tmp_path, header, data_len):
     path = tmp_path / "bad.ckpt"
     raw = header.encode()
     path.write_bytes(struct.pack("<Q", len(raw)) + raw + bytes(data_len))
-    with pytest.raises(FormatError):
-        load_checkpoint(path)
+    for load in (load_checkpoint, _load_hashed):
+        with pytest.raises(FormatError):
+            load(path)
+
+
+def test_layout_is_checked_before_any_byte_is_read_or_hashed(tmap, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tmap, path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    (header_len,) = struct.unpack("<Q", path.read_bytes()[:8])
+    seen = []
+    with open(path, "rb") as fh:
+        with pytest.raises(FormatError, match="1 bytes follow"):
+            _read_container(fh, path.stat().st_size, seen.append)
+        assert fh.tell() == 8 + header_len
+    assert seen == []
+
+
+def test_hashed_load_digests_exactly_the_file(tmap, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tmap, path)
+    loaded, digest = _load_hashed(path)
+    assert loaded == tmap and loaded.metadata == tmap.metadata
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_int_tensors_rejected_on_construction():
@@ -222,16 +246,18 @@ def test_load_copies_each_tensor_once(tmp_path):
     save_checkpoint(tmap, path)
     size = path.stat().st_size
     assert size > 4_000_000
-    tracemalloc.start()
-    try:
-        loaded = load_checkpoint(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * size
-    for _, arr in loaded.items():
-        assert arr.flags.aligned and not arr.flags.writeable
-    assert loaded == tmap
+    # Hashing feeds the digest each array's own bytes, so it holds no copy.
+    for load in (load_checkpoint, lambda p: _load_hashed(p)[0]):
+        tracemalloc.start()
+        try:
+            loaded = load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size
+        for _, arr in loaded.items():
+            assert arr.flags.aligned and not arr.flags.writeable
+        assert loaded == tmap
 
 
 def test_failed_save_leaves_the_target_untouched(tmap, tmp_path, fail_writes_to):

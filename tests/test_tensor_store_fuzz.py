@@ -2,11 +2,13 @@
 
 Random float32/float64 tensor maps must round-trip byte for byte, and a
 container that is not exactly one well-formed file must raise one of the
-reader's three errors, never anything else.
+reader's three errors, never anything else. A file that loads is hashed
+whole, in the same pass.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import tempfile
@@ -26,6 +28,7 @@ from rankmerge import (
     load_checkpoint,
     save_checkpoint,
 )
+from rankmerge.tensor_store import _load_hashed
 
 READER_ERRORS = (FormatError, TruncationError, UnsupportedDtype)
 FUZZ = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -137,3 +140,19 @@ def test_corrupted_bytes_load_or_raise_only_reader_errors(tmap, data):
         _load(bytes(blob))
     except READER_ERRORS:
         pass
+
+
+@FUZZ
+@given(tensor_maps, st.data())
+def test_a_hashed_load_digests_the_whole_file_or_raises_a_reader_error(tmap, data):
+    blob = bytearray(_save(tmap))
+    for _ in range(data.draw(st.integers(0, 4))):
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        path.write_bytes(blob)
+        try:
+            _, digest = _load_hashed(path)
+        except READER_ERRORS:
+            return
+    assert digest == hashlib.sha256(blob).hexdigest()
