@@ -42,9 +42,9 @@ from .errors import RankmergeError
 from .interference import interference_report, rank_sweep, sample_size, write_sweep_csv
 from .merge import (
     _check_ratio,
+    _merge_factored,
     build_task_vectors,
     cart_indexing,
-    merge,
     weight_average,
 )
 from .origin import SolverTrace, select_origin
@@ -192,12 +192,15 @@ def _classifier(includes: Sequence[str], excludes: Sequence[str]):
     return clf
 
 
-def _load_inputs(args: argparse.Namespace) -> tuple:
+def _load_inputs(args: argparse.Namespace, task_index: int = 0) -> tuple:
     """The ``--pretrained`` and ``--task`` checkpoints, and the SHA-256 of
     each by path: each file is read once, as a job on the pool, and its
-    digest is of the bytes that were loaded."""
+    digest is of the bytes that were loaded. A ``task_index`` outside
+    [0, number of ``--task``) raises ``IndexError`` before any file is read."""
     if not args.pretrained or not args.task:
         raise _UsageError("--pretrained and at least one --task checkpoint are required")
+    if not 0 <= task_index < len(args.task):
+        raise IndexError(f"--task-index {task_index} outside [0, {len(args.task)})")
     paths = [Path(args.pretrained)] + [Path(p) for p in args.task]
     loaded = run_jobs(paths, _load_hashed)
     digests = {str(path): digest for path, (_, digest) in zip(paths, loaded)}
@@ -223,7 +226,7 @@ def _cmd_merge(args: argparse.Namespace) -> Outcome:
     traces: dict[str, SolverTrace] = {}
     origin = select_origin(args.origin, pretrained, tasks, trace_out=traces, classifier=clf,
                            rankmin_steps=args.rankmin_steps)
-    merged = merge(build_task_vectors(origin, tasks, clf, rank_ratio=args.ratio), args.lam)
+    merged = _merge_factored(origin, tasks, clf, args.ratio, args.lam)
     target = Path(args.out_dir) / "merged.ckpt"
     artifacts: Artifacts = {
         target.name: lambda path: save_checkpoint(merged, path),
@@ -235,7 +238,7 @@ def _cmd_merge(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_index(args: argparse.Namespace) -> Outcome:
-    pretrained, tasks, inputs = _load_inputs(args)
+    pretrained, tasks, inputs = _load_inputs(args, args.task_index)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
     indexed = cart_indexing(pretrained, tasks, args.ratio, args.task_index, clf)
     target = Path(args.out_dir) / "indexed.ckpt"

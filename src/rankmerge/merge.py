@@ -17,8 +17,9 @@ Each Matrix delta is stored as its thin SVD, computed once: in full, so
 pruning can slice it at any rank, or only the triples a rank budget keeps.
 A layer's T factors are one stack, ``(T, ...)`` along every axis.
 Merging reconstructs from it. The SVDs are independent, so they run on
-:mod:`~rankmerge.pool`'s threads, one per core that BLAS leaves free. All
-internal arithmetic is float64; each output tensor takes the origin's dtype.
+:mod:`~rankmerge.pool`'s threads, one per core that BLAS leaves free; the CART
+entry points assemble each layer there too, once its T deltas are factored.
+All arithmetic is float64; each output tensor takes the origin's dtype.
 """
 
 from __future__ import annotations
@@ -98,6 +99,15 @@ def build_task_vectors(
     largest matrices first, each writing its task's slot. Every factor, and
     any error raised, is the same whatever the number of workers.
     """
+    tvs, jobs, factor = _factoring(origin, finetuned, classifier, rank_ratio)
+    run_jobs(jobs, factor)
+    return tvs
+
+
+def _factoring(origin: TensorMap, finetuned: list[TensorMap], classifier: Classifier,
+               rank_ratio: float | None) -> tuple:
+    """:func:`build_task_vectors`' checks, then its set with empty stacks, its
+    ``(layer, task)`` jobs, largest layers first, and the work of one job."""
     if rank_ratio is not None:
         _check_ratio(rank_ratio)
     if not finetuned:
@@ -116,6 +126,7 @@ def build_task_vectors(
             )
         elif not np.all(np.isfinite(arr)):
             raise NumericError(f"{name}: the origin holds NaN or infinite values")
+    tvs = TaskVectorSet(origin=origin, deltas=deltas, task_count=tasks)
 
     def factor(job: tuple[str, int]) -> None:
         name, t = job
@@ -130,8 +141,7 @@ def build_task_vectors(
         out.left[t], out.singulars[t], out.right[t] = f.left, f.singulars, f.right
 
     jobs = [(name, t) for name in deltas for t in range(tasks)]
-    run_jobs(sorted(jobs, key=lambda job: origin[job[0]].size, reverse=True), factor)
-    return TaskVectorSet(origin=origin, deltas=deltas, task_count=tasks)
+    return tvs, sorted(jobs, key=lambda job: origin[job[0]].size, reverse=True), factor
 
 
 def prune_rank(rank_ratio: float, m: int, n: int) -> int:
@@ -197,15 +207,52 @@ def merge(tvs: TaskVectorSet, lam: float | np.ndarray) -> TensorMap:
     """
     coefficients = _coefficients(tvs, lam)
     entries = dict(tvs.origin.items())
+    for l, name in enumerate(tvs.matrix_names()):
+        entries[name] = _assemble(name, tvs.origin[name], tvs.deltas[name], coefficients[:, l])
+    return TensorMap(entries)
+
+
+def _assemble(name: str, origin: np.ndarray, deltas: LowRankFactor,
+              coefficients: np.ndarray) -> np.ndarray:
+    """Merged layer ``name``: ``origin`` plus each nonzero coefficient times its
+    task's delta from the stack ``deltas``, in task order, in ``origin``'s dtype."""
+    acc = origin.astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, in the output dtype
-        for l, name in enumerate(tvs.matrix_names()):
-            acc = tvs.origin[name].astype(np.float64)
-            for t in range(tvs.task_count):
-                if coefficients[t, l] != 0.0:
-                    acc += coefficients[t, l] * reconstruct(tvs.deltas[name][t])
-            out = entries[name] = acc.astype(tvs.origin[name].dtype)
-            if not np.all(np.isfinite(out)):
-                raise NumericError(f"{name}: the merged layer is not finite in {out.dtype}")
+        for t, c in enumerate(coefficients):
+            if c != 0.0:
+                r = reconstruct(deltas[t])
+                acc += np.multiply(r, c, out=r)
+        out = acc.astype(origin.dtype, copy=False)
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"{name}: the merged layer is not finite in {out.dtype}")
+    out.flags.writeable = False  # fresh: TensorMap stores it without a copy
+    return out
+
+
+def _merge_factored(origin: TensorMap, finetuned: list[TensorMap], classifier: Classifier,
+                    rank_ratio: float, lam: float) -> TensorMap:
+    """``merge(build_task_vectors(origin, finetuned, classifier, rank_ratio), lam)``
+    bit for bit, and its errors for any worker count. The job that stores a
+    layer's last factor assembles it and drops the stack; a layer that is not
+    finite is recorded, and raised after the last job. ``lam`` is checked first."""
+    tvs, jobs, factor = _factoring(origin, finetuned, classifier, rank_ratio)
+    columns = dict(zip(tvs.matrix_names(), _coefficients(tvs, lam).T))
+    countdown = {name: list(range(tvs.task_count)) for name in tvs.deltas}
+    entries = dict(origin.items())
+    failures: dict[str, NumericError] = {}
+
+    def factor_then_assemble(job: tuple[str, int]) -> None:
+        factor(job)
+        name = job[0]
+        if countdown[name].pop() == 0:  # list.pop is atomic: one job, the last, draws 0
+            try:
+                entries[name] = _assemble(name, origin[name], tvs.deltas.pop(name), columns[name])
+            except NumericError as exc:
+                failures[name] = exc
+
+    run_jobs(jobs, factor_then_assemble)
+    if failures:
+        raise failures[min(failures)]  # matrix_names() is sorted
     return TensorMap(entries)
 
 
@@ -230,11 +277,12 @@ def cart_merge(
     """Centered arithmetic with rank-reduced task vectors, in one call.
 
     Composes the mean origin, deltas factored to the retained rank, and a
-    global-coefficient merge. ``pretrained`` participates only in alignment
-    validation; the centered pipeline never reads it.
+    global-coefficient merge, each layer assembled as soon as its deltas are
+    factored. No merged value depends on ``pretrained``: it is checked for
+    alignment, and a NaN or infinity in it raises :class:`NumericError`.
     """
     origin = select_origin("mean", pretrained, finetuned)
-    return merge(build_task_vectors(origin, finetuned, classifier, rank_ratio=rank_ratio), lam)
+    return _merge_factored(origin, finetuned, classifier, rank_ratio, lam)
 
 
 def cart_indexing(
@@ -254,12 +302,9 @@ def cart_indexing(
     if not finetuned:
         raise EmptyInput("cart_indexing needs at least one checkpoint")
     if not 0 <= task_index < len(finetuned):
-        raise IndexError(
-            f"task_index {task_index} outside [0, {len(finetuned)})"
-        )
+        raise IndexError(f"task_index {task_index} outside [0, {len(finetuned)})")
     origin = select_origin("mean", pretrained, finetuned)
-    tvs = build_task_vectors(origin, [finetuned[task_index]], classifier, rank_ratio=rank_ratio)
-    return merge(tvs, 1.0)
+    return _merge_factored(origin, [finetuned[task_index]], classifier, rank_ratio, 1.0)
 
 
 def storage_cost(

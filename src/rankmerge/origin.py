@@ -266,6 +266,7 @@ def select_origin(
     entries: dict[str, np.ndarray] = {}
     for name in pretrained.names():
         entries[name], trace = layers[name]
+        entries[name].flags.writeable = False  # fresh, or read-only already: TensorMap keeps it
         if trace is not None and trace_out is not None:
             trace_out[name] = trace
     return TensorMap(entries)

@@ -7,8 +7,9 @@ release the GIL, so jobs that spend their time in them run side by side.
 each input file, loaded and hashed in one read (:mod:`rankmerge.cli`); each
 origin layer, checked and then computed, whether a mean or a rank-minimizing
 solve (:func:`~rankmerge.origin.select_origin`); and each (task, layer)
-factoring (:func:`~rankmerge.merge.build_task_vectors`). Results, and any
-error raised, are the same whatever the number of workers.
+factoring (:func:`~rankmerge.merge.build_task_vectors`), whose last job for
+a layer assembles it in ``merge`` and ``index``. Results, and any error
+raised, are the same whatever the number of workers.
 """
 
 from __future__ import annotations

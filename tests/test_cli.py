@@ -14,7 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankmerge import TensorMap, load_checkpoint, save_checkpoint, weight_average
+from rankmerge import (
+    TensorMap,
+    build_task_vectors,
+    load_checkpoint,
+    merge,
+    save_checkpoint,
+    select_origin,
+    weight_average,
+)
 from rankmerge import cli, tensor_store
 from rankmerge.cli import _COMMANDS, build_parser, main
 from rankmerge.rng import stream
@@ -88,6 +96,21 @@ def test_out_of_range_task_index_is_a_domain_error(checkpoints, tmp_path, capsys
             "--task-index", "5", "--out-dir", str(tmp_path / "out")]
     assert main(argv) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("index", ["5", "-1"])
+def test_out_of_range_task_index_is_rejected_before_any_input_is_read(tmp_path, capsys,
+                                                                      monkeypatch, index):
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "_load_hashed", unread)
+    out = tmp_path / "out"
+    argv = ["index", "--pretrained", str(tmp_path / "pre.ckpt"), "--task",
+            str(tmp_path / "task0.ckpt"), "--task-index", index, "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert f"--task-index {index} outside [0, 1)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["merge", "index", "analyze"])
@@ -406,6 +429,44 @@ def test_several_factoring_workers_write_the_same_bytes(checkpoints, tmp_path, c
         runs[label]["outputs"] = json.loads((out / "manifest.json").read_text())["outputs"]
     capsys.readouterr()
     assert runs["several"] == runs["one"]
+
+
+LONG_FORM_SHAPES = {"a.weight": (20, 13), "b.weight": (12, 12), "a.bias": (20,)}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("task_count", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("command, origin", [
+    ("merge", "mean"), ("merge", "pretrained"), ("merge", "rankmin"), ("index", "mean"),
+])
+def test_merge_and_index_write_the_long_form_bit_for_bit(tmp_path, capsys, blas_setting, workers,
+                                                         task_count, dtype, command, origin):
+    """Each layer, assembled on the pool as soon as its factors exist, is
+    ``merge(build_task_vectors(...))``'s to the byte."""
+    g = stream(0, "cli-long-form")
+    maps = [random_tensor_map(g, LONG_FORM_SHAPES, dtype=dtype) for _ in range(task_count + 1)]
+    paths = [str(tmp_path / f"{i}.ckpt") for i in range(len(maps))]
+    for tmap, path in zip(maps, paths):
+        save_checkpoint(tmap, path)
+    pretrained, finetuned = maps[0], maps[1:]
+    start = select_origin(origin, pretrained, finetuned, rankmin_steps=3)
+    blas_setting(workers, OMP_NUM_THREADS="1")
+    if command == "index":
+        runs = [(["--task-index", str(t)], [finetuned[t]], 1.0) for t in range(task_count)]
+    else:
+        runs = [(["--origin", origin, "--rankmin-steps", "3", "--lam", str(lam)], finetuned, lam)
+                for lam in (0.3, 0.0)]
+    out, expected = tmp_path / "out", tmp_path / "expected.ckpt"
+    for ratio in (0.0, 0.08, 1.0):
+        for extra, tasks, lam in runs:
+            argv = _merge_args(paths[0], paths[1:], out, [*extra, "--ratio", str(ratio)])
+            assert main([command, *argv[1:]]) == 0
+            save_checkpoint(merge(build_task_vectors(start, tasks, rank_ratio=ratio), lam),
+                            expected)
+            written = out / ("indexed.ckpt" if command == "index" else "merged.ckpt")
+            assert written.read_bytes() == expected.read_bytes()
+    capsys.readouterr()
 
 
 # One small successful run of each subcommand; checkpoint commands get the

@@ -8,6 +8,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,26 +259,35 @@ def test_the_pool_returns_results_in_job_order_and_the_first_failure(blas_settin
     assert {0, 1} <= set(started) and len(started) <= workers + 2
 
 
-def test_many_workers_take_every_job_exactly_once(rng, blas_setting, svd_calls):
+def test_many_workers_take_every_job_exactly_once(rng, blas_setting, svd_calls, monkeypatch):
     shapes = {f"layers.{i}.weight": (6 + i % 5, 4 + i % 3) for i in range(40)}
     origin = random_tensor_map(rng, shapes)
     finetuned = [random_tensor_map(rng, shapes) for _ in range(3)]
     blas_setting(4)
     one = build_task_vectors(origin, finetuned)
+    merged = merge(build_task_vectors(select_origin("mean", origin, finetuned), finetuned), 0.5)
     del svd_calls[:]
+    # Each layer is assembled once, by the job that stores its last factor.
+    rebuilt = []
+    merge_module = importlib.import_module("rankmerge.merge")
+    real_reconstruct = merge_module.reconstruct
+    monkeypatch.setattr(merge_module, "reconstruct",
+                        lambda f: rebuilt.append(f.shape) or real_reconstruct(f))
     blas_setting(16, OMP_NUM_THREADS="1")
     built = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runner = threading.Thread(target=lambda: built.append(build_task_vectors(origin, finetuned)))
+        runner = threading.Thread(target=lambda: built.extend([
+            build_task_vectors(origin, finetuned), cart_merge(origin, finetuned, 1.0, 0.5)]))
         runner.start()
         runner.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
-    assert len(svd_calls) == 40 * 3
+    assert len(svd_calls) == 2 * 40 * 3 and len(rebuilt) == 40 * 3
     _assert_same_factors(built[0], one)
+    assert built[1] == merged
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +526,99 @@ def test_cart_merge_requires_alignment(rng):
         cart_merge(stranger, finetuned, 1.0, 1.0)
     with pytest.raises(EmptyInput):
         cart_merge(pretrained, [], 1.0, 1.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_cart_merge_names_the_layer_merge_names_of_several_that_overflow(rng, blas_setting,
+                                                                         workers):
+    # Jobs take the largest layer first, b, but merge() names the first in
+    # name order, a.
+    shapes = {"a.weight": (5, 4), "b.weight": (30, 20), "c.weight": (12, 12), "a.bias": (5,)}
+    pretrained = random_tensor_map(rng, shapes)
+    finetuned = [random_tensor_map(rng, shapes) for _ in range(3)]
+    origin = select_origin("mean", pretrained, finetuned)
+    with pytest.raises(NumericError) as long_form:
+        merge(build_task_vectors(origin, finetuned, rank_ratio=0.5), 1.7e308)
+    assert str(long_form.value) == "a.weight: the merged layer is not finite in float64"
+    blas_setting(workers, OMP_NUM_THREADS="1")
+    assert pool.factor_workers() == workers
+    for _ in range(5):
+        with pytest.raises(NumericError) as streamed:
+            cart_merge(pretrained, finetuned, 0.5, 1.7e308)
+        assert str(streamed.value) == str(long_form.value)
+
+
+def test_cart_merge_sums_in_task_order_whatever_order_the_factors_finish(rng, blas_setting,
+                                                                         monkeypatch):
+    pretrained, finetuned = _fleet(rng)
+    origin = select_origin("mean", pretrained, finetuned)
+    long_form = merge(build_task_vectors(origin, finetuned, rank_ratio=1.0), 0.7)
+    # Task t's factoring waits (2 - t) * 50 ms, so the three finish last to first.
+    first_entries = {float(f["layers.0.weight"][0, 0] - origin["layers.0.weight"][0, 0]): t
+                     for t, f in enumerate(finetuned)}
+    real_svd = svd
+
+    def reversed_svd(a, k=None):
+        time.sleep((2 - first_entries.get(float(a[0, 0]), 2)) * 0.05)
+        return real_svd(a, k)
+
+    monkeypatch.setattr(importlib.import_module("rankmerge.merge"), "svd", reversed_svd)
+    blas_setting(4, OMP_NUM_THREADS="1")
+    assert cart_merge(pretrained, finetuned, 1.0, 0.7) == long_form
+
+
+def test_cart_merge_peaks_below_the_long_form(blas_setting):
+    g = stream(0, "merge-peak")
+    shapes = {f"layers.{i:02d}.weight": (256, 256) for i in range(12)}
+    pretrained = random_tensor_map(g, shapes, dtype=np.float32)
+    finetuned = [random_tensor_map(g, shapes, dtype=np.float32) for _ in range(4)]
+    blas_setting(4)
+    assert pool.factor_workers() == 1
+
+    def long_form():
+        origin = select_origin("mean", pretrained, finetuned)
+        return merge(build_task_vectors(origin, finetuned, rank_ratio=0.08), 0.3)
+
+    peaks, outputs = {}, {}
+    for label, run in (("long", long_form),
+                       ("streamed", lambda: cart_merge(pretrained, finetuned, 0.08, 0.3))):
+        tracemalloc.start()
+        try:
+            outputs[label] = run()
+            _, peaks[label] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert outputs["streamed"] == outputs["long"]
+    # The long form holds every layer's factors while it assembles; the
+    # streamed one drops each layer's factors once the layer is assembled.
+    assert peaks["streamed"] < 0.9 * peaks["long"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_origins_and_merged_layers_reach_the_tensor_map_read_only(rng, monkeypatch, dtype):
+    """Arrays the package has just made are frozen, not copied, by TensorMap."""
+    built = []
+
+    class Spy(TensorMap):
+        __slots__ = ()
+
+        def __init__(self, entries, metadata=None):
+            frozen = {name: not arr.flags.writeable for name, arr in entries.items()}
+            super().__init__(entries, metadata)
+            built.append((frozen, dict(entries), self))
+
+    for module in ("rankmerge.origin", "rankmerge.merge"):
+        monkeypatch.setattr(importlib.import_module(module), "TensorMap", Spy)
+    pretrained, finetuned = _fleet(rng, dtype=dtype)
+    for kind in ("pretrained", "mean", "rankmin"):
+        origin = select_origin(kind, pretrained, finetuned, rankmin_steps=2)
+        merge(build_task_vectors(origin, finetuned, rank_ratio=0.5), 0.3)
+    cart_merge(pretrained, finetuned, 0.5, 0.3)
+    cart_indexing(pretrained, finetuned, 0.5, 1)
+    assert len(built) == 10
+    for frozen, entries, tmap in built:
+        assert all(frozen.values())
+        assert all(tmap[name] is arr for name, arr in entries.items())
 
 
 def test_indexing_full_rank_recovers_each_task(rng):
