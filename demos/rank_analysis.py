@@ -9,8 +9,10 @@ shared component cancels and the overlap drops at every rank.
 
 import numpy as np
 
-from rankmerge import row_space_interference
+from rankmerge import TensorMap, build_task_vectors, interference_report, select_origin
 from rankmerge.rng import orthonormal, stream
+
+KS = (1, 2, 3, 4, 6, 8, 12, 16, 20)
 
 
 def make_deltas(seed: int, tasks: int = 3, m: int = 24, n: int = 20):
@@ -24,15 +26,23 @@ def make_deltas(seed: int, tasks: int = 3, m: int = 24, n: int = 20):
     return deltas
 
 
+def interference_curve(origin_kind: str, pretrained: TensorMap, finetuned: list[TensorMap]):
+    """I(k) at each of ``KS`` for the task vectors measured from ``origin_kind``."""
+    origin = select_origin(origin_kind, pretrained, finetuned)
+    report = interference_report(build_task_vectors(origin, finetuned), ks=KS)
+    return [value for _, value in report.interference["w"]]
+
+
 def main() -> None:
-    pretrained_deltas = make_deltas(seed=0)
-    center = np.mean(pretrained_deltas, axis=0)
-    centered_deltas = [d - center for d in pretrained_deltas]
+    # Each checkpoint is its delta from a zero pretrained model.
+    deltas = make_deltas(seed=0)
+    finetuned = [TensorMap({"w": d}) for d in deltas]
+    pretrained = TensorMap({"w": np.zeros_like(deltas[0])})
+    raw_curve = interference_curve("pretrained", pretrained, finetuned)
+    centered_curve = interference_curve("mean", pretrained, finetuned)
 
     print(f"{'k':>3}  {'I(k) pretrained':>16}  {'I(k) centered':>14}  ratio")
-    for k in (1, 2, 3, 4, 6, 8, 12, 16, 20):
-        raw = row_space_interference(pretrained_deltas, k)
-        cen = row_space_interference(centered_deltas, k)
+    for k, raw, cen in zip(KS, raw_curve, centered_curve):
         print(f"{k:>3}  {raw:>16.4f}  {cen:>14.4f}  {cen / raw:6.3f}")
 
     print("\ncentering removes the shared component, so the centered curve")

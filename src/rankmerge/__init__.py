@@ -23,13 +23,10 @@ from .bounds import (
     BoundCertificate,
     SyntheticTaskSuite,
     certificate_json_line,
-    certify_bound,
     certify_bounds,
     certify_suites,
-    generate_suite,
     generate_suites,
     task_interference_L,
-    write_certificates,
 )
 from .errors import *  # noqa: F401,F403 — the exception taxonomy is the public surface
 from .errors import RankmergeError
@@ -38,8 +35,6 @@ from .interference import (
     SweepRow,
     interference_report,
     rank_sweep,
-    reconstruction_error,
-    row_space_interference,
     sample_size,
     write_sweep_csv,
 )

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,19 +33,15 @@ from .errors import InvariantError, ParamError
 from .interference import _interference
 from .kernels import _singular_ranks, svd
 from .rng import stream
-from .tensor_store import _write_text
 
 __all__ = [
     "SyntheticTaskSuite",
     "BoundCertificate",
-    "generate_suite",
     "generate_suites",
     "task_interference_L",
-    "certify_bound",
     "certify_bounds",
     "certify_suites",
     "certificate_json_line",
-    "write_certificates",
 ]
 
 # Suites generated and certified at once by :func:`certify_suites`: enough
@@ -107,24 +102,10 @@ def _check_params(d: int, T: int, n: int, r: int, alpha: float, s_max: float, c:
         raise ParamError(f"need eta >= 0, got {eta}")
 
 
-def generate_suite(
-    d: int,
-    T: int,
-    n: int,
-    r: int,
-    alpha: float,
-    s_max: float,
-    c: float,
-    eta: float,
-    seed: int,
-) -> SyntheticTaskSuite:
-    """Draw one instance; identical arguments give bit-identical output."""
-    return generate_suites([(d, T, n, r, alpha, s_max, c, eta, seed)])[0]
-
-
 def generate_suites(specs: Sequence[tuple]) -> list[SyntheticTaskSuite]:
-    """One :func:`generate_suite` per spec, its argument tuple
-    ``(d, T, n, r, alpha, s_max, c, eta, seed)``, bit for bit.
+    """One suite per spec, its argument tuple
+    ``(d, T, n, r, alpha, s_max, c, eta, seed)``: the same spec gives the
+    same suite bit for bit, alone or among any others.
 
     Each suite draws from its own stream (:func:`_draw`). The raw factors of
     all suites of one ``(d, r)`` shape are then orthonormalized by one
@@ -275,8 +256,9 @@ class BoundCertificate:
     holds: bool
 
 
-def certify_bound(suite: SyntheticTaskSuite) -> BoundCertificate:
-    """Evaluate the interference bound on one suite.
+def certify_bounds(suites: Sequence[SyntheticTaskSuite]) -> list[BoundCertificate]:
+    """Evaluate the interference bound on each suite; a suite's certificate
+    is the same bit for bit, alone or among any others.
 
     Each task update is factored once; the contract checks, the largest
     numerical rank ``r_max`` and ``I`` all read that one SVD. ``I`` is
@@ -284,12 +266,6 @@ def certify_bound(suite: SyntheticTaskSuite) -> BoundCertificate:
     spaces to cover each update entirely, and every larger k gives the same
     value. A suite whose realized draws violate the generation contract,
     including an all-zero task update, raises :class:`InvariantError`.
-    """
-    return certify_bounds([suite])[0]
-
-
-def certify_bounds(suites: Sequence[SyntheticTaskSuite]) -> list[BoundCertificate]:
-    """One :func:`certify_bound` per suite, bit for bit.
 
     The suites are taken in groups of one ``(d, T)``: each group's updates
     are factored by one stacked SVD, and its contract checks, ranks and
@@ -350,9 +326,9 @@ def _certificate(suite: SyntheticTaskSuite, r_max: int, interference: float,
 def certify_suites(
     specs: Iterable[tuple],
 ) -> Iterator[tuple[SyntheticTaskSuite, BoundCertificate]]:
-    """``(suite, certify_bound(suite))`` for each :func:`generate_suite`
-    argument tuple, in order, generated and certified ``_CHUNK`` suites at a
-    time so that only one chunk of suites is held at once."""
+    """``(suite, certificate)`` for each :func:`generate_suites` spec, in
+    order, generated and certified ``_CHUNK`` suites at a time so that only
+    one chunk of suites is held at once."""
     specs = list(specs)
     for start in range(0, len(specs), _CHUNK):
         suites = generate_suites(specs[start:start + _CHUNK])
@@ -377,10 +353,3 @@ def certificate_json_line(suite: SyntheticTaskSuite, cert: BoundCertificate) -> 
         "holds": cert.holds,
     }
     return json.dumps(record)
-
-
-def write_certificates(
-    pairs: Sequence[tuple[SyntheticTaskSuite, BoundCertificate]], path: str | Path
-) -> None:
-    """One :func:`certificate_json_line` per pair, written atomically."""
-    _write_text(path, "".join(certificate_json_line(suite, cert) + "\n" for suite, cert in pairs))

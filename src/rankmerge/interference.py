@@ -1,6 +1,6 @@
 r"""Diagnostics for task-vector overlap and rank sweeps.
 
-Two scalar diagnostics drive the analysis:
+Two diagnostics drive the analysis:
 
 * row-space interference
   :math:`I(k) = \sum_i \sum_{j \ne i}
@@ -17,9 +17,9 @@ Two scalar diagnostics drive the analysis:
   which equals the tail singular-value energy
   :math:`\sum_t \sum_{i>k} \sigma_{t,i}^2`.
 
-Both come from one SVD per (task, layer): ``interference_report`` reads
-the factors ``build_task_vectors`` stored, so ``analyze`` factors each
-delta once however many k it reports.
+Both, and the spectra, come only from ``interference_report``, which reads
+the factors ``build_task_vectors`` stored: one SVD per (task, layer), so
+``analyze`` factors each delta once however many k it reports.
 
 ``rank_sweep`` drives a (ratio, lambda) grid through the merge pipeline and
 an accuracy evaluator; ``sample_size`` is the Popoviciu/CLT planning
@@ -39,46 +39,23 @@ from .errors import (
     EmptyInput,
     EvaluationError,
     InsufficientTasks,
+    PlanError,
     RangeError,
     RankError,
-    ShapeError,
     ZeroTaskVector,
 )
-from .kernels import reconstruct, svd, truncate
-from .merge import TaskVectorSet, build_task_vectors, merge, prune_ranks
+from .merge import TaskVectorSet, _check_ratio, build_task_vectors, merge, prune_ranks
 from .origin import select_origin
 from .tensor_store import TensorMap, _write_csv, _write_json
 
 __all__ = [
     "InterferenceReport",
     "SweepRow",
-    "row_space_interference",
-    "reconstruction_error",
     "interference_report",
     "rank_sweep",
     "write_sweep_csv",
     "sample_size",
 ]
-
-
-def row_space_interference(deltas: Sequence[np.ndarray], k: int) -> float:
-    """Weighted overlap of the tasks' top-k right-singular subspaces.
-
-    Requires at least two tasks, ``1 <= k <= min(m, n)``, and nonzero
-    deltas (the normalization is undefined at zero). Returns 0 whenever all
-    pairwise top-k right subspaces are mutually orthogonal.
-    """
-    if len(deltas) < 2:
-        raise InsufficientTasks("interference is defined over task pairs")
-    mats = [np.asarray(d, dtype=np.float64) for d in deltas]
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise ShapeError(f"delta shapes differ: {m.shape} vs {shape}")
-    if not 1 <= k <= min(shape):
-        raise RankError(f"k={k} outside [1, {min(shape)}]")
-    f = svd(np.stack(mats))
-    return float(_interference(f.singulars, f.right, [k])[0])
 
 
 # Task pairs whose k x k overlaps are formed at once hold at most this many
@@ -122,27 +99,6 @@ def _interference(singulars: np.ndarray, rights: np.ndarray, ks: Sequence[int]) 
         energy[..., 1:, 1:] = np.cumsum(np.cumsum(overlap**2, axis=-2), axis=-1)
         parts.append(2.0 * np.sqrt(energy[..., reads, reads]))
     return np.cumsum(np.concatenate(parts, axis=-2), axis=-2)[..., -1, :]
-
-
-def reconstruction_error(
-    thetas: Sequence[np.ndarray], origin: np.ndarray, k: int
-) -> float:
-    r"""Total squared residual of rank-k approximations of the deltas.
-
-    Computed from the definition,
-    :math:`\sum_t \|(\theta_t - \text{origin}) -
-    \mathrm{SVD}_k(\theta_t - \text{origin})\|_F^2`; equals the tail
-    singular-value energy by Eckart-Young.
-    """
-    origin = np.asarray(origin, dtype=np.float64)
-    if not 0 <= k <= min(origin.shape):
-        raise RankError(f"k={k} outside [0, {min(origin.shape)}]")
-    total = 0.0
-    for theta in thetas:
-        delta = np.asarray(theta, dtype=np.float64) - origin
-        residual = delta - reconstruct(truncate(svd(delta), k))
-        total += float(np.linalg.norm(residual)) ** 2
-    return total
 
 
 # The two definitional choices that differ across writeups, recorded in
@@ -202,9 +158,7 @@ def interference_report(
     raises :class:`RankError` naming that layer, and ``k = 0`` reports R
     only. All are read from the stored factors, whose spectra are
     zero-padded to full rank for a pruned set; R uses the tail-energy
-    identity, one reverse cumulative sum of squares per factor, and the
-    definitional residual form is exercised separately by
-    :func:`reconstruction_error`.
+    identity, one reverse cumulative sum of squares per factor.
     """
     interference: dict[str, list[tuple[int, float]]] = {}
     recon: dict[str, list[tuple[int, float]]] = {}
@@ -258,11 +212,18 @@ def rank_sweep(
     so the ratio-0 and ratio-1 rows reproduce plain weight averaging,
     independent of lambda. The evaluator maps a merged checkpoint to
     per-task accuracies in [0, 1]; anything else (or an evaluator
-    exception) raises :class:`EvaluationError`. An empty ``lambdas`` or
-    ``ratios`` raises :class:`EmptyInput` before anything is evaluated.
+    exception) raises :class:`EvaluationError`. The whole grid is checked
+    before any work: an empty ``lambdas`` or ``ratios`` raises
+    :class:`EmptyInput`, a ratio outside [0, 1] ``ValueError``, and a NaN or
+    infinite lambda :class:`PlanError`.
     """
     if not lambdas or not ratios:
         raise EmptyInput("rank_sweep needs at least one lambda and one ratio")
+    for ratio in ratios:
+        _check_ratio(ratio)
+    for lam in lambdas:
+        if not math.isfinite(lam):
+            raise PlanError(f"coefficients must be finite, got {lam}")
     origin = select_origin("mean", pretrained, finetuned)
     tvs = build_task_vectors(origin, finetuned)
     rows: list[SweepRow] = []

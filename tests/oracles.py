@@ -2,9 +2,10 @@
 
 Everything here is deliberately written along a different computational
 route than the package: spectra come from the Gram matrix's
-eigendecomposition instead of LAPACK's SVD driver, losses from per-sample
-Python loops instead of vectorized matmuls, and gradients from central
-finite differences. Slow and simple on purpose.
+eigendecomposition instead of LAPACK's SVD driver, residuals from dense
+subtraction instead of tail sums, interference and losses from Python
+loops instead of vectorized matmuls, and gradients from central finite
+differences. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -63,6 +64,42 @@ def reference_tail_energy(a: np.ndarray, k: int) -> float:
     """Squared Frobenius distance from A to its best rank-k approximation."""
     s = reference_singulars(a)
     return float(np.sum(s[k:] ** 2))
+
+
+def reference_reconstruction_error(thetas, origin: np.ndarray, k: int) -> float:
+    r"""R(k) from its definition, :math:`\sum_t \|\delta_t -
+    \mathrm{SVD}_k(\delta_t)\|_F^2` with :math:`\delta_t = \theta_t -
+    \text{origin}`: each delta truncated through ``np.linalg.svd`` and
+    subtracted densely. ``k`` must lie in ``[0, min(m, n)]``."""
+    origin = np.asarray(origin, dtype=np.float64)
+    total = 0.0
+    for theta in thetas:
+        delta = np.asarray(theta, dtype=np.float64) - origin
+        u, s, vt = np.linalg.svd(delta, full_matrices=False)
+        residual = delta - (u[:, :k] * s[:k]) @ vt[:k]
+        total += float(np.linalg.norm(residual)) ** 2
+    return total
+
+
+def reference_interference(deltas, k: int) -> float:
+    """I(k) by a loop over ordered task pairs and k x k entries, straight
+    from the definition: top-k singular values over the full spectrum's
+    norm, and top-k right singular vectors, from ``np.linalg.svd``."""
+    scaled, rows = [], []
+    for d in deltas:
+        _, s, vt = np.linalg.svd(d)
+        scaled.append(s[:k] / np.linalg.norm(s))
+        rows.append(vt[:k])
+    total = 0.0
+    for i in range(len(deltas)):
+        for j in range(len(deltas)):
+            if i != j:
+                cell = 0.0
+                for a in range(k):
+                    for b in range(k):
+                        cell += (scaled[i][a] * float(rows[i][a] @ rows[j][b]) * scaled[j][b]) ** 2
+                total += cell**0.5
+    return total
 
 
 def reference_row_projector(a: np.ndarray, k: int) -> np.ndarray:

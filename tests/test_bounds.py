@@ -22,13 +22,10 @@ from rankmerge import (
     ParamError,
     SyntheticTaskSuite,
     certificate_json_line,
-    certify_bound,
     certify_bounds,
     certify_suites,
-    generate_suite,
     generate_suites,
     task_interference_L,
-    write_certificates,
 )
 from rankmerge import bounds
 
@@ -38,13 +35,23 @@ from oracles import reference_certificate_line, reference_cross_task_loss, refer
 ARGS = dict(d=6, T=3, n=4, r=2, alpha=0.5, s_max=2.0, c=1.0, eta=0.3, seed=11)
 
 
+def _suite(**args) -> SyntheticTaskSuite:
+    """One suite from keyword arguments, through the batched generator."""
+    keys = ("d", "T", "n", "r", "alpha", "s_max", "c", "eta", "seed")
+    return generate_suites([tuple(args[key] for key in keys)])[0]
+
+
+def _certify(suite: SyntheticTaskSuite):
+    return certify_bounds([suite])[0]
+
+
 # ---------------------------------------------------------------------------
 # generation
 
 
 def test_generation_is_bit_deterministic():
-    a = generate_suite(**ARGS)
-    b = generate_suite(**ARGS)
+    a = _suite(**ARGS)
+    b = _suite(**ARGS)
     np.testing.assert_array_equal(a.theta0, b.theta0)
     for t in range(a.T):
         np.testing.assert_array_equal(a.taus[t], b.taus[t])
@@ -67,12 +74,12 @@ def test_generation_is_bit_deterministic():
 )
 def test_generation_parameter_validation(override):
     with pytest.raises(ParamError):
-        generate_suite(**{**ARGS, **override})
+        _suite(**{**ARGS, **override})
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_realized_draws_respect_the_contract(seed):
-    suite = generate_suite(**{**ARGS, "seed": seed})
+    suite = _suite(**{**ARGS, "seed": seed})
     for t in range(suite.T):
         sv = np.linalg.svd(suite.taus[t], compute_uv=False)
         kept = sv[sv > 1e-9 * sv[0]]
@@ -86,14 +93,14 @@ def test_realized_draws_respect_the_contract(seed):
 
 
 def test_noise_radius_rescales_the_same_draws():
-    quiet = generate_suite(**{**ARGS, "eta": 0.0})
-    loud = generate_suite(**{**ARGS, "eta": 0.5})
+    quiet = _suite(**{**ARGS, "eta": 0.0})
+    loud = _suite(**{**ARGS, "eta": 0.5})
     for t in range(quiet.T):
         np.testing.assert_array_equal(quiet.taus[t], loud.taus[t])
         noise = loud.inputs[t] - quiet.inputs[t]
         assert np.linalg.norm(noise, axis=1).max() <= 0.5 + 1e-12
     # Same interference term, larger additive term: the bound can only grow.
-    assert certify_bound(loud).bound_value >= certify_bound(quiet).bound_value
+    assert _certify(loud).bound_value >= _certify(quiet).bound_value
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +109,13 @@ def test_noise_radius_rescales_the_same_draws():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_loss_matches_triple_loop(seed):
-    suite = generate_suite(**{**ARGS, "seed": 100 + seed})
+    suite = _suite(**{**ARGS, "seed": 100 + seed})
     expected = reference_cross_task_loss(suite.taus, suite.inputs)
     assert task_interference_L(suite) == pytest.approx(expected, rel=1e-12)
 
 
 def test_loss_ignores_the_base_point():
-    suite = generate_suite(**ARGS)
+    suite = _suite(**ARGS)
     before = task_interference_L(suite)
     suite.theta0 = suite.theta0 + 50.0
     assert task_interference_L(suite) == before
@@ -138,15 +145,15 @@ def _disjoint_axes_suite(n: int = 3) -> SyntheticTaskSuite:
 
 
 def test_disjoint_axes_certify_exactly():
-    cert = certify_bound(_disjoint_axes_suite())
+    cert = _certify(_disjoint_axes_suite())
     assert cert.L_value == 0.0
     assert cert.I_value == pytest.approx(0.0, abs=1e-15)
     assert cert.holds
 
 
 def test_certified_constants():
-    suite = generate_suite(**ARGS)
-    cert = certify_bound(suite)
+    suite = _suite(**ARGS)
+    cert = _certify(suite)
     assert cert.k4 == suite.s_max
     # k3 = s_max^2 * c * (r_max * s_max^2 / alpha^2) with the realized rank.
     assert cert.k3 == pytest.approx(suite.s_max**2 * suite.c * (2 * suite.s_max**2 / suite.alpha**2))
@@ -158,7 +165,7 @@ def test_certified_constants():
 @pytest.mark.parametrize("seed", range(30))
 def test_bound_holds_across_random_suites(seed):
     g = np.random.default_rng(seed)
-    suite = generate_suite(
+    suite = _suite(
         d=int(g.integers(4, 9)),
         T=int(g.integers(3, 5)),
         n=int(g.integers(1, 6)),
@@ -169,20 +176,20 @@ def test_bound_holds_across_random_suites(seed):
         eta=float(g.uniform(0.0, 0.5)),
         seed=seed,
     )
-    assert certify_bound(suite).holds
+    assert _certify(suite).holds
 
 
 def test_certify_rejects_an_all_zero_task_update():
-    suite = generate_suite(**ARGS)
+    suite = _suite(**ARGS)
     suite.taus[0] = np.zeros_like(suite.taus[0])
     with pytest.raises(InvariantError, match="tau 0 is zero"):
-        certify_bound(suite)
+        _certify(suite)
 
 
 def test_certify_factors_each_task_update_once(svd_calls):
-    suite = generate_suite(**{**ARGS, "T": 4})
+    suite = _suite(**{**ARGS, "T": 4})
     svd_calls.clear()
-    certify_bound(suite)
+    _certify(suite)
     # One stacked SVD holds the suite's four updates.
     assert svd_calls == [(suite.T, suite.d, suite.d)]
 
@@ -264,15 +271,15 @@ def test_generation_checks_every_spec_before_any_draw(monkeypatch):
 
 
 def test_certify_rejects_corrupted_suites():
-    inflated = generate_suite(**ARGS)
+    inflated = _suite(**ARGS)
     inflated.taus[0] = inflated.taus[0] * 10.0  # spectra escape [alpha, s_max]
     with pytest.raises(InvariantError):
-        certify_bound(inflated)
+        _certify(inflated)
 
-    leaky = generate_suite(**ARGS)
+    leaky = _suite(**ARGS)
     leaky.inputs[1] = leaky.inputs[1] + 5.0  # inputs leave the row space
     with pytest.raises(InvariantError):
-        certify_bound(leaky)
+        _certify(leaky)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +287,8 @@ def test_certify_rejects_corrupted_suites():
 
 
 def test_certificate_line_schema():
-    suite = generate_suite(**ARGS)
-    cert = certify_bound(suite)
+    suite = _suite(**ARGS)
+    cert = _certify(suite)
     record = json.loads(certificate_json_line(suite, cert))
     assert list(record) == [
         "seed", "d", "T", "n", "r", "alpha", "s_max", "c", "eta",
@@ -291,27 +298,3 @@ def test_certificate_line_schema():
     assert record["L"] == cert.L_value
     assert record["holds"] is True
 
-
-def test_write_certificates_one_line_per_suite(tmp_path):
-    pairs = []
-    for seed in range(3):
-        suite = generate_suite(**{**ARGS, "seed": seed})
-        pairs.append((suite, certify_bound(suite)))
-    path = tmp_path / "certs.jsonl"
-    write_certificates(pairs, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3
-    assert [json.loads(l)["seed"] for l in lines] == [0, 1, 2]
-
-
-def test_failed_certificate_write_keeps_the_previous_file(tmp_path, fail_writes_to):
-    suite = generate_suite(**ARGS)
-    pairs = [(suite, certify_bound(suite))]
-    path = tmp_path / "certs.jsonl"
-    write_certificates(pairs, path)
-    before = path.read_bytes()
-    fail_writes_to("certs.jsonl")
-    with pytest.raises(OSError):
-        write_certificates(pairs * 2, path)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["certs.jsonl"]

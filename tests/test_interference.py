@@ -1,10 +1,10 @@
 """Tests for the overlap diagnostics, the sweep driver, and the sample-size
 planner.
 
-``row_space_interference`` is checked against hand-derived anchor values and
-against a from-scratch reimplementation built directly on ``np.linalg.svd``;
-the reconstruction curve is cross-checked between its two routes (explicit
-residual vs spectral tail sums).
+``interference_report`` is checked against hand-derived anchor values and
+against from-scratch reimplementations built directly on ``np.linalg.svd``
+(``tests/oracles.py``): I(k) by a loop over task pairs, and R(k) by an
+explicit truncated residual where the report sums spectral tails.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from rankmerge import (
     EmptyInput,
     EvaluationError,
     InsufficientTasks,
+    PlanError,
     RangeError,
     RankError,
-    ShapeError,
     SweepRow,
     TensorMap,
     ZeroTaskVector,
@@ -30,34 +30,28 @@ from rankmerge import (
     prune_ranks,
     rank_sweep,
     reconstruct,
-    reconstruction_error,
-    row_space_interference,
     sample_size,
+    select_origin,
     weight_average,
     write_sweep_csv,
 )
 
 from conftest import random_tensor_map
-from oracles import reference_tail_energy
+from oracles import reference_interference, reference_reconstruction_error, reference_tail_energy
 
 
-def _naive_interference(deltas, k):
-    """Triple-loop reimplementation straight from the definition."""
-    scaled, rows = [], []
-    for d in deltas:
-        _, s, vt = np.linalg.svd(d)
-        scaled.append(s[:k] / np.linalg.norm(s))
-        rows.append(vt[:k])
-    total = 0.0
-    for i in range(len(deltas)):
-        for j in range(len(deltas)):
-            if i != j:
-                cell = 0.0
-                for a in range(k):
-                    for b in range(k):
-                        cell += (scaled[i][a] * float(rows[i][a] @ rows[j][b]) * scaled[j][b]) ** 2
-                total += cell**0.5
-    return total
+def _report(deltas, ks):
+    """The report on one layer ``w`` whose task deltas are ``deltas``: the
+    checkpoints are the deltas, measured from a zero ``--pretrained`` origin."""
+    finetuned = [TensorMap({"w": np.asarray(d, dtype=np.float64)}) for d in deltas]
+    pretrained = TensorMap({"w": np.zeros_like(finetuned[0]["w"])})
+    tvs = build_task_vectors(select_origin("pretrained", pretrained, finetuned), finetuned)
+    return interference_report(tvs, ks)
+
+
+def _report_interference(deltas, k: int) -> float:
+    [(_, value)] = _report(deltas, [k]).interference["w"]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +60,7 @@ def _naive_interference(deltas, k):
 
 def test_identical_rank_one_pair_scores_two():
     delta = 3.0 * np.outer([1.0, 2.0, 0.5], [0.0, 1.0, 1.0, -1.0])
-    assert row_space_interference([delta, delta.copy()], k=1) == pytest.approx(2.0, abs=1e-12)
+    assert _report_interference([delta, delta.copy()], k=1) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_orthogonal_row_spaces_score_zero():
@@ -74,63 +68,62 @@ def test_orthogonal_row_spaces_score_zero():
     b = np.zeros((3, 4))
     a[0, 0] = 2.0
     b[1, 1] = 5.0
-    assert row_space_interference([a, b], k=1) == pytest.approx(0.0, abs=1e-15)
+    assert _report_interference([a, b], k=1) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_interference_ignores_per_delta_scale(rng):
     deltas = [rng.standard_normal((6, 5)) for _ in range(3)]
-    base = row_space_interference(deltas, k=3)
+    base = _report_interference(deltas, k=3)
     rescaled = [deltas[0] * 7.25, deltas[1], deltas[2] / 3.0]
-    assert row_space_interference(rescaled, k=3) == pytest.approx(base, rel=1e-12)
+    assert _report_interference(rescaled, k=3) == pytest.approx(base, rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_interference_matches_naive_reimplementation(rng, k):
     deltas = [rng.standard_normal((7, 5)) for _ in range(3)]
-    got = row_space_interference(deltas, k)
-    assert got == pytest.approx(_naive_interference(deltas, k), rel=1e-10)
+    got = _report_interference(deltas, k)
+    assert got == pytest.approx(reference_interference(deltas, k), rel=1e-10)
 
 
 def test_interference_input_validation(rng):
     good = rng.standard_normal((4, 4))
     with pytest.raises(InsufficientTasks):
-        row_space_interference([good], k=1)
-    with pytest.raises(ShapeError):
-        row_space_interference([good, rng.standard_normal((4, 5))], k=1)
+        _report([good], [1])
     with pytest.raises(RankError):
-        row_space_interference([good, good], k=0)
+        _report([good, good], [-1])
     with pytest.raises(RankError):
-        row_space_interference([good, good], k=5)
+        _report([good, good], [5])
     with pytest.raises(ZeroTaskVector):
-        row_space_interference([good, np.zeros((4, 4))], k=1)
+        _report([good, np.zeros((4, 4))], [1])
 
 
 # ---------------------------------------------------------------------------
 # reconstruction error
 
 
+def _thetas_report(origin, thetas):
+    tvs = build_task_vectors(TensorMap({"w": origin}), [TensorMap({"w": t}) for t in thetas])
+    return interference_report(tvs).reconstruction["w"]
+
+
 def test_reconstruction_error_equals_tail_energy(rng):
     origin = rng.standard_normal((8, 6))
     thetas = [origin + rng.standard_normal((8, 6)) for _ in range(4)]
-    for k in range(0, 7):
+    curve = _thetas_report(origin, thetas)
+    for k, value in curve:
         expected = sum(reference_tail_energy(t - origin, k) for t in thetas)
-        assert reconstruction_error(thetas, origin, k) == pytest.approx(expected, rel=1e-9, abs=1e-18)
+        assert value == pytest.approx(expected, rel=1e-9, abs=1e-18)
+        residual = reference_reconstruction_error(thetas, origin, k)
+        assert value == pytest.approx(residual, rel=1e-9, abs=1e-18)
 
 
 def test_reconstruction_error_endpoints(rng):
     origin = rng.standard_normal((5, 5))
     thetas = [origin + rng.standard_normal((5, 5)) for _ in range(3)]
     full_energy = sum(np.linalg.norm(t - origin) ** 2 for t in thetas)
-    assert reconstruction_error(thetas, origin, 0) == pytest.approx(full_energy, rel=1e-12)
-    assert reconstruction_error(thetas, origin, 5) <= 1e-16 * full_energy
-
-
-def test_reconstruction_error_rank_bounds(rng):
-    origin = rng.standard_normal((5, 4))
-    with pytest.raises(RankError):
-        reconstruction_error([origin], origin, -1)
-    with pytest.raises(RankError):
-        reconstruction_error([origin], origin, 5)
+    curve = dict(_thetas_report(origin, thetas))
+    assert curve[0] == pytest.approx(full_energy, rel=1e-12)
+    assert curve[5] <= 1e-16 * full_energy
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +154,13 @@ def test_report_curves_match_the_scalar_routes(rng):
     name = "enc.0.weight"
     deltas = [reconstruct(tvs.deltas[name][t]) for t in range(tvs.task_count)]
     for k, value in report.interference[name]:
-        assert value == pytest.approx(row_space_interference(deltas, k), rel=1e-12)
-    # The report sums spectral tails; reconstruction_error subtracts an
-    # explicit truncated reconstruction. The two must agree anyway.
+        assert value == pytest.approx(reference_interference(deltas, k), rel=1e-12)
+    # The report sums spectral tails; the oracle subtracts an explicit
+    # truncated reconstruction. The two must agree anyway.
     origin = np.zeros_like(deltas[0])
     for k, value in report.reconstruction[name]:
         assert value == pytest.approx(
-            reconstruction_error(deltas, origin, k), rel=1e-9, abs=1e-18
+            reference_reconstruction_error(deltas, origin, k), rel=1e-9, abs=1e-18
         )
 
 
@@ -182,7 +175,7 @@ def test_report_on_a_pruned_set_matches_its_dense_deltas(rng):
             assert len(spec) == min(delta.shape) and spec[kept:] == [0.0] * (len(spec) - kept)
             np.testing.assert_allclose(spec, np.linalg.svd(delta, compute_uv=False), atol=1e-12)
         for k, value in report.interference[name]:
-            assert value == pytest.approx(row_space_interference(deltas, k), rel=1e-9)
+            assert value == pytest.approx(reference_interference(deltas, k), rel=1e-9)
 
 
 def test_report_reconstruction_is_the_tail_energy_at_every_k(rng):
@@ -319,6 +312,26 @@ def test_sweep_rejects_an_empty_grid_before_evaluating(rng, lambdas, ratios):
     with pytest.raises(EmptyInput):
         rank_sweep(random_tensor_map(rng, SHAPES), finetuned, evaluator, lambdas, ratios)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "lambdas, ratios, error",
+    [([1.0, 0.5], [0.1, 0.2, 2.0], ValueError), ([1.0, float("nan")], [0.1, 0.2], PlanError)],
+    ids=["ratio-above-one", "nan-lambda"],
+)
+def test_sweep_checks_the_whole_grid_before_any_work(rng, svd_calls, lambdas, ratios, error):
+    _, finetuned = _report_tvs(rng)
+    pretrained = random_tensor_map(rng, SHAPES)
+    svd_calls.clear()
+    calls = []
+
+    def evaluator(ckpt):
+        calls.append(None)
+        return [0.5]
+
+    with pytest.raises(error):
+        rank_sweep(pretrained, finetuned, evaluator, lambdas, ratios)
+    assert calls == [] and svd_calls == []
 
 
 @pytest.mark.parametrize("payload", [[], [1.5], [0.5, -0.01]])
