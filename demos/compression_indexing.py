@@ -6,7 +6,7 @@ truncated delta. This script measures what the truncation costs in accuracy
 and what the factors cost in storage, side by side.
 """
 
-from rankmerge import cart_indexing, classification_sweep_suite, storage_cost
+from rankmerge import cart_indexing, classification_sweep_suite, storage_cost, weight_average
 
 
 def main() -> None:
@@ -14,12 +14,13 @@ def main() -> None:
     dims = [suite.pretrained[n].shape for n in suite.pretrained.names()
             if suite.pretrained[n].ndim == 2]
     tasks = len(suite.finetuned)
+    origin = weight_average(suite.finetuned)
 
     print(f"{'ratio':>6}  {'own-task accuracy':>18}  {'factor bits':>12}  {'mask bits':>10}")
     for ratio in (0.02, 0.08, 0.16, 0.32, 1.0):
         accs = []
         for t in range(tasks):
-            rebuilt = cart_indexing(suite.pretrained, suite.finetuned, ratio, t)
+            rebuilt = cart_indexing(origin, suite.finetuned, ratio, t)
             accs.append(suite.evaluator(rebuilt)[t])
         mask_bits, lowrank_bits = storage_cost(tasks, dims, ratio, float_bits=32)
         mean_acc = sum(accs) / len(accs)

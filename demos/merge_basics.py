@@ -37,18 +37,17 @@ def make_checkpoints(seed: int, tasks: int = 3) -> list[TensorMap]:
 
 def main() -> None:
     finetuned = make_checkpoints(seed=0)
-    pretrained = make_checkpoints(seed=99, tasks=1)[0]
     avg = weight_average(finetuned)
 
     print("full-rank mean-origin merges vs the weight average:")
     for lam in (0.0, 0.3, 1.0, 3.0):
-        merged = cart_merge(pretrained, finetuned, rank_ratio=1.0, lam=lam)
+        merged = cart_merge(avg, finetuned, rank_ratio=1.0, lam=lam)
         gap = max(float(np.max(np.abs(merged[n] - avg[n]))) for n in avg.names())
         print(f"  lambda={lam:<4}  max |merge - average| = {gap:.2e}")
 
     print("\nthe same sweep at 8% retained rank (cancellation broken):")
     for lam in (0.0, 0.3, 1.0, 3.0):
-        merged = cart_merge(pretrained, finetuned, rank_ratio=0.08, lam=lam)
+        merged = cart_merge(avg, finetuned, rank_ratio=0.08, lam=lam)
         gap = max(float(np.max(np.abs(merged[n] - avg[n]))) for n in avg.names())
         print(f"  lambda={lam:<4}  max |merge - average| = {gap:.2e}")
 

@@ -39,14 +39,8 @@ from . import __version__
 from .adaptation import adapt_coefficients, write_adaptation_csv
 from .bounds import certificate_json_line, certify_suites
 from .errors import RankmergeError
-from .interference import interference_report, rank_sweep, sample_size, write_sweep_csv
-from .merge import (
-    _check_ratio,
-    _merge_factored,
-    build_task_vectors,
-    cart_indexing,
-    weight_average,
-)
+from .interference import _check_ks, interference_report, rank_sweep, sample_size, write_sweep_csv
+from .merge import _check_ratio, build_task_vectors, cart_indexing, cart_merge, weight_average
 from .origin import SolverTrace, select_origin
 from .pool import run_jobs
 from .rng import stream
@@ -226,7 +220,7 @@ def _cmd_merge(args: argparse.Namespace) -> Outcome:
     traces: dict[str, SolverTrace] = {}
     origin = select_origin(args.origin, pretrained, tasks, trace_out=traces, classifier=clf,
                            rankmin_steps=args.rankmin_steps)
-    merged = _merge_factored(origin, tasks, clf, args.ratio, args.lam)
+    merged = cart_merge(origin, tasks, args.ratio, args.lam, clf)
     target = Path(args.out_dir) / "merged.ckpt"
     artifacts: Artifacts = {
         target.name: lambda path: save_checkpoint(merged, path),
@@ -240,7 +234,8 @@ def _cmd_merge(args: argparse.Namespace) -> Outcome:
 def _cmd_index(args: argparse.Namespace) -> Outcome:
     pretrained, tasks, inputs = _load_inputs(args, args.task_index)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
-    indexed = cart_indexing(pretrained, tasks, args.ratio, args.task_index, clf)
+    origin = select_origin("mean", pretrained, tasks)
+    indexed = cart_indexing(origin, tasks, args.ratio, args.task_index, clf)
     target = Path(args.out_dir) / "indexed.ckpt"
     line = f"reconstructed task {args.task_index} -> {target}"
     return inputs, {target.name: lambda path: save_checkpoint(indexed, path)}, line, 0
@@ -249,6 +244,8 @@ def _cmd_index(args: argparse.Namespace) -> Outcome:
 def _cmd_analyze(args: argparse.Namespace) -> Outcome:
     pretrained, tasks, inputs = _load_inputs(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
+    matrices = {name: a.shape for name, a in pretrained.items() if clf(name, a) is ParamClass.MATRIX}
+    _check_ks(matrices, len(tasks), args.ks)  # before the origin solve and any SVD
     origin = select_origin(args.origin, pretrained, tasks, classifier=clf,
                            rankmin_steps=args.rankmin_steps)
     report = interference_report(build_task_vectors(origin, tasks, clf), args.ks)
@@ -259,13 +256,8 @@ def _cmd_analyze(args: argparse.Namespace) -> Outcome:
 
 def _cmd_sweep(args: argparse.Namespace) -> Outcome:
     suite = classification_sweep_suite(args.seed)
-    rows = rank_sweep(
-        suite.pretrained,
-        suite.finetuned,
-        suite.evaluator,
-        lambdas=args.lambdas,
-        ratios=args.ratios,
-    )
+    origin = select_origin("mean", suite.pretrained, suite.finetuned)
+    rows = rank_sweep(origin, suite.finetuned, suite.evaluator, args.lambdas, args.ratios)
     best = max(rows, key=lambda r: r.mean_accuracy)
     target = Path(args.out_dir) / "sweep.csv"
     line = (f"{len(rows)} grid cells -> {target} (best mean accuracy "

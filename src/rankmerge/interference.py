@@ -45,7 +45,6 @@ from .errors import (
     ZeroTaskVector,
 )
 from .merge import TaskVectorSet, _check_ratio, build_task_vectors, merge, prune_ranks
-from .origin import select_origin
 from .tensor_store import TensorMap, _write_csv, _write_json
 
 __all__ = [
@@ -148,18 +147,33 @@ class InterferenceReport:
         _write_csv(path, rows)
 
 
+def _check_ks(shapes: dict[str, tuple[int, int]], task_count: int,
+              ks: Sequence[int] | None) -> None:
+    """:func:`interference_report`'s checks, from the Matrix layers' shapes alone:
+    :class:`RankError` for a k outside a layer's ``[0, min(m, n)]``, and
+    :class:`InsufficientTasks` for one task and some k >= 1 (``None`` is every
+    k), naming the first bad layer in name order."""
+    for name in sorted(shapes):
+        full = min(shapes[name])
+        for k in [] if ks is None else ks:
+            if not 0 <= k <= full:
+                raise RankError(f"{name}: k={k} outside [0, {full}]")
+        if task_count < 2 and (ks is None or max(ks, default=0) >= 1):
+            raise InsufficientTasks(f"{name}: interference is defined over task pairs")
+
+
 def interference_report(
     tvs: TaskVectorSet, ks: Sequence[int] | None = None
 ) -> InterferenceReport:
     """Compute I(k), R(k), and spectra for every Matrix layer of ``tvs``.
 
     ``ks`` defaults to every k from 1 to the layer's full rank for I and
-    from 0 for R; a requested k outside ``[0, min(m, n)]`` of any layer
-    raises :class:`RankError` naming that layer, and ``k = 0`` reports R
-    only. All are read from the stored factors, whose spectra are
+    from 0 for R, and ``k = 0`` reports R only; :func:`_check_ks` checks them
+    first. All are read from the stored factors, whose spectra are
     zero-padded to full rank for a pruned set; R uses the tail-energy
     identity, one reverse cumulative sum of squares per factor.
     """
+    _check_ks({name: f.shape for name, f in tvs.deltas.items()}, tvs.task_count, ks)
     interference: dict[str, list[tuple[int, float]]] = {}
     recon: dict[str, list[tuple[int, float]]] = {}
     spectra: dict[str, list[list[float]]] = {}
@@ -167,9 +181,6 @@ def interference_report(
         f = tvs.deltas[name]
         full = min(f.shape)
         r_ks = list(ks) if ks is not None else list(range(0, full + 1))
-        for k in r_ks:
-            if not 0 <= k <= full:
-                raise RankError(f"{name}: k={k} outside [0, {full}]")
         i_ks = [k for k in r_ks if k >= 1]
         layer_spectra = np.pad(f.singulars, ((0, 0), (0, full - f.k)))
         spectra[name] = layer_spectra.tolist()
@@ -200,7 +211,7 @@ Evaluator = Callable[[TensorMap], Sequence[float]]
 
 
 def rank_sweep(
-    pretrained: TensorMap,
+    origin: TensorMap,
     finetuned: list[TensorMap],
     evaluator: Evaluator,
     lambdas: Sequence[float],
@@ -208,9 +219,9 @@ def rank_sweep(
 ) -> list[SweepRow]:
     """Merge and evaluate every (ratio, lambda) grid cell, in grid order.
 
-    The task vectors are centered on the mean origin (the weight average),
-    so the ratio-0 and ratio-1 rows reproduce plain weight averaging,
-    independent of lambda. The evaluator maps a merged checkpoint to
+    The task vectors are centered on ``origin``; around the mean origin the
+    ratio-0 and ratio-1 rows reproduce plain weight averaging, independent
+    of lambda. The evaluator maps a merged checkpoint to
     per-task accuracies in [0, 1]; anything else (or an evaluator
     exception) raises :class:`EvaluationError`. The whole grid is checked
     before any work: an empty ``lambdas`` or ``ratios`` raises
@@ -224,7 +235,6 @@ def rank_sweep(
     for lam in lambdas:
         if not math.isfinite(lam):
             raise PlanError(f"coefficients must be finite, got {lam}")
-    origin = select_origin("mean", pretrained, finetuned)
     tvs = build_task_vectors(origin, finetuned)
     rows: list[SweepRow] = []
     for ratio in ratios:

@@ -3,8 +3,8 @@ r"""Merge engine: task vectors, rank pruning, and checkpoint assembly.
 The pipeline is ``build_task_vectors`` (deltas against a chosen origin,
 factored to a rank budget or in full), ``prune_ranks`` (per-layer rank
 truncation of full factors), then ``merge`` (origin plus a
-coefficient-weighted sum of deltas). ``cart_merge`` composes them with the
-weight-average origin and a global coefficient:
+coefficient-weighted sum of deltas). ``cart_merge`` streams them around a
+given origin with one global coefficient; around the weight average it is
 
 .. math::
     \bar{A}_k(\lambda)
@@ -17,8 +17,8 @@ Each Matrix delta is stored as its thin SVD, computed once: in full, so
 pruning can slice it at any rank, or only the triples a rank budget keeps.
 A layer's T factors are one stack, ``(T, ...)`` along every axis.
 Merging reconstructs from it. The SVDs are independent, so they run on
-:mod:`~rankmerge.pool`'s threads, one per core that BLAS leaves free; the CART
-entry points assemble each layer there too, once its T deltas are factored.
+:mod:`~rankmerge.pool`'s threads, one per core that BLAS leaves free;
+``cart_merge`` assembles each layer there too, once its T deltas are factored.
 All arithmetic is float64; each output tensor takes the origin's dtype.
 """
 
@@ -229,12 +229,29 @@ def _assemble(name: str, origin: np.ndarray, deltas: LowRankFactor,
     return out
 
 
-def _merge_factored(origin: TensorMap, finetuned: list[TensorMap], classifier: Classifier,
-                    rank_ratio: float, lam: float) -> TensorMap:
+def weight_average(finetuned: list[TensorMap]) -> TensorMap:
+    """Elementwise mean of the checkpoints, cast back to their dtype.
+
+    :func:`select_origin` of kind ``"mean"`` with the first checkpoint
+    standing in for the pretrained one.
+    """
+    if not finetuned:
+        raise EmptyInput("weight_average needs at least one checkpoint")
+    return select_origin("mean", finetuned[0], finetuned)
+
+
+def cart_merge(
+    origin: TensorMap,
+    finetuned: list[TensorMap],
+    rank_ratio: float,
+    lam: float,
+    classifier: Classifier = classify,
+) -> TensorMap:
     """``merge(build_task_vectors(origin, finetuned, classifier, rank_ratio), lam)``
-    bit for bit, and its errors for any worker count. The job that stores a
-    layer's last factor assembles it and drops the stack; a layer that is not
-    finite is recorded, and raised after the last job. ``lam`` is checked first."""
+    bit for bit, with its errors, for any worker count; CART's origin is the
+    mean, :func:`weight_average`. The job that stores a layer's last factor
+    assembles that layer and drops its stack; a layer that is not finite is
+    raised after the last job. ``lam`` is checked before any factoring."""
     tvs, jobs, factor = _factoring(origin, finetuned, classifier, rank_ratio)
     columns = dict(zip(tvs.matrix_names(), _coefficients(tvs, lam).T))
     countdown = {name: list(range(tvs.task_count)) for name in tvs.deltas}
@@ -256,55 +273,25 @@ def _merge_factored(origin: TensorMap, finetuned: list[TensorMap], classifier: C
     return TensorMap(entries)
 
 
-def weight_average(finetuned: list[TensorMap]) -> TensorMap:
-    """Elementwise mean of the checkpoints, cast back to their dtype.
-
-    :func:`select_origin` of kind ``"mean"`` with the first checkpoint
-    standing in for the pretrained one.
-    """
-    if not finetuned:
-        raise EmptyInput("weight_average needs at least one checkpoint")
-    return select_origin("mean", finetuned[0], finetuned)
-
-
-def cart_merge(
-    pretrained: TensorMap,
-    finetuned: list[TensorMap],
-    rank_ratio: float,
-    lam: float,
-    classifier: Classifier = classify,
-) -> TensorMap:
-    """Centered arithmetic with rank-reduced task vectors, in one call.
-
-    Composes the mean origin, deltas factored to the retained rank, and a
-    global-coefficient merge, each layer assembled as soon as its deltas are
-    factored. No merged value depends on ``pretrained``: it is checked for
-    alignment, and a NaN or infinity in it raises :class:`NumericError`.
-    """
-    origin = select_origin("mean", pretrained, finetuned)
-    return _merge_factored(origin, finetuned, classifier, rank_ratio, lam)
-
-
 def cart_indexing(
-    pretrained: TensorMap,
+    origin: TensorMap,
     finetuned: list[TensorMap],
     rank_ratio: float,
     task_index: int,
     classifier: Classifier = classify,
 ) -> TensorMap:
-    """Per-task reconstruction: weight-average origin plus one task's pruned delta.
+    """Per-task reconstruction: ``origin`` plus one task's pruned delta.
 
-    At ratio 1 this returns task ``task_index``'s Matrix parameters exactly
-    (up to floating error); at ratio 0 it collapses to the weight average.
-    Non-matrix parameters are the weight average's either way. Only the
-    requested task's deltas are factored.
+    Around the mean origin, at ratio 1 this returns task ``task_index``'s
+    Matrix parameters exactly (up to floating error), and at ratio 0 the
+    weight average. Non-matrix parameters are the origin's either way. Only
+    the requested task's deltas are factored.
     """
     if not finetuned:
         raise EmptyInput("cart_indexing needs at least one checkpoint")
     if not 0 <= task_index < len(finetuned):
         raise IndexError(f"task_index {task_index} outside [0, {len(finetuned)})")
-    origin = select_origin("mean", pretrained, finetuned)
-    return _merge_factored(origin, [finetuned[task_index]], classifier, rank_ratio, 1.0)
+    return cart_merge(origin, [finetuned[task_index]], rank_ratio, 1.0, classifier)
 
 
 def storage_cost(

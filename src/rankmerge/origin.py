@@ -207,12 +207,12 @@ def select_origin(
     """Assemble the origin, the merged model at coefficient zero, of ``kind``.
 
     ``kind`` is ``"pretrained"``, ``"mean"`` or ``"rankmin"``. This is the
-    only code that decides non-matrix values and output dtypes:
-    :func:`~rankmerge.merge.merge` starts from this map, and
-    :func:`~rankmerge.merge.weight_average` and the CART entry points call
-    it with ``"mean"``. Every tensor takes the checkpoint dtype. A layer that
-    ``classifier`` keeps off the SVD path is the fine-tuned mean in every
-    kind. A Matrix layer is the pretrained array for ``"pretrained"``, the
+    only entry point that reads a pretrained map, and the only code that
+    decides non-matrix values and output dtypes: merges start from this map,
+    and :func:`~rankmerge.merge.weight_average` calls it with ``"mean"``.
+    Every tensor takes the checkpoint dtype. A layer that ``classifier``
+    keeps off the SVD path is the fine-tuned mean in every kind. A Matrix
+    layer is the pretrained array for ``"pretrained"``, the
     :func:`rankmin_origin` solution after ``rankmin_steps`` steps for
     ``"rankmin"`` with two or more fine-tuned checkpoints, and the mean
     otherwise. Pass ``trace_out`` to collect the rank-minimization trace of

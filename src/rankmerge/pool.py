@@ -8,8 +8,8 @@ each input file, loaded and hashed in one read (:mod:`rankmerge.cli`); each
 origin layer, checked and then computed, whether a mean or a rank-minimizing
 solve (:func:`~rankmerge.origin.select_origin`); and each (task, layer)
 factoring (:func:`~rankmerge.merge.build_task_vectors`), whose last job for
-a layer assembles it in ``merge`` and ``index``. Results, and any error
-raised, are the same whatever the number of workers.
+a layer assembles it in :func:`~rankmerge.merge.cart_merge`. Results, and
+any error raised, are the same for any number of workers.
 """
 
 from __future__ import annotations

@@ -71,9 +71,9 @@ def test_mean_origin_merge_ignores_lambda():
     worst = 0.0
     for seed in range(5):
         finetuned = _toy_checkpoints(seed)
-        pretrained = _toy_checkpoints(100 + seed, tasks=1)[0]
+        avg = weight_average(finetuned)
         merges = [
-            cart_merge(pretrained, finetuned, rank_ratio=1.0, lam=lam)
+            cart_merge(avg, finetuned, rank_ratio=1.0, lam=lam)
             for lam in (0.0, 0.3, 1.0, 3.0)
         ]
         for other in merges[1:]:
@@ -95,7 +95,7 @@ def test_rank_ratio_endpoints_collapse():
 
     worst = 0.0
     for ratio in (0.0, 1.0):
-        merged = cart_merge(pretrained, finetuned, rank_ratio=ratio, lam=0.7)
+        merged = cart_merge(avg, finetuned, rank_ratio=ratio, lam=0.7)
         for name in avg.names():
             worst = max(worst, float(np.max(np.abs(merged[name] - avg[name]))))
 
@@ -286,7 +286,8 @@ def test_rank_sweep_is_interior_peaked():
     start = time.perf_counter()
     suite = classification_sweep_suite(seed=0)
     ratios = [0.0, 0.04, 0.08, 0.16, 0.32, 1.0]
-    rows = rank_sweep(suite.pretrained, suite.finetuned, suite.evaluator, [1.0], ratios)
+    origin = weight_average(suite.finetuned)
+    rows = rank_sweep(origin, suite.finetuned, suite.evaluator, [1.0], ratios)
     by_ratio = {row.ratio: row.mean_accuracy for row in rows}
     interior_best = max(v for r, v in by_ratio.items() if r not in (0.0, 1.0))
     margin = interior_best - max(by_ratio[0.0], by_ratio[1.0])

@@ -280,17 +280,38 @@ def test_analyze_reports_matrix_layers(checkpoints, tmp_path, capsys):
     assert (out / "interference.csv").exists()
 
 
+def _analyze_args(pretrained, tasks, out, extra=()):
+    return ["analyze", *_merge_args(pretrained, tasks, out, extra)[1:]]
+
+
 @pytest.mark.parametrize("k, layer", [("-1", "enc.0.weight"), ("6", "enc.1.weight")])
 def test_analyze_rank_outside_a_layer_is_a_domain_error(k, layer, checkpoints, tmp_path,
-                                                        capsys):
+                                                        capsys, svd_calls, eigh_calls):
     pretrained, tasks = checkpoints
     out = tmp_path / "an"
-    argv = ["analyze", "--pretrained", pretrained, "--out-dir", str(out), "--ks", k]
-    for t in tasks:
-        argv += ["--task", t]
-    assert main(argv) == 1
-    assert layer in capsys.readouterr().err
-    assert not out.exists()
+    for origin in ("mean", "rankmin"):
+        extra = ["--ks", k, "--origin", origin, "--rankmin-steps", "5"]
+        assert main(_analyze_args(pretrained, tasks, out, extra)) == 1
+        assert layer in capsys.readouterr().err
+        # Rejected before the origin is solved or any delta factored.
+        assert svd_calls == [] and eigh_calls == []
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("origin", ["mean", "rankmin"])
+def test_analyze_of_one_task_is_a_domain_error_before_any_svd(origin, checkpoints, tmp_path,
+                                                              capsys, svd_calls, eigh_calls):
+    pretrained, tasks = checkpoints
+    out = tmp_path / "an"
+    for ks in ([], ["--ks", "0,2"]):
+        assert main(_analyze_args(pretrained, tasks[:1], out, ["--origin", origin, *ks])) == 1
+        assert "enc.0.weight: interference is defined over task pairs" in capsys.readouterr().err
+        assert svd_calls == [] and eigh_calls == []
+        assert not out.exists()
+    # One task is a valid input when only R(0) is asked for, or no layer is a Matrix.
+    for extra in (["--ks", "0"], ["--matrix-exclude", "*"]):
+        assert main(_analyze_args(pretrained, tasks[:1], out, ["--origin", origin, *extra])) == 0
+    capsys.readouterr()
 
 
 # Two ways to keep only enc.0.weight on the SVD path.

@@ -89,6 +89,7 @@ def test_interference_input_validation(rng):
     good = rng.standard_normal((4, 4))
     with pytest.raises(InsufficientTasks):
         _report([good], [1])
+    assert _report([good], [0]).interference == {"w": []}  # R(0) needs no pair
     with pytest.raises(RankError):
         _report([good, good], [-1])
     with pytest.raises(RankError):
@@ -263,20 +264,17 @@ def _toy_evaluator(ckpt):
 
 def test_sweep_runs_the_grid_in_order(rng):
     _, finetuned = _report_tvs(rng)
-    pretrained = random_tensor_map(rng, SHAPES)
     ratios, lambdas = [0.0, 0.5, 1.0], [0.3, 1.0]
-    rows = rank_sweep(pretrained, finetuned, _toy_evaluator, lambdas, ratios)
+    rows = rank_sweep(weight_average(finetuned), finetuned, _toy_evaluator, lambdas, ratios)
     assert [(r.ratio, r.lam) for r in rows] == [(r, l) for r in ratios for l in lambdas]
     assert all(len(r.accuracies) == 2 for r in rows)
 
 
 def test_sweep_endpoints_reduce_to_weight_averaging(rng):
     _, finetuned = _report_tvs(rng)
-    pretrained = random_tensor_map(rng, SHAPES)
-    rows = rank_sweep(
-        pretrained, finetuned, _toy_evaluator, [0.0, 0.7, 2.0], [0.0, 1.0]
-    )
-    baseline = _toy_evaluator(weight_average(finetuned))
+    avg = weight_average(finetuned)
+    rows = rank_sweep(avg, finetuned, _toy_evaluator, [0.0, 0.7, 2.0], [0.0, 1.0])
+    baseline = _toy_evaluator(avg)
     for row in rows:
         assert row.accuracies == pytest.approx(baseline, abs=1e-9)
 
@@ -284,20 +282,18 @@ def test_sweep_endpoints_reduce_to_weight_averaging(rng):
 @pytest.mark.parametrize("ratios", [[0.5], [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]])
 def test_sweep_factors_each_delta_once(rng, svd_calls, ratios):
     finetuned = [random_tensor_map(rng, SHAPES) for _ in range(3)]
-    pretrained = random_tensor_map(rng, SHAPES)
-    rank_sweep(pretrained, finetuned, _toy_evaluator, [0.5, 1.0], ratios)
+    rank_sweep(weight_average(finetuned), finetuned, _toy_evaluator, [0.5, 1.0], ratios)
     assert len(svd_calls) == 3 * 2  # tasks x matrix layers
 
 
 def test_sweep_wraps_evaluator_failures(rng):
     _, finetuned = _report_tvs(rng)
-    pretrained = random_tensor_map(rng, SHAPES)
 
     def broken(ckpt):
         raise ValueError("no data loaded")
 
     with pytest.raises(EvaluationError):
-        rank_sweep(pretrained, finetuned, broken, [1.0], [0.5])
+        rank_sweep(weight_average(finetuned), finetuned, broken, [1.0], [0.5])
 
 
 @pytest.mark.parametrize("lambdas, ratios", [([], [0.5]), ([1.0], [])])
@@ -310,7 +306,7 @@ def test_sweep_rejects_an_empty_grid_before_evaluating(rng, lambdas, ratios):
         return [0.5]
 
     with pytest.raises(EmptyInput):
-        rank_sweep(random_tensor_map(rng, SHAPES), finetuned, evaluator, lambdas, ratios)
+        rank_sweep(weight_average(finetuned), finetuned, evaluator, lambdas, ratios)
     assert calls == []
 
 
@@ -321,7 +317,7 @@ def test_sweep_rejects_an_empty_grid_before_evaluating(rng, lambdas, ratios):
 )
 def test_sweep_checks_the_whole_grid_before_any_work(rng, svd_calls, lambdas, ratios, error):
     _, finetuned = _report_tvs(rng)
-    pretrained = random_tensor_map(rng, SHAPES)
+    origin = weight_average(finetuned)
     svd_calls.clear()
     calls = []
 
@@ -330,16 +326,15 @@ def test_sweep_checks_the_whole_grid_before_any_work(rng, svd_calls, lambdas, ra
         return [0.5]
 
     with pytest.raises(error):
-        rank_sweep(pretrained, finetuned, evaluator, lambdas, ratios)
+        rank_sweep(origin, finetuned, evaluator, lambdas, ratios)
     assert calls == [] and svd_calls == []
 
 
 @pytest.mark.parametrize("payload", [[], [1.5], [0.5, -0.01]])
 def test_sweep_rejects_out_of_range_accuracies(rng, payload):
     _, finetuned = _report_tvs(rng)
-    pretrained = random_tensor_map(rng, SHAPES)
     with pytest.raises(EvaluationError):
-        rank_sweep(pretrained, finetuned, lambda ckpt: payload, [1.0], [0.5])
+        rank_sweep(weight_average(finetuned), finetuned, lambda ckpt: payload, [1.0], [0.5])
 
 
 def test_sweep_csv_layout(tmp_path):

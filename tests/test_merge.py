@@ -265,7 +265,7 @@ def test_many_workers_take_every_job_exactly_once(rng, blas_setting, svd_calls, 
     finetuned = [random_tensor_map(rng, shapes) for _ in range(3)]
     blas_setting(4)
     one = build_task_vectors(origin, finetuned)
-    merged = merge(build_task_vectors(select_origin("mean", origin, finetuned), finetuned), 0.5)
+    merged = merge(one, 0.5)
     del svd_calls[:]
     # Each layer is assembled once, by the job that stores its last factor.
     rebuilt = []
@@ -492,31 +492,23 @@ def test_weight_average_is_the_elementwise_mean(rng):
 
 
 def test_cart_merge_full_rank_collapses_to_average(rng):
-    pretrained, finetuned = _fleet(rng)
+    _, finetuned = _fleet(rng)
     avg = weight_average(finetuned)
     for lam in (0.0, 0.3, 1.0, 3.0):
-        merged = cart_merge(pretrained, finetuned, rank_ratio=1.0, lam=lam)
+        merged = cart_merge(avg, finetuned, rank_ratio=1.0, lam=lam)
         for name in merged.names():
             np.testing.assert_allclose(merged[name], avg[name], atol=1e-12)
 
 
-def test_cart_merge_never_reads_pretrained_values(rng):
-    pretrained, finetuned = _fleet(rng)
-    shifted = TensorMap({k: v + 100.0 for k, v in pretrained.items()})
-    a = cart_merge(pretrained, finetuned, 0.4, 0.7)
-    b = cart_merge(shifted, finetuned, 0.4, 0.7)
-    for name in a.names():
-        np.testing.assert_array_equal(a[name], b[name])
-
-
-def test_cart_merge_is_the_long_form_pipeline_bit_for_bit(rng):
+@pytest.mark.parametrize("kind", ["pretrained", "mean", "rankmin"])
+def test_cart_merge_is_the_long_form_pipeline_bit_for_bit(rng, kind):
     shapes = {"a.weight": (12, 9), "b.weight": (8, 8), "a.bias": (12,)}
     pretrained = random_tensor_map(rng, shapes, dtype=np.float32)
     finetuned = [random_tensor_map(rng, shapes, dtype=np.float32) for _ in range(3)]
-    origin = select_origin("mean", pretrained, finetuned)
+    origin = select_origin(kind, pretrained, finetuned, rankmin_steps=2)
     tvs = build_task_vectors(origin, finetuned, rank_ratio=0.4)
     long_form = merge(tvs, 0.7)
-    assert cart_merge(pretrained, finetuned, 0.4, 0.7) == long_form
+    assert cart_merge(origin, finetuned, 0.4, 0.7) == long_form
 
 
 def test_cart_merge_requires_alignment(rng):
@@ -544,7 +536,7 @@ def test_cart_merge_names_the_layer_merge_names_of_several_that_overflow(rng, bl
     assert pool.factor_workers() == workers
     for _ in range(5):
         with pytest.raises(NumericError) as streamed:
-            cart_merge(pretrained, finetuned, 0.5, 1.7e308)
+            cart_merge(origin, finetuned, 0.5, 1.7e308)
         assert str(streamed.value) == str(long_form.value)
 
 
@@ -564,7 +556,7 @@ def test_cart_merge_sums_in_task_order_whatever_order_the_factors_finish(rng, bl
 
     monkeypatch.setattr(importlib.import_module("rankmerge.merge"), "svd", reversed_svd)
     blas_setting(4, OMP_NUM_THREADS="1")
-    assert cart_merge(pretrained, finetuned, 1.0, 0.7) == long_form
+    assert cart_merge(origin, finetuned, 1.0, 0.7) == long_form
 
 
 def test_cart_merge_peaks_below_the_long_form(blas_setting):
@@ -579,9 +571,11 @@ def test_cart_merge_peaks_below_the_long_form(blas_setting):
         origin = select_origin("mean", pretrained, finetuned)
         return merge(build_task_vectors(origin, finetuned, rank_ratio=0.08), 0.3)
 
+    def streamed():
+        return cart_merge(select_origin("mean", pretrained, finetuned), finetuned, 0.08, 0.3)
+
     peaks, outputs = {}, {}
-    for label, run in (("long", long_form),
-                       ("streamed", lambda: cart_merge(pretrained, finetuned, 0.08, 0.3))):
+    for label, run in (("long", long_form), ("streamed", streamed)):
         tracemalloc.start()
         try:
             outputs[label] = run()
@@ -613,8 +607,8 @@ def test_origins_and_merged_layers_reach_the_tensor_map_read_only(rng, monkeypat
     for kind in ("pretrained", "mean", "rankmin"):
         origin = select_origin(kind, pretrained, finetuned, rankmin_steps=2)
         merge(build_task_vectors(origin, finetuned, rank_ratio=0.5), 0.3)
-    cart_merge(pretrained, finetuned, 0.5, 0.3)
-    cart_indexing(pretrained, finetuned, 0.5, 1)
+    cart_merge(weight_average(finetuned), finetuned, 0.5, 0.3)
+    cart_indexing(weight_average(finetuned), finetuned, 0.5, 1)
     assert len(built) == 10
     for frozen, entries, tmap in built:
         assert all(frozen.values())
@@ -622,9 +616,10 @@ def test_origins_and_merged_layers_reach_the_tensor_map_read_only(rng, monkeypat
 
 
 def test_indexing_full_rank_recovers_each_task(rng):
-    pretrained, finetuned = _fleet(rng)
+    _, finetuned = _fleet(rng)
+    avg = weight_average(finetuned)
     for t, fmap in enumerate(finetuned):
-        rebuilt = cart_indexing(pretrained, finetuned, 1.0, t)
+        rebuilt = cart_indexing(avg, finetuned, 1.0, t)
         for name in ("layers.0.weight", "layers.1.weight"):
             np.testing.assert_allclose(rebuilt[name], fmap[name], atol=1e-10)
         np.testing.assert_allclose(
@@ -635,9 +630,9 @@ def test_indexing_full_rank_recovers_each_task(rng):
 
 
 def test_indexing_zero_rank_is_the_average(rng):
-    pretrained, finetuned = _fleet(rng)
+    _, finetuned = _fleet(rng)
     avg = weight_average(finetuned)
-    rebuilt = cart_indexing(pretrained, finetuned, 0.0, 1)
+    rebuilt = cart_indexing(avg, finetuned, 0.0, 1)
     for name in rebuilt.names():
         np.testing.assert_allclose(rebuilt[name], avg[name], atol=1e-12)
 
@@ -652,12 +647,12 @@ def test_indexing_is_the_one_hot_merge_bit_for_bit(rng, dtype):
             one_hot = np.zeros((len(finetuned), len(tvs.matrix_names())))
             one_hot[t] = 1.0
             long_form = merge(tvs, one_hot)
-            assert cart_indexing(pretrained, finetuned, ratio, t) == long_form
+            assert cart_indexing(origin, finetuned, ratio, t) == long_form
 
 
 def test_indexing_factors_only_the_requested_task(rng, svd_calls, eigh_calls):
-    pretrained, finetuned = _fleet(rng, tasks=4)
-    cart_indexing(pretrained, finetuned, 0.4, 2)
+    _, finetuned = _fleet(rng, tasks=4)
+    cart_indexing(weight_average(finetuned), finetuned, 0.4, 2)
     assert len(svd_calls) + len(eigh_calls) == 2  # matrix layers of the one task
 
 
@@ -688,21 +683,21 @@ def test_rank_budget_merges_and_indexes_like_the_full_svd(rng, dtype, ratio):
     full = prune_ranks(build_task_vectors(origin, finetuned), ratio)
     budget = build_task_vectors(origin, finetuned, rank_ratio=ratio)
     assert {n: f.k for n, f in budget.deltas.items()} == {n: f.k for n, f in full.deltas.items()}
-    assert _relative_mismatch(cart_merge(pretrained, finetuned, ratio, 0.3),
+    assert _relative_mismatch(cart_merge(origin, finetuned, ratio, 0.3),
                               merge(full, 0.3)) <= F32_RTOL
     for t in range(len(finetuned)):
         one_task = prune_ranks(build_task_vectors(origin, [finetuned[t]]), ratio)
-        assert _relative_mismatch(cart_indexing(pretrained, finetuned, ratio, t),
+        assert _relative_mismatch(cart_indexing(origin, finetuned, ratio, t),
                                   merge(one_task, 1.0)) <= F32_RTOL
 
 
 def test_indexing_rejects_a_non_finite_bias_in_any_checkpoint(rng):
-    pretrained, finetuned = _fleet(rng)
+    _, finetuned = _fleet(rng)
     bias = finetuned[2]["layers.0.bias"].copy()
     bias[3] = np.nan
     finetuned[2] = TensorMap({**dict(finetuned[2].items()), "layers.0.bias": bias})
     with pytest.raises(NumericError, match="layers.0.bias"):
-        cart_indexing(pretrained, finetuned, 0.4, 0)
+        cart_indexing(weight_average(finetuned), finetuned, 0.4, 0)
 
 
 def test_indexing_rejects_bad_task_index(rng):
