@@ -64,7 +64,6 @@ from .origin import (
 )
 from .rng import stream
 from .tensor_store import (
-    ParamClass,
     TensorMap,
     classify,
     load_checkpoint,

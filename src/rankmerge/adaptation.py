@@ -226,9 +226,9 @@ def adapt_coefficients(
     return _descend(tvs, model, batches, steps, lr, {})[1:]
 
 
-def write_adaptation_csv(history: Sequence[tuple[int, float, float]], path: str | Path) -> None:
-    """Columns: iter, entropy, mean_lambda. Written atomically."""
-    _write_csv(path, [
+def write_adaptation_csv(history: Sequence[tuple[int, float, float]], path: str | Path) -> str:
+    """Columns: iter, entropy, mean_lambda. Written atomically; returns its SHA-256."""
+    return _write_csv(path, [
         ["iter", "entropy", "mean_lambda"],
         *([step, repr(float(entropy)), repr(float(mean_lambda))]
           for step, entropy, mean_lambda in history),

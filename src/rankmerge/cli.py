@@ -10,8 +10,8 @@ Each parameter is one flag with its default and a checking type. A
 ``--config`` JSON entry is parsed by the flag it names and becomes the
 default, so CLI flag > config entry > built-in default. Commands that write
 files also write a ``manifest.json`` recording the parsed parameters and
-the SHA-256 of every input and output — no timestamps, so identical runs
-produce byte-identical artifacts.
+the SHA-256 of every input and output, taken as it is read or written —
+no timestamps, so identical runs produce byte-identical artifacts.
 
 Each command only computes: it returns its artifacts, and :func:`main`
 writes them. Only after the command returns does ``main`` create
@@ -38,15 +38,16 @@ from typing import Callable, Sequence
 from . import __version__
 from .adaptation import adapt_coefficients, write_adaptation_csv
 from .bounds import certificate_json_line, certify_suites
-from .errors import RankmergeError
+from .errors import FormatError, RankmergeError
 from .interference import _check_ks, interference_report, rank_sweep, sample_size, write_sweep_csv
 from .merge import _check_ratio, build_task_vectors, cart_indexing, cart_merge, weight_average
 from .origin import SolverTrace, select_origin
 from .pool import run_jobs
 from .rng import stream
 from .tensor_store import (
-    ParamClass,
+    Classifier,
     _load_hashed,
+    _unique_keys,
     _write_json,
     _write_text,
     classify,
@@ -123,14 +124,18 @@ class _CommandParser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         parsed, extras = super().parse_known_args(args, namespace)
         if parsed.config:
-            self.set_defaults(**self._config_defaults(parsed.config))
+            defaults, digest = self._config_defaults(parsed.config)
+            self.set_defaults(**defaults)
             parsed, extras = super().parse_known_args(args, namespace)
+            parsed.config_sha256 = digest  # no flag: the manifest's, not a parameter
         return parsed, extras
 
-    def _config_defaults(self, path: str) -> dict:
+    def _config_defaults(self, path: str) -> tuple[dict, str]:
+        """The config's defaults, and the SHA-256 of the bytes they were parsed from."""
         try:
-            entries = json.loads(Path(path).read_text())
-        except (OSError, ValueError) as exc:
+            data = Path(path).read_bytes()
+            entries = json.loads(data.decode(), object_pairs_hook=_unique_keys)
+        except (OSError, ValueError, FormatError) as exc:
             self.error(f"cannot read config {path}: {exc}")
         if not isinstance(entries, dict):
             self.error(f"config {path} does not hold a JSON object")
@@ -140,7 +145,7 @@ class _CommandParser(argparse.ArgumentParser):
         given = {key: value for key, value in entries.items() if value is not None}
         words = [word for key, value in given.items() for word in self._words(key, value)]
         parsed, _ = super().parse_known_args(words)
-        return {key: getattr(parsed, key) for key in given}
+        return {key: getattr(parsed, key) for key in given}, hashlib.sha256(data).hexdigest()
 
     def _words(self, key: str, value: object) -> list[str]:
         """Command-line words giving ``value`` to the flag ``key`` names."""
@@ -156,34 +161,17 @@ class _CommandParser(argparse.ArgumentParser):
         return [f"{flag}={','.join(texts)}"]
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _classifier(includes: Sequence[str], excludes: Sequence[str]):
+def _classifier(includes: Sequence[str], excludes: Sequence[str]) -> Classifier:
     """Shape-based classification, narrowed by name globs.
 
     Excluded names always average; when include patterns are given, only
     matching names stay on the SVD path. Shape eligibility is never
     widened — a bias vector stays non-matrix no matter what it is named.
     """
-    if not includes and not excludes:
-        return classify
-
-    def clf(name, tensor):
-        if classify(name, tensor) is not ParamClass.MATRIX:
-            return ParamClass.NON_MATRIX
-        if any(fnmatch.fnmatchcase(name, pat) for pat in excludes):
-            return ParamClass.NON_MATRIX
-        if includes and not any(fnmatch.fnmatchcase(name, pat) for pat in includes):
-            return ParamClass.NON_MATRIX
-        return ParamClass.MATRIX
-
-    return clf
+    return lambda name, tensor: (
+        classify(name, tensor)
+        and not any(fnmatch.fnmatchcase(name, pat) for pat in excludes)
+        and (not includes or any(fnmatch.fnmatchcase(name, pat) for pat in includes)))
 
 
 def _load_inputs(args: argparse.Namespace, task_index: int = 0) -> tuple:
@@ -201,10 +189,10 @@ def _load_inputs(args: argparse.Namespace, task_index: int = 0) -> tuple:
     return loaded[0][0], [tmap for tmap, _ in loaded[1:]], digests
 
 
-# What a command computed: the SHA-256 of each input file by path, its
-# artifacts in write order (file name -> writer taking the target path), its
-# stdout line and its exit status. ``main`` does the writing.
-Artifacts = dict[str, Callable[[Path], None]]
+# What a command computed: the SHA-256 of each input by path, its artifacts in
+# write order (file name -> writer of the target path, returning the SHA-256 of
+# what it wrote), its stdout line and its exit status. ``main`` does the writing.
+Artifacts = dict[str, Callable[[Path], str]]
 Outcome = tuple[dict[str, str], Artifacts, str, int]
 
 
@@ -244,7 +232,7 @@ def _cmd_index(args: argparse.Namespace) -> Outcome:
 def _cmd_analyze(args: argparse.Namespace) -> Outcome:
     pretrained, tasks, inputs = _load_inputs(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
-    matrices = {name: a.shape for name, a in pretrained.items() if clf(name, a) is ParamClass.MATRIX}
+    matrices = {name: a.shape for name, a in pretrained.items() if clf(name, a)}
     _check_ks(matrices, len(tasks), args.ks)  # before the origin solve and any SVD
     origin = select_origin(args.origin, pretrained, tasks, classifier=clf,
                            rankmin_steps=args.rankmin_steps)
@@ -320,19 +308,20 @@ def _write_outputs(args: argparse.Namespace, inputs: dict[str, str],
     """Create ``--out-dir``, write each artifact atomically in order, and
     then ``manifest.json``: the parsed parameters and the SHA-256 of every
     input and output. ``inputs`` holds the checkpoints' digests, taken as
-    they were loaded; ``--config`` and the outputs are hashed here."""
+    they were loaded; ``--config``'s was taken as it was parsed, and each
+    output's is taken as it is written."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, write in artifacts.items():
-        write(out / name)
+    outputs = {name: write(out / name) for name, write in artifacts.items()}
     if args.config:
-        inputs = {**inputs, str(Path(args.config)): _sha256(Path(args.config))}
+        inputs = {**inputs, str(Path(args.config)): args.config_sha256}
     _write_json(out / "manifest.json", {
         "command": args.command,
         "version": __version__,
-        "parameters": {k: v for k, v in vars(args).items() if k != "command"},
+        "parameters": {k: v for k, v in vars(args).items()
+                       if k not in ("command", "config_sha256")},
         "inputs": inputs,
-        "outputs": {name: _sha256(out / name) for name in artifacts},
+        "outputs": outputs,
     })
 
 

@@ -134,17 +134,17 @@ class InterferenceReport:
             },
         }
 
-    def write_json(self, path: str | Path) -> None:
-        """Write :meth:`to_json`, atomically."""
-        _write_json(path, self.to_json())
+    def write_json(self, path: str | Path) -> str:
+        """Write :meth:`to_json`, atomically; return its SHA-256."""
+        return _write_json(path, self.to_json())
 
-    def write_csv(self, path: str | Path) -> None:
-        """Columns: layer, quantity (I or R), k, value. Written atomically."""
+    def write_csv(self, path: str | Path) -> str:
+        """Columns: layer, quantity (I or R), k, value. Written atomically; returns its SHA-256."""
         rows: list[list[object]] = [["layer", "quantity", "k", "value"]]
         for name in sorted(self.interference):
             rows += [[name, "I", k, repr(v)] for k, v in self.interference[name]]
             rows += [[name, "R", k, repr(v)] for k, v in self.reconstruction[name]]
-        _write_csv(path, rows)
+        return _write_csv(path, rows)
 
 
 def _check_ks(shapes: dict[str, tuple[int, int]], task_count: int,
@@ -253,15 +253,15 @@ def rank_sweep(
     return rows
 
 
-def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
+def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> str:
     """Columns: ratio, lambda, task, accuracy — per-task rows plus a mean row.
-    Written atomically."""
+    Written atomically; returns its SHA-256."""
     lines: list[list[object]] = [["ratio", "lambda", "task", "accuracy"]]
     for row in rows:
         cell = [repr(row.ratio), repr(row.lam)]
         lines += [[*cell, t, repr(float(acc))] for t, acc in enumerate(row.accuracies)]
         lines.append([*cell, "mean", repr(row.mean_accuracy)])
-    _write_csv(path, lines)
+    return _write_csv(path, lines)
 
 
 def sample_size(a: float, b: float, epsilon: float, z: float) -> int:

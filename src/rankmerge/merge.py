@@ -34,7 +34,7 @@ from .errors import EmptyInput, NumericError, PlanError
 from .kernels import LowRankFactor, reconstruct, svd, truncate
 from .origin import select_origin
 from .pool import run_jobs
-from .tensor_store import Classifier, ParamClass, TensorMap, classify, validate_aligned
+from .tensor_store import Classifier, TensorMap, classify, validate_aligned
 
 __all__ = [
     "TaskVectorSet",
@@ -117,7 +117,7 @@ def _factoring(origin: TensorMap, finetuned: list[TensorMap], classifier: Classi
     tasks = len(finetuned)
     deltas: dict[str, LowRankFactor] = {}
     for name, arr in origin.items():
-        if classifier(name, arr) is ParamClass.MATRIX:
+        if classifier(name, arr):
             m, n = arr.shape
             k = min(m, n) if rank_ratio is None else prune_rank(rank_ratio, m, n)
             deltas[name] = LowRankFactor(

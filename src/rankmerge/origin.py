@@ -27,7 +27,7 @@ import numpy as np
 from .errors import EmptyInput, InsufficientTasks, NumericError, ShapeError
 from .kernels import RANK_EPS, LowRankFactor, svd
 from .pool import run_jobs
-from .tensor_store import Classifier, ParamClass, TensorMap, _write_csv, classify, validate_aligned
+from .tensor_store import Classifier, TensorMap, _write_csv, classify, validate_aligned
 
 __all__ = [
     "SolverTrace",
@@ -49,9 +49,9 @@ class SolverTrace:
 
     records: list[tuple[int, float, float]] = field(default_factory=list)
 
-    def write_csv(self, path: str | Path) -> None:
-        """Columns: step, nuclear_sum, fip_abs_sum. Written atomically."""
-        _write_csv(path, [
+    def write_csv(self, path: str | Path) -> str:
+        """Columns: step, nuclear_sum, fip_abs_sum. Written atomically; returns its SHA-256."""
+        return _write_csv(path, [
             ["step", "nuclear_sum", "fip_abs_sum"],
             *([step, repr(float(nuc)), repr(float(fip))] for step, nuc, fip in self.records),
         ])
@@ -247,7 +247,7 @@ def select_origin(
     def compute(name: str) -> tuple[np.ndarray, SolverTrace | None]:
         ref = pretrained[name]
         stacked = [fmap[name] for fmap in finetuned]
-        matrix = classifier(name, ref) is ParamClass.MATRIX
+        matrix = classifier(name, ref)
         if matrix and kind == "pretrained":
             return ref, None
         try:

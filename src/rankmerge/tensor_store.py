@@ -18,7 +18,6 @@ the data section with no gap, overlap or trailing byte.
 from __future__ import annotations
 
 import csv
-import enum
 import hashlib
 import io
 import json
@@ -37,7 +36,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ParamClass",
     "TensorMap",
     "classify",
     "load_checkpoint",
@@ -67,13 +65,6 @@ def _check_tensor(name: str, arr: np.ndarray) -> np.ndarray:
         out = arr.copy()
     out.flags.writeable = False
     return out
-
-
-class ParamClass(enum.Enum):
-    """Merge treatment of a parameter: SVD path or plain averaging."""
-
-    MATRIX = "matrix"
-    NON_MATRIX = "non_matrix"
 
 
 class TensorMap:
@@ -131,59 +122,60 @@ class TensorMap:
         return f"TensorMap({len(self)} tensors)"
 
 
-def classify(name: str, tensor: np.ndarray) -> ParamClass:
-    """Classify a parameter by shape alone.
+def classify(name: str, tensor: np.ndarray) -> bool:
+    """Whether a parameter takes the SVD merge path, by shape alone.
 
     Exactly-2-D tensors with both dimensions >= 2 take the SVD merge path;
     everything else (biases, norm scales, [1, n] strips, 3-D tensors) is
-    averaged. ``name`` is accepted for signature symmetry with per-name
-    overrides applied by callers, but never influences the result.
+    averaged. ``name`` is the :data:`Classifier` signature's, for callers
+    that narrow this rule by name; it never influences the result.
     """
-    del name
-    shape = np.asarray(tensor).shape
-    if len(shape) == 2 and shape[0] >= 2 and shape[1] >= 2:
-        return ParamClass.MATRIX
-    return ParamClass.NON_MATRIX
+    shape = np.shape(tensor)
+    return len(shape) == 2 and min(shape) >= 2
 
 
-# A per-parameter merge treatment; callers narrow ``classify`` by name.
-Classifier = Callable[[str, np.ndarray], ParamClass]
+# Whether a parameter takes the SVD merge path; callers narrow ``classify`` by name.
+Classifier = Callable[[str, np.ndarray], bool]
 
 
-def _atomic_write(path: str | Path, write: Callable[[BinaryIO], None]) -> None:
-    """Let ``write`` fill a new file next to ``path``, then move it onto
-    ``path`` in one step: a write that fails leaves ``path`` as it was and
-    no temporary file behind."""
+def _atomic_write(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> str:
+    """Write ``chunks`` in order to a new file next to ``path``, hashing them as
+    they go, move it onto ``path`` in one step, and return the SHA-256 hex digest.
+    A write that fails leaves ``path`` as it was and no temporary file behind."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    digest = hashlib.sha256()
     try:
         with open(tmp, "xb") as fh:
-            write(fh)
+            for chunk in chunks:
+                fh.write(chunk)
+                digest.update(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return digest.hexdigest()
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, atomically."""
-    _atomic_write(path, lambda fh: fh.write(text.encode()))
+def _write_text(path: str | Path, text: str) -> str:
+    """Write ``text`` to ``path`` as UTF-8, atomically; return its SHA-256."""
+    return _atomic_write(path, [text.encode()])
 
 
-def _write_json(path: str | Path, payload: object, indent: int | None = 2) -> None:
-    """Write ``payload`` as key-sorted JSON plus a newline, atomically."""
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+def _write_json(path: str | Path, payload: object, indent: int | None = 2) -> str:
+    """Write ``payload`` as key-sorted JSON plus a newline, atomically; return its SHA-256."""
+    return _write_text(path, json.dumps(payload, sort_keys=True, indent=indent) + "\n")
 
 
-def _write_csv(path: str | Path, rows: Iterable[Iterable[object]]) -> None:
-    """Write ``rows`` in the csv module's default dialect, atomically."""
+def _write_csv(path: str | Path, rows: Iterable[Iterable[object]]) -> str:
+    """Write ``rows`` in the csv module's default dialect, atomically; return its SHA-256."""
     buffer = io.StringIO()
     csv.writer(buffer).writerows(rows)
-    _write_text(path, buffer.getvalue())
+    return _write_text(path, buffer.getvalue())
 
 
-def save_checkpoint(tmap: TensorMap, path: str | Path) -> None:
-    """Write ``tmap`` to ``path`` in the container format, atomically."""
+def save_checkpoint(tmap: TensorMap, path: str | Path) -> str:
+    """Write ``tmap`` to ``path`` in the container format, atomically; return its SHA-256."""
     header: dict[str, object] = {}
     if tmap.metadata:
         header["__metadata__"] = tmap.metadata
@@ -200,21 +192,14 @@ def save_checkpoint(tmap: TensorMap, path: str | Path) -> None:
         offset += raw.nbytes
         buffers.append(raw)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-    def write(fh: BinaryIO) -> None:
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for raw in buffers:
-            fh.write(raw)
-
-    _atomic_write(path, write)
+    return _atomic_write(path, [struct.pack("<Q", len(header_bytes)), header_bytes, *buffers])
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     out: dict = {}
     for key, value in pairs:
         if key in out:
-            raise FormatError(f"header repeats the key {key!r}")
+            raise FormatError(f"the key {key!r} is repeated")
         out[key] = value
     return out
 

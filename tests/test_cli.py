@@ -537,19 +537,15 @@ def test_manifest_input_digests_are_of_the_files_read_once(command, checkpoints,
                                                           capsys, monkeypatch):
     pretrained, tasks = checkpoints
     inputs = [pretrained, *tasks]
-    real_open, real_sha256 = open, cli._sha256
+    real_open = open
     opened: list[str] = []
 
     def counted_open(path, *args, **kwargs):
         opened.append(str(path))
         return real_open(path, *args, **kwargs)
 
-    def outputs_only(path):
-        assert str(path) not in inputs, f"{path} was read again to be hashed"
-        return real_sha256(path)
-
-    monkeypatch.setattr(tensor_store, "open", counted_open, raising=False)
-    monkeypatch.setattr(cli, "_sha256", outputs_only)
+    for module in (cli, tensor_store):
+        monkeypatch.setattr(module, "open", counted_open, raising=False)
     out = tmp_path / "out"
     assert main(_small_run(command, checkpoints, out)) == 0
     capsys.readouterr()
@@ -557,6 +553,32 @@ def test_manifest_input_digests_are_of_the_files_read_once(command, checkpoints,
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["inputs"] == {
         path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs
+    }
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_outputs_are_hashed_as_they_are_written_not_reopened(command, checkpoints, tmp_path,
+                                                             capsys, monkeypatch):
+    real_open = open
+    read: list[Path] = []
+
+    def recorded_open(path, mode="r", *args, **kwargs):
+        if "r" in mode:
+            read.append(Path(path))
+        return real_open(path, mode, *args, **kwargs)
+
+    for module in (cli, tensor_store):
+        monkeypatch.setattr(module, "open", recorded_open, raising=False)
+    out = tmp_path / "out"
+    assert main(_small_run(command, checkpoints, out)) == 0
+    capsys.readouterr()
+    if command in ("merge", "index", "analyze"):
+        assert read, "the recorder sees the inputs being read"
+    assert not [path for path in read if out in path.parents]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.iterdir() if path.name != "manifest.json"
     }
 
 
@@ -612,6 +634,19 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     config.write_text(json.dumps({"epsilonn": 0.1}))
     assert main(["samplesize", "--config", str(config)]) == 2
     assert "epsilonn" in capsys.readouterr().err
+    # The manifest keeps the config's digest, but no parameter holds it.
+    config.write_text(json.dumps({"config_sha256": "0" * 64}))
+    assert main(["samplesize", "--config", str(config)]) == 2
+    assert "config_sha256" in capsys.readouterr().err
+
+
+def test_config_that_repeats_a_key_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"epsilon": 0.5, "epsilon": 0.1}')
+    out = tmp_path / "out"
+    assert main(["samplesize", "--config", str(config), "--out-dir", str(out)]) == 2
+    assert "'epsilon'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unreadable_config_is_a_usage_error(tmp_path, capsys):
@@ -715,8 +750,27 @@ def test_config_file_is_hashed_into_the_manifest(tmp_path, capsys):
     assert main(["samplesize", "--config", str(config), "--out-dir", str(out)]) == 0
     capsys.readouterr()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert str(config) in manifest["inputs"]
+    assert manifest["inputs"] == {str(config): hashlib.sha256(config.read_bytes()).hexdigest()}
+    assert "config_sha256" not in manifest["parameters"]
     assert json.loads((out / "samplesize.json").read_text()) == {"m": 97}
+
+
+def test_manifest_hashes_the_config_bytes_that_were_parsed(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "config.json"
+    parsed = json.dumps({"epsilon": 0.1}).encode()
+    config.write_bytes(parsed)
+    command = _COMMANDS["samplesize"]
+
+    def rewrite_then_run(args):
+        config.write_text(json.dumps({"epsilon": 0.2}))
+        return command(args)
+
+    monkeypatch.setitem(_COMMANDS, "samplesize", rewrite_then_run)
+    out = tmp_path / "ss"
+    assert main(["samplesize", "--config", str(config), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "97"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {str(config): hashlib.sha256(parsed).hexdigest()}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from rankmerge import (
     EmptyInput,
     InsufficientTasks,
     NumericError,
-    ParamClass,
     ShapeError,
     TensorMap,
 )
@@ -345,7 +344,7 @@ def test_select_origin_classifier_keeps_excluded_layers_off_the_solver(rng):
     pre = TensorMap({k: np.zeros_like(v) for k, v in rest[0].items()})
 
     def only_a(name, tensor):
-        return ParamClass.MATRIX if name == "a.weight" else ParamClass.NON_MATRIX
+        return name == "a.weight"
 
     traces: dict[str, SolverTrace] = {}
     out = select_origin(
@@ -430,7 +429,7 @@ def test_the_largest_overflowing_layer_is_raised_on_any_worker_count(rng, blas_s
                        for name, arr in m.items()}) for m in rest]
 
     def only_b(name, tensor):
-        return ParamClass.MATRIX if name == "b.weight" else ParamClass.NON_MATRIX
+        return name == "b.weight"
 
     with pytest.raises(NumericError, match="^b.weight: "):
         select_origin("rankmin", pre, rest, classifier=only_b, rankmin_steps=3)

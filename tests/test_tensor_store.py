@@ -11,7 +11,6 @@ import pytest
 from rankmerge import (
     ArchitectureMismatch,
     FormatError,
-    ParamClass,
     TensorMap,
     TruncationError,
     UnsupportedDtype,
@@ -185,12 +184,12 @@ def test_int_tensors_rejected_on_construction():
 @pytest.mark.parametrize(
     "shape,expected",
     [
-        ((4, 3), ParamClass.MATRIX),
-        ((2, 2), ParamClass.MATRIX),
-        ((128, 1), ParamClass.NON_MATRIX),
-        ((1, 128), ParamClass.NON_MATRIX),
-        ((7,), ParamClass.NON_MATRIX),
-        ((2, 3, 4), ParamClass.NON_MATRIX),
+        ((4, 3), True),
+        ((2, 2), True),
+        ((128, 1), False),
+        ((1, 128), False),
+        ((7,), False),
+        ((2, 3, 4), False),
     ],
 )
 def test_classify_by_shape(shape, expected):
@@ -200,8 +199,8 @@ def test_classify_by_shape(shape, expected):
 def test_classify_ignores_name():
     """A bias-like vector stays on the averaging path even if named weight,
     and vice versa — classification is a pure function of the shape."""
-    assert classify("encoder.bias", np.zeros((16, 16))) is ParamClass.MATRIX
-    assert classify("encoder.weight", np.zeros(16)) is ParamClass.NON_MATRIX
+    assert classify("encoder.bias", np.zeros((16, 16))) is True
+    assert classify("encoder.weight", np.zeros(16)) is False
 
 
 def test_validate_aligned_passes_identical_architectures():
