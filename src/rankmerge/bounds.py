@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvariantError, ParamError
 from .interference import _interference
-from .kernels import _singular_ranks, svd
+from .kernels import svd
 from .rng import stream
 
 __all__ = [
@@ -68,7 +68,6 @@ class SyntheticTaskSuite:
     c: float
     eta: float
     seed: int
-    theta0: np.ndarray = field(repr=False)
     taus: list[np.ndarray] = field(repr=False)
     inputs: list[np.ndarray] = field(repr=False)
     row_bases: list[np.ndarray] = field(repr=False)
@@ -118,10 +117,10 @@ def generate_suites(specs: Sequence[tuple]) -> list[SyntheticTaskSuite]:
     drawn = [_draw(*spec) for spec in specs]
     updates: list = [None] * len(specs)
     for (d, r), members in _group(specs, lambda spec: (spec[0], spec[3])).items():
-        q, upper = np.linalg.qr(np.concatenate([drawn[i][1] for i in members]))
+        q, upper = np.linalg.qr(np.concatenate([drawn[i][0] for i in members]))
         q *= np.sign(np.diagonal(upper, axis1=-2, axis2=-1))[..., None, :]
         left, right = q[:, 0], q[:, 1]
-        singulars = np.sort(np.concatenate([drawn[i][2] for i in members]), axis=1)[:, ::-1]
+        singulars = np.sort(np.concatenate([drawn[i][1] for i in members]), axis=1)[:, ::-1]
         taus = left @ (singulars[:, :, None] * np.swapaxes(right, 1, 2))
         start = 0
         for i in members:
@@ -132,24 +131,23 @@ def generate_suites(specs: Sequence[tuple]) -> list[SyntheticTaskSuite]:
     suites = []
     for spec, draws, (taus, right) in zip(specs, drawn, updates):
         d, T, n, r, alpha, s_max, c, eta, seed = spec
-        theta0, _, _, coeff_dirs, coeff_u, noise_dirs, noise_u = draws
+        _, _, coeff_dirs, coeff_u, noise_dirs, noise_u = draws
         coeffs = _ball(coeff_dirs, coeff_u, c * s_max)
         inputs = coeffs @ np.swapaxes(right, 1, 2) + _ball(noise_dirs, noise_u, 1.0) * eta
         suites.append(SyntheticTaskSuite(
             d=d, T=T, n=n, r=r, alpha=alpha, s_max=s_max, c=c, eta=eta, seed=seed,
-            theta0=theta0, taus=list(taus), inputs=list(inputs), row_bases=list(right),
+            taus=list(taus), inputs=list(inputs), row_bases=list(right),
         ))
     return suites
 
 
 def _draw(d: int, T: int, n: int, r: int, alpha: float, s_max: float, c: float, eta: float,
           seed: int) -> tuple[np.ndarray, ...]:
-    """One suite's draws from its stream, in a fixed order: the base point,
-    then per task the raw Gaussians of its left and right factors, its
-    singular values unsorted, and the directions and radii of its
-    coefficient and noise balls."""
+    """One suite's draws from its stream, in a fixed order: per task the raw
+    Gaussians of its left and right factors, its singular values unsorted,
+    and the directions and radii of its coefficient and noise balls."""
     rng = stream(seed, "synthetic-suite")
-    theta0 = rng.standard_normal((d, d))
+    rng.standard_normal((d, d))  # unread: keeps every later draw and certificate as it was
     raw, singulars = np.empty((T, 2, d, r)), np.empty((T, r))
     coeff_dirs, coeff_u = np.empty((T, n, r)), np.empty((T, n, 1))
     noise_dirs, noise_u = np.empty((T, n, d)), np.empty((T, n, 1))
@@ -160,7 +158,7 @@ def _draw(d: int, T: int, n: int, r: int, alpha: float, s_max: float, c: float, 
         rng.random(out=coeff_u[t])
         rng.standard_normal(out=noise_dirs[t])
         rng.random(out=noise_u[t])
-    return theta0, raw, singulars, coeff_dirs, coeff_u, noise_dirs, noise_u
+    return raw, singulars, coeff_dirs, coeff_u, noise_dirs, noise_u
 
 
 def _group(items: Sequence, key) -> dict:
@@ -203,16 +201,13 @@ def _cross_task_loss(inputs: np.ndarray, others: np.ndarray) -> float:
 _SLACK = 1e-9
 
 
-def _contract_errors(
-    suites: Sequence[SyntheticTaskSuite], singulars: np.ndarray, worst: np.ndarray
-) -> list[str | None]:
+def _contract_errors(suites: Sequence[SyntheticTaskSuite], singulars: np.ndarray,
+                     counts: np.ndarray, worst: np.ndarray) -> list[str | None]:
     """For each of ``suites``, all of one ``(d, T)``, how its first task that
-    breaks the generation contract breaks it, or None. ``singulars`` holds
-    each update's singular values, ``(S, T, d)``, and ``worst`` each task's
-    largest input distance from its row space, ``(S, T)``."""
+    breaks the generation contract breaks it, or None. Per update, ``(S, T)``:
+    ``counts`` holds its numerical rank and ``worst`` its task's largest input
+    distance from its row space; ``singulars``, ``(S, T, d)``, its spectrum."""
     alpha, s_max, r, eta = np.array([(s.alpha, s.s_max, s.r, s.eta) for s in suites]).T[..., None]
-    top = np.maximum(singulars[..., 0], 1.0)
-    counts = np.sum(singulars > _SLACK * top[..., None], axis=-1)
     # Spectra are nonincreasing: the last count above the slack is the smallest.
     lo = np.take_along_axis(singulars, np.maximum(counts - 1, 0)[..., None], axis=-1)[..., 0]
     hi = singulars[..., 0]
@@ -260,8 +255,9 @@ def certify_bounds(suites: Sequence[SyntheticTaskSuite]) -> list[BoundCertificat
     """Evaluate the interference bound on each suite; a suite's certificate
     is the same bit for bit, alone or among any others.
 
-    Each task update is factored once; the contract checks, the largest
-    numerical rank ``r_max`` and ``I`` all read that one SVD. ``I`` is
+    Each task update is factored once, and its numerical rank counted once:
+    its singular values above ``_SLACK * max(sigma_1, 1)``. The contract
+    checks each rank against ``r``, and ``r_max`` is the largest. ``I`` is
     evaluated at ``k = r_max``: the bound's derivation needs the top-k row
     spaces to cover each update entirely, and every larger k gives the same
     value. A suite whose realized draws violate the generation contract,
@@ -290,17 +286,17 @@ def certify_bounds(suites: Sequence[SyntheticTaskSuite]) -> list[BoundCertificat
         inputs = [np.array(suite.inputs) for suite in group]
         worst = np.array([_row_space_distance(x, np.array(suite.row_bases))
                           for x, suite in zip(inputs, group)])
-        for i, error in zip(members, _contract_errors(group, singulars, worst)):
+        counts = np.sum(singulars > _SLACK * np.maximum(singulars[..., :1], 1.0), axis=-1)
+        for i, error in zip(members, _contract_errors(group, singulars, counts, worst)):
             errors[i] = error
-        groups.append((members, group, taus, singulars, rights, inputs))
+        groups.append((members, group, taus, counts.max(axis=1), singulars, rights, inputs))
     first = next((error for error in errors if error is not None), None)
     if first is not None:
         raise InvariantError(first)
 
     certificates: list = [None] * len(suites)
-    for members, group, taus, singulars, rights, inputs in groups:
+    for members, group, taus, ranks, singulars, rights, inputs in groups:
         d = taus.shape[-1]
-        ranks = _singular_ranks(singulars).max(axis=1)
         curves = _interference(singulars, rights, range(1, d + 1))
         for i, suite, r_max, curve, others, x in zip(
             members, group, ranks.tolist(), curves, _others(taus), inputs

@@ -31,6 +31,7 @@ import fnmatch
 import hashlib
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -308,21 +309,27 @@ def _write_outputs(args: argparse.Namespace, inputs: dict[str, str],
     """Create ``--out-dir``, write each artifact atomically in order, and
     then ``manifest.json``: the parsed parameters and the SHA-256 of every
     input and output. ``inputs`` holds the checkpoints' digests, taken as
-    they were loaded; ``--config``'s was taken as it was parsed, and each
-    output's is taken as it is written."""
+    they were loaded; ``--config``'s as it was parsed, and each output's as
+    it is written. A failed write removes the directories this created."""
     out = Path(args.out_dir)
+    created = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    outputs = {name: write(out / name) for name, write in artifacts.items()}
-    if args.config:
-        inputs = {**inputs, str(Path(args.config)): args.config_sha256}
-    _write_json(out / "manifest.json", {
-        "command": args.command,
-        "version": __version__,
-        "parameters": {k: v for k, v in vars(args).items()
-                       if k not in ("command", "config_sha256")},
-        "inputs": inputs,
-        "outputs": outputs,
-    })
+    try:
+        outputs = {name: write(out / name) for name, write in artifacts.items()}
+        if args.config:
+            inputs = {**inputs, str(Path(args.config)): args.config_sha256}
+        _write_json(out / "manifest.json", {
+            "command": args.command,
+            "version": __version__,
+            "parameters": {k: v for k, v in vars(args).items()
+                           if k not in ("command", "config_sha256")},
+            "inputs": inputs,
+            "outputs": outputs,
+        })
+    except BaseException:
+        if created:
+            shutil.rmtree(created[-1], ignore_errors=True)
+        raise
 
 
 _COMMANDS: dict[str, Callable[[argparse.Namespace], Outcome]] = {

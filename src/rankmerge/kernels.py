@@ -1,10 +1,9 @@
 r"""Dense linear-algebra primitives used throughout the merge pipeline.
 
-Everything here is pure and deterministic: the SVD applies a fixed sign
-convention (largest-magnitude entry of each left singular vector made
-nonnegative) so factors reproduce bit-for-bit across runs, and singular
-values below ``RANK_EPS * sigma_max`` are treated as numerical zeros. The
-SVD factors a matrix, or a stack of them in one LAPACK call. Asked for fewer
+Everything here is pure and deterministic under one BLAS setting. Each
+singular pair keeps the sign LAPACK gives it: nothing read off a factor
+(rank-k approximations, spectra, row spaces) depends on it. The SVD
+factors a matrix, or a stack of them in one LAPACK call. Asked for fewer
 triples than the full rank, it takes them from the eigenvectors of the
 smaller Gram matrix when float64 can hold and resolve them that way, and
 from the full SVD otherwise.
@@ -27,7 +26,8 @@ __all__ = [
     "reconstruct",
 ]
 
-# Relative threshold below which a singular value counts as zero.
+# Smoothing of the rankmin origin's reweighting, relative to the largest
+# singular value at the mean: rankmin_origin's delta, its one reader.
 RANK_EPS = 1e-10
 
 # The top-k triples come from the Gram matrix only when its eigen-gap
@@ -80,9 +80,8 @@ def svd(a: np.ndarray, k: int | None = None) -> LowRankFactor:
     at ``k`` is below ``GRAM_MIN_GAP`` of its largest eigenvalue (or that
     is zero); in a stack, one such slice sends every slice to the full SVD.
     A stack is one LAPACK call, and slice ``i`` of the result is bit for bit
-    the factor of ``a[i]`` by the same route. The sign convention makes the
-    largest-magnitude entry of each left singular vector nonnegative; ties
-    among equal singular values keep the backend's column order.
+    the factor of ``a[i]`` by the same route. The signs of the singular
+    pairs, and the order of tied ones, are the backend's.
     """
     a = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(a)):
@@ -98,43 +97,15 @@ def svd(a: np.ndarray, k: int | None = None) -> LowRankFactor:
         return LowRankFactor(left=np.zeros((*lead, m, 0)), singulars=np.zeros((*lead, 0)),
                              right=np.zeros((*lead, 0, n)))
     factors = _gram_top(a, k) if k < full else None
-    left, s, right = np.linalg.svd(a, full_matrices=False) if factors is None else factors
-    _fix_signs(left, right)
-    f = LowRankFactor(left=left, singulars=s, right=right)
+    f = LowRankFactor(*(np.linalg.svd(a, full_matrices=False) if factors is None else factors))
     return truncate(f, k) if f.k > k else f
-
-
-def _fix_signs(left: np.ndarray, right: np.ndarray) -> None:
-    """Make the largest-magnitude entry of each left singular vector
-    nonnegative, negating the matching right vector; in place, on 2-D
-    factors or on stacks of them, so factors are reproducible across
-    platforms.
-
-    The entry is the first of largest magnitude. It is found from each
-    column's largest and smallest entries, and only where their magnitudes
-    tie from where they first occur, because ``np.argmax`` across rows
-    would copy the whole stack.
-    """
-    if not left.size:
-        return
-    largest = np.max(left, axis=-2, keepdims=True)
-    smallest = np.min(left, axis=-2, keepdims=True)
-    flip = -smallest > largest
-    tie = -smallest == largest
-    if tie.any():
-        first_largest = np.argmax(left == largest, axis=-2)[..., None, :]
-        first_smallest = np.argmax(left == smallest, axis=-2)[..., None, :]
-        flip |= tie & (first_smallest < first_largest)
-    signs = np.where(flip, -1.0, 1.0)  # a product with -1.0 is an exact negation
-    left *= signs
-    right *= np.swapaxes(signs, -1, -2)
 
 
 def _gram_top(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Top-``k`` ``(left, singulars, right)`` of each matrix of ``a`` from the
-    eigenvectors of ``aᵀa`` (``aaᵀ`` when the matrices are wide), before the
-    sign convention; None when a Gram matrix overflows float64 or the
-    eigen-gap at ``k`` of any matrix is too small for float64 to resolve."""
+    eigenvectors of ``aᵀa`` (``aaᵀ`` when the matrices are wide); None when
+    a Gram matrix overflows float64 or the eigen-gap at ``k`` of any matrix
+    is too small for float64 to resolve."""
     wide = a.shape[-2] < a.shape[-1]
     b = np.swapaxes(a, -1, -2) if wide else a
     with np.errstate(over="ignore", invalid="ignore"):
@@ -173,15 +144,6 @@ def truncate(f: LowRankFactor, k: int) -> LowRankFactor:
 
 def reconstruct(f: LowRankFactor) -> np.ndarray:
     """Materialize ``left @ diag(singulars) @ right`` as a dense matrix, or
-    as a stack of them from a stacked factor."""
-    if f.k == 0:
-        return np.zeros((*f.singulars.shape[:-1], *f.shape), dtype=np.float64)
+    as a stack of them from a stacked factor; zeros when ``k == 0``."""
     return f.left @ (f.singulars[..., None] * f.right)
 
-
-def _singular_ranks(s: np.ndarray) -> np.ndarray:
-    """Count of the singular values above ``RANK_EPS * sigma_max`` of each
-    matrix of a stack, from its nonincreasing singular values ``s`` of shape
-    ``(..., k)``."""
-    top = s[..., :1]
-    return np.sum((s > RANK_EPS * top) & (top > 0.0), axis=-1)

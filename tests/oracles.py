@@ -196,11 +196,12 @@ def _reference_ball(rng: np.random.Generator, dim: int, radius: float, count: in
 
 
 def reference_suite(d, T, n, r, alpha, s_max, c, eta, seed):
-    """``(theta0, taus, inputs, row_bases)`` of one suite, drawn task by task."""
+    """``(taus, inputs, row_bases)`` of one suite, drawn task by task after
+    the one d x d draw that nothing reads."""
     from rankmerge.rng import stream
 
     rng = stream(seed, "synthetic-suite")
-    theta0 = rng.standard_normal((d, d))
+    rng.standard_normal((d, d))
     taus, row_bases, inputs = [], [], []
     for _ in range(T):
         left = _reference_orthonormal(rng, d, r)
@@ -211,7 +212,7 @@ def reference_suite(d, T, n, r, alpha, s_max, c, eta, seed):
         coeffs = _reference_ball(rng, r, c * s_max, n)
         noise = _reference_ball(rng, d, 1.0, n) * eta
         inputs.append(coeffs @ right.T + noise)
-    return theta0, taus, inputs, row_bases
+    return taus, inputs, row_bases
 
 
 def reference_certificate_line(d, T, n, r, alpha, s_max, c, eta, seed) -> str:
@@ -219,7 +220,7 @@ def reference_certificate_line(d, T, n, r, alpha, s_max, c, eta, seed) -> str:
     I from a loop over task pairs, L from a loop over tasks."""
     import json
 
-    _, taus, inputs, _ = reference_suite(d, T, n, r, alpha, s_max, c, eta, seed)
+    taus, inputs, _ = reference_suite(d, T, n, r, alpha, s_max, c, eta, seed)
     factors = [np.linalg.svd(tau, full_matrices=False) for tau in taus]
     r_max = 0
     for _, s, _ in factors:

@@ -9,6 +9,7 @@ finite-difference check of its soft backward path.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import importlib
 import warnings
 
@@ -18,6 +19,7 @@ import pytest
 from rankmerge import (
     Batch,
     EmptyBatch,
+    LowRankFactor,
     NumericError,
     PlanError,
     ShapeError,
@@ -29,6 +31,7 @@ from rankmerge import (
     classification_sweep_suite,
     coefficient_gradient,
     entropy_loss,
+    interference_report,
     merge,
     prune_ranks,
     signal_noise_suite,
@@ -36,6 +39,7 @@ from rankmerge import (
     weight_average,
 )
 from rankmerge.adaptation import INIT_COEFFICIENT, write_adaptation_csv
+from rankmerge.origin import _majorize_minimize
 from rankmerge.rng import stream
 
 from oracles import (
@@ -187,6 +191,33 @@ def test_zero_delta_gets_zero_gradient():
     grid = coefficient_gradient(np.full((2, len(LAYERS)), INIT_COEFFICIENT), tvs, model, batch)
     assert np.all(grid[0] == 0.0)
     assert np.any(grid[1] != 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_flipping_singular_pairs_changes_no_output_bit(seed):
+    """Negating a pair (u, v) negates both factors of each product that reads
+    it, exactly, so the merge, the interference report, the coefficient
+    gradient and the rankmin step are the same bit for bit: no sign rule
+    is needed."""
+    model, tvs, batch = _bed(seed)
+    g = stream(seed, "sign-flips")
+    deltas = {}
+    for name, f in tvs.deltas.items():
+        signs = np.where(g.random(f.singulars.shape) < 0.5, -1.0, 1.0)
+        assert np.any(signs < 0)
+        deltas[name] = LowRankFactor(f.left * signs[..., None, :], f.singulars,
+                                     f.right * signs[..., :, None])
+    flipped = dataclasses.replace(tvs, deltas=deltas)
+    values = g.uniform(0.1, 1.0, size=(tvs.task_count, len(tvs.matrix_names())))
+    for name, layer in merge(tvs, values).items():
+        np.testing.assert_array_equal(merge(flipped, values)[name], layer)
+    assert interference_report(flipped).to_json() == interference_report(tvs).to_json()
+    np.testing.assert_array_equal(coefficient_gradient(values, flipped, model, batch),
+                                  coefficient_gradient(values, tvs, model, batch))
+    for name, f in tvs.deltas.items():
+        top = float(np.max(f.singulars))
+        np.testing.assert_array_equal(_majorize_minimize(deltas[name], top),
+                                      _majorize_minimize(f, top))
 
 
 # ---------------------------------------------------------------------------

@@ -609,6 +609,26 @@ def test_failed_plan_write_keeps_the_previous_one(checkpoints, tmp_path, capsys,
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "merged.ckpt", "plan.json"]
 
 
+def test_failed_write_removes_the_out_dir_it_created(tmp_path, capsys):
+    g = stream(0, "cli-long-layer-name")
+    paths = []
+    for name in ["pre", "task0", "task1"]:
+        paths.append(str(tmp_path / f"{name}.ckpt"))
+        save_checkpoint(random_tensor_map(g, {"w" * 300: (6, 4)}), paths[-1])
+    out = tmp_path / "new" / "merged"
+    argv = _merge_args(paths[0], paths[1:], out, ["--origin", "rankmin", "--rankmin-steps", "2"])
+    # The layer's trace file name is too long for the file system; by then
+    # merged.ckpt and plan.json are written.
+    assert main(argv) == 1
+    assert "File name too long" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted(Path(p) for p in paths)
+    # A directory that was there before is kept.
+    out.mkdir(parents=True)
+    assert main(argv) == 1
+    capsys.readouterr()
+    assert out.is_dir()
+
+
 # ---------------------------------------------------------------------------
 # parameter resolution
 
