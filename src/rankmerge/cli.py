@@ -199,13 +199,24 @@ Outcome = tuple[dict[str, str], Artifacts, str, int]
 
 def _trace_file_name(layer: str) -> str:
     """``trace_<layer>.csv`` with ``%`` escaped as ``%25``, then ``/`` as
-    ``%2F``: one file per layer name, and a name holding neither is kept."""
-    return f"trace_{layer.replace('%', '%25').replace('/', '%2F')}.csv"
+    ``%2F``: one file per layer name, and a name holding neither is kept.
+    A name over 200 bytes keeps its first 179 and ends in ``~``, 16 hex
+    digits of the layer name's SHA-256 and ``.csv``: with the temporary
+    file's suffix it stays within the file system's 255."""
+    name = f"trace_{layer.replace('%', '%25').replace('/', '%2F')}.csv"
+    if len(name.encode()) <= 200:
+        return name
+    head = name.encode()[:179].decode(errors="ignore")
+    return f"{head}~{hashlib.sha256(layer.encode()).hexdigest()[:16]}.csv"
 
 
 def _cmd_merge(args: argparse.Namespace) -> Outcome:
     pretrained, tasks, inputs = _load_inputs(args)
     clf = _classifier(args.matrix_include, args.matrix_exclude)
+    # Every trace file name is known before the solve, whatever the origin.
+    files = {name: _trace_file_name(name) for name, a in pretrained.items() if clf(name, a)}
+    if len(set(files.values())) < len(files):
+        raise ValueError("two matrix layers share one trace file name")
     traces: dict[str, SolverTrace] = {}
     origin = select_origin(args.origin, pretrained, tasks, trace_out=traces, classifier=clf,
                            rankmin_steps=args.rankmin_steps)
@@ -216,7 +227,7 @@ def _cmd_merge(args: argparse.Namespace) -> Outcome:
         "plan.json": lambda path: _write_json(path, {"coefficients": {"global": args.lam}}),
     }
     for layer in sorted(traces):
-        artifacts[_trace_file_name(layer)] = traces[layer].write_csv
+        artifacts[files[layer]] = traces[layer].write_csv
     return inputs, artifacts, f"merged {len(tasks)} checkpoints -> {target}", 0
 
 

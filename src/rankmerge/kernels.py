@@ -6,7 +6,9 @@ singular pair keeps the sign LAPACK gives it: nothing read off a factor
 factors a matrix, or a stack of them in one LAPACK call. Asked for fewer
 triples than the full rank, it takes them from the eigenvectors of the
 smaller Gram matrix when float64 can hold and resolve them that way, and
-from the full SVD otherwise.
+from the full SVD otherwise. Rankmin iterates take the whole spectrum that
+way while λ_min ≥ 1e-8·λ₁, which holds each σ to ~1.1e-12·σ₁; a layer whose
+iterate fails stays on the full SVD (``origin.rankmin_origin``).
 """
 
 from __future__ import annotations
@@ -101,11 +103,13 @@ def svd(a: np.ndarray, k: int | None = None) -> LowRankFactor:
     return truncate(f, k) if f.k > k else f
 
 
-def _gram_top(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _gram_top(a: np.ndarray, k: int,
+              min_gap: float = GRAM_MIN_GAP) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Top-``k`` ``(left, singulars, right)`` of each matrix of ``a`` from the
     eigenvectors of ``aᵀa`` (``aaᵀ`` when the matrices are wide); None when
     a Gram matrix overflows float64 or the eigen-gap at ``k`` of any matrix
-    is too small for float64 to resolve."""
+    is below ``min_gap`` of its largest eigenvalue. At ``k = min(m, n)``
+    that gap is the smallest eigenvalue."""
     wide = a.shape[-2] < a.shape[-1]
     b = np.swapaxes(a, -1, -2) if wide else a
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,14 +119,16 @@ def _gram_top(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     values, vectors = np.linalg.eigh(gram)
     values, vectors = values[..., ::-1], vectors[..., ::-1]
     top = values[..., 0]
-    if not np.all(top > 0.0) or np.any(values[..., k - 1] - values[..., k] < GRAM_MIN_GAP * top):
+    below = values[..., k] if k < values.shape[-1] else 0.0
+    if not np.all(top > 0.0) or np.any(values[..., k - 1] - below < min_gap * top):
         return None
     s = np.sqrt(values[..., :k])
     right = np.ascontiguousarray(np.swapaxes(vectors[..., :k], -1, -2))
-    left = (b @ np.swapaxes(right, -1, -2)) / s[..., None, :]
-    if wide:
-        return np.swapaxes(right, -1, -2).copy(), s, np.swapaxes(left, -1, -2).copy()
-    return left, s, right
+    # The factor of the input's size is made once, in its own layout, and
+    # scaled in place: ΣVᵀ = Uᵀa for a wide input, U = aV/σ for a tall one.
+    big = right @ a if wide else a @ np.swapaxes(right, -1, -2)
+    big /= s[..., None] if wide else s[..., None, :]
+    return (np.swapaxes(right, -1, -2), s, big) if wide else (big, s, right)
 
 
 def truncate(f: LowRankFactor, k: int) -> LowRankFactor:

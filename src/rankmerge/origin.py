@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyInput, InsufficientTasks, NumericError, ShapeError
-from .kernels import RANK_EPS, LowRankFactor, svd
+from .kernels import RANK_EPS, LowRankFactor, _gram_top, svd
 from .pool import run_jobs
 from .tensor_store import Classifier, TensorMap, _write_csv, classify, validate_aligned
 
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _KINDS = ("pretrained", "mean", "rankmin")
+
+_GRAM_MIN_EIG = 1e-8  # rankmin's Gram route needs λ_min ≥ this·λ₁: see rankmin_origin
 
 
 @dataclass
@@ -140,10 +142,25 @@ def rankmin_origin(layers: list[np.ndarray], steps: int = 20) -> tuple[np.ndarra
     weights are scaled by that singular value, which leaves the step as it
     is and keeps them in range at any scale of the input.
 
-    Each iterate factors its T task vectors in one stacked SVD: the singular
-    values give the trace's objective and the factors the next step. The
-    trace has one row per iterate; a sum of |FIP| that overflows float64 is
-    recorded as it comes, an infinity or NaN. Layers must be 2-D, or
+    Each iterate factors its T task vectors in one stacked call: the
+    singular values give the trace's objective and the factors the next
+    step, which reads only :math:`\sigma` and :math:`V` as
+    :math:`U_t \Sigma_t = D_t V_t`. While every slice's Gram matrix
+    (:math:`D_t^\top D_t`, or :math:`D_t D_t^\top` for a wide layer) is
+    finite with :math:`\lambda_{\min} \ge c\,\lambda_1 > 0`, the factor
+    comes from its ``eigh``: ``U = DV/σ`` (``Vᵀ = UᵀD/σ`` if wide). Forming
+    and factoring it errs by about :math:`\epsilon\lambda_1`, so
+    :math:`\sigma_i = \sqrt{\lambda_i}` errs by about
+    :math:`\epsilon\lambda_1/2\sigma_i \le \epsilon\sigma_1/2\sqrt{c}`:
+    :math:`1.1\times10^{-12}\,\sigma_1` at :math:`c = 10^{-8}`, and each weight
+    is good to :math:`\epsilon/2c = 1.1\times10^{-8}` relative. ``U`` is
+    orthonormal only to :math:`\epsilon/c`, but the step reads only
+    :math:`U\Sigma = DV`. An iterate that fails the gate, and every
+    later one of the layer, takes the full SVD: a layer that the solver
+    drives toward low rank pays for one ``eigh``, not one per step.
+
+    The trace has one row per iterate; a sum of |FIP| that overflows float64
+    is recorded as it comes, an infinity or NaN. Layers must be 2-D, or
     :class:`ShapeError` is raised.
     """
     if len(layers) < 2:
@@ -156,13 +173,17 @@ def rankmin_origin(layers: list[np.ndarray], steps: int = 20) -> tuple[np.ndarra
     if theta.ndim != 2:
         raise ShapeError(f"rankmin_origin needs 2-D layers, got shape {theta.shape}")
     deltas = np.empty((len(thetas), *theta.shape))
+    gram = True  # the route of the next iterate; the full SVD once one fails the gate
 
     def factor(theta: np.ndarray) -> tuple[LowRankFactor, float, float]:
         """At ``theta``: the task vectors' stacked factor, the objective and
         the summed |FIP|."""
+        nonlocal gram
         for t, layer in enumerate(thetas):
             np.subtract(layer, theta, out=deltas[t])
-        f = svd(deltas)
+        factors = _gram_top(deltas, min(theta.shape), _GRAM_MIN_EIG) if gram else None
+        gram = factors is not None
+        f = svd(deltas) if factors is None else LowRankFactor(*factors)
         return f, sum(np.sum(f.singulars, axis=1).tolist()), sum(map(abs, _pair_fips(deltas)))
 
     f, objective, fip = factor(theta)

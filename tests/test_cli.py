@@ -609,24 +609,56 @@ def test_failed_plan_write_keeps_the_previous_one(checkpoints, tmp_path, capsys,
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "merged.ckpt", "plan.json"]
 
 
-def test_failed_write_removes_the_out_dir_it_created(tmp_path, capsys):
+def _rankmin_checkpoints(tmp_path, layers: list[str]) -> list[str]:
     g = stream(0, "cli-long-layer-name")
     paths = []
     for name in ["pre", "task0", "task1"]:
         paths.append(str(tmp_path / f"{name}.ckpt"))
-        save_checkpoint(random_tensor_map(g, {"w" * 300: (6, 4)}), paths[-1])
+        save_checkpoint(random_tensor_map(g, {layer: (6, 4) for layer in layers}), paths[-1])
+    return paths
+
+
+def test_failed_write_removes_the_out_dir_it_created(tmp_path, capsys, fail_writes_to):
+    paths = _rankmin_checkpoints(tmp_path, ["w"])
     out = tmp_path / "new" / "merged"
     argv = _merge_args(paths[0], paths[1:], out, ["--origin", "rankmin", "--rankmin-steps", "2"])
-    # The layer's trace file name is too long for the file system; by then
-    # merged.ckpt and plan.json are written.
+    # The layer's trace fails midway; by then merged.ckpt and plan.json are written.
+    fail_writes_to("trace_w.csv")
     assert main(argv) == 1
-    assert "File name too long" in capsys.readouterr().err
+    assert "no space left on device" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == sorted(Path(p) for p in paths)
     # A directory that was there before is kept.
     out.mkdir(parents=True)
     assert main(argv) == 1
     capsys.readouterr()
     assert out.is_dir()
+
+
+def test_rankmin_trace_of_a_long_layer_name_gets_a_short_file_name(tmp_path, capsys):
+    layer = "w" * 300
+    paths = _rankmin_checkpoints(tmp_path, [layer])
+    out = tmp_path / "merged"
+    argv = _merge_args(paths[0], paths[1:], out, ["--origin", "rankmin", "--rankmin-steps", "2"])
+    assert main(argv) == 0
+    capsys.readouterr()
+    name = f"trace_{'w' * 173}~{hashlib.sha256(layer.encode()).hexdigest()[:16]}.csv"
+    assert len(name) == 200
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "merged.ckpt", "plan.json", name]
+    assert name in json.loads((out / "manifest.json").read_text())["outputs"]
+
+
+def test_trace_file_names_are_checked_before_the_solve(tmp_path, capsys, svd_calls, eigh_calls):
+    # The second name is the file name that the first is shortened to.
+    long = "w" * 300
+    short = f"{'w' * 173}~{hashlib.sha256(long.encode()).hexdigest()[:16]}"
+    paths = _rankmin_checkpoints(tmp_path, [long, short])
+    out = tmp_path / "merged"
+    argv = _merge_args(paths[0], paths[1:], out, ["--origin", "rankmin", "--rankmin-steps", "2"])
+    assert main(argv) == 1
+    assert "share one trace file name" in capsys.readouterr().err
+    assert (svd_calls, eigh_calls) == ([], [])
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from rankmerge import (
     ShapeError,
     TensorMap,
 )
-from rankmerge import pool
+from rankmerge import origin, pool
 from rankmerge.origin import (
     SolverTrace,
     mean_origin,
@@ -176,7 +176,8 @@ def test_rankmin_trace_shape(rng):
 def test_rankmin_factors_each_task_once_per_iterate(rng, svd_calls):
     layers = _shared_plus_lowrank(rng, tasks=3)
     rankmin_origin(layers, steps=7)
-    # One stacked SVD of the three task vectors per iterate, warm start included.
+    # The task vectors have rank 3 < 9, so the warm start fails the Gram
+    # route's gate: one stacked SVD of the three per iterate, warm start included.
     assert svd_calls == [(3, 12, 9)] * (7 + 1)
 
 
@@ -227,6 +228,32 @@ def test_rankmin_objective_never_rises(case):
     objectives = [nuc for _, nuc, _ in rankmin_origin(RANKMIN_CASES[case](), 100)[1].records]
     for before, after in zip(objectives, objectives[1:]):
         assert after <= before * (1.0 + 1e-12)
+
+
+_ROUTES = {  # the eigh and svd calls of 100 steps
+    "planted-256x64": ([(4, 64, 64)] * 101, []),
+    # Rank-deficient at the mean: the first iterate fails the gate, and so
+    # the layer stays on the full SVD.
+    "planted-64x64": ([(4, 64, 64)], [(4, 64, 64)] * 101),
+    "criterion-0": ([(4, 10, 10)], [(4, 14, 10)] * 101),
+}
+
+
+@pytest.mark.parametrize("case", _ROUTES)
+def test_rankmin_takes_the_gram_route_until_an_iterate_fails_the_gate(case, svd_calls, eigh_calls):
+    rankmin_origin(RANKMIN_CASES[case](), 100)
+    assert (eigh_calls, svd_calls) == _ROUTES[case]
+
+
+def test_rankmin_gram_route_matches_the_full_svd_route(monkeypatch):
+    layers = RANKMIN_CASES["planted-256x64"]()
+    theta, trace = rankmin_origin(layers, 100)
+    monkeypatch.setattr(origin, "_GRAM_MIN_EIG", 2.0)  # no spectrum passes the gate
+    theta_svd, trace_svd = rankmin_origin(layers, 100)
+    np.testing.assert_allclose(theta, theta_svd, rtol=0, atol=1e-10 * np.max(np.abs(theta_svd)))
+    # The objectives; |FIP| reads theta alone, and sums terms of both signs.
+    np.testing.assert_allclose([r[1] for r in trace.records], [r[1] for r in trace_svd.records],
+                               rtol=1e-12)
 
 
 def test_rankmin_of_the_transposed_layers_is_the_transposed_solution():
