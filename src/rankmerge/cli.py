@@ -14,9 +14,9 @@ the SHA-256 of every input and output, taken as it is read or written —
 no timestamps, so identical runs produce byte-identical artifacts.
 
 Each command only computes: it returns its artifacts, and :func:`main`
-writes them. Only after the command returns does ``main`` create
-``--out-dir``, write each artifact atomically and then the manifest, so a
-bad input leaves nothing on disk.
+writes them once it has returned, through a staging directory inside
+``--out-dir``: a bad input leaves nothing on disk, and a failed write no
+manifest that names other files.
 
 Exit codes: 0 on success, 1 on a domain error (bad inputs, failed
 certificate), 2 on usage errors. A ``--ratio`` outside [0, 1] is a domain
@@ -31,6 +31,7 @@ import fnmatch
 import hashlib
 import json
 import math
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -317,19 +318,23 @@ def _cmd_samplesize(args: argparse.Namespace) -> Outcome:
 
 def _write_outputs(args: argparse.Namespace, inputs: dict[str, str],
                    artifacts: Artifacts) -> None:
-    """Create ``--out-dir``, write each artifact atomically in order, and
-    then ``manifest.json``: the parsed parameters and the SHA-256 of every
-    input and output. ``inputs`` holds the checkpoints' digests, taken as
-    they were loaded; ``--config``'s as it was parsed, and each output's as
-    it is written. A failed write removes the directories this created."""
+    """Write each artifact in order, then ``manifest.json`` (the parsed
+    parameters and the SHA-256 of every input and output, each taken as it
+    was read, parsed or written), into a fresh staging directory inside
+    ``--out-dir``; then remove the old manifest and move each file into
+    place, the manifest last. A failed write leaves the out-dir as it was,
+    and a failed move no manifest; either removes the staging directory and
+    the directories this created."""
     out = Path(args.out_dir)
     created = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
+    stage = out / f".staging.{os.getpid()}.{os.urandom(4).hex()}"
     try:
-        outputs = {name: write(out / name) for name, write in artifacts.items()}
+        stage.mkdir()
+        outputs = {name: write(stage / name) for name, write in artifacts.items()}
         if args.config:
             inputs = {**inputs, str(Path(args.config)): args.config_sha256}
-        _write_json(out / "manifest.json", {
+        _write_json(stage / "manifest.json", {
             "command": args.command,
             "version": __version__,
             "parameters": {k: v for k, v in vars(args).items()
@@ -337,10 +342,13 @@ def _write_outputs(args: argparse.Namespace, inputs: dict[str, str],
             "inputs": inputs,
             "outputs": outputs,
         })
+        (out / "manifest.json").unlink(missing_ok=True)
+        for name in [*outputs, "manifest.json"]:
+            os.replace(stage / name, out / name)
     except BaseException:
-        if created:
-            shutil.rmtree(created[-1], ignore_errors=True)
+        shutil.rmtree(created[-1] if created else stage, ignore_errors=True)
         raise
+    stage.rmdir()
 
 
 _COMMANDS: dict[str, Callable[[argparse.Namespace], Outcome]] = {

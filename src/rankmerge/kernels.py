@@ -6,9 +6,7 @@ singular pair keeps the sign LAPACK gives it: nothing read off a factor
 factors a matrix, or a stack of them in one LAPACK call. Asked for fewer
 triples than the full rank, it takes them from the eigenvectors of the
 smaller Gram matrix when float64 can hold and resolve them that way, and
-from the full SVD otherwise. Rankmin iterates take the whole spectrum that
-way while λ_min ≥ 1e-8·λ₁, which holds each σ to ~1.1e-12·σ₁; a layer whose
-iterate fails stays on the full SVD (``origin.rankmin_origin``).
+from the full SVD otherwise.
 """
 
 from __future__ import annotations
@@ -20,17 +18,12 @@ import numpy as np
 from .errors import NumericError, RankError, ShapeError
 
 __all__ = [
-    "RANK_EPS",
     "GRAM_MIN_GAP",
     "LowRankFactor",
     "svd",
     "truncate",
     "reconstruct",
 ]
-
-# Smoothing of the rankmin origin's reweighting, relative to the largest
-# singular value at the mean: rankmin_origin's delta, its one reader.
-RANK_EPS = 1e-10
 
 # The top-k triples come from the Gram matrix only when its eigen-gap
 # lambda_k - lambda_{k+1} is at least this fraction of lambda_1. The rank-k
@@ -98,22 +91,23 @@ def svd(a: np.ndarray, k: int | None = None) -> LowRankFactor:
     if k == 0:
         return LowRankFactor(left=np.zeros((*lead, m, 0)), singulars=np.zeros((*lead, 0)),
                              right=np.zeros((*lead, 0, n)))
-    factors = _gram_top(a, k) if k < full else None
+    wide = m < n
+    factors = _gram_top(np.swapaxes(a, -1, -2) if wide else a, k) if k < full else None
+    if wide and factors is not None:  # the transpose's factors, swapped back
+        v, s, ut = factors
+        factors = (np.swapaxes(ut, -1, -2), s, np.swapaxes(v, -1, -2))
     f = LowRankFactor(*(np.linalg.svd(a, full_matrices=False) if factors is None else factors))
     return truncate(f, k) if f.k > k else f
 
 
 def _gram_top(a: np.ndarray, k: int,
               min_gap: float = GRAM_MIN_GAP) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Top-``k`` ``(left, singulars, right)`` of each matrix of ``a`` from the
-    eigenvectors of ``aᵀa`` (``aaᵀ`` when the matrices are wide); None when
-    a Gram matrix overflows float64 or the eigen-gap at ``k`` of any matrix
-    is below ``min_gap`` of its largest eigenvalue. At ``k = min(m, n)``
-    that gap is the smallest eigenvalue."""
-    wide = a.shape[-2] < a.shape[-1]
-    b = np.swapaxes(a, -1, -2) if wide else a
+    """Top-``k`` ``(left, singulars, right)`` of each ``m >= n`` matrix of ``a``
+    from the eigenvectors of ``aᵀa``, with ``U = aV/σ``; None when a Gram
+    matrix overflows float64 or any matrix's eigen-gap at ``k`` is below
+    ``min_gap`` of its largest eigenvalue (at ``k = n`` the gap is the smallest eigenvalue)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.swapaxes(b, -1, -2) @ b
+        gram = np.swapaxes(a, -1, -2) @ a
     if not np.all(np.isfinite(gram)):
         return None
     values, vectors = np.linalg.eigh(gram)
@@ -124,11 +118,9 @@ def _gram_top(a: np.ndarray, k: int,
         return None
     s = np.sqrt(values[..., :k])
     right = np.ascontiguousarray(np.swapaxes(vectors[..., :k], -1, -2))
-    # The factor of the input's size is made once, in its own layout, and
-    # scaled in place: ΣVᵀ = Uᵀa for a wide input, U = aV/σ for a tall one.
-    big = right @ a if wide else a @ np.swapaxes(right, -1, -2)
-    big /= s[..., None] if wide else s[..., None, :]
-    return (np.swapaxes(right, -1, -2), s, big) if wide else (big, s, right)
+    left = a @ np.swapaxes(right, -1, -2)
+    left /= s[..., None, :]
+    return left, s, right
 
 
 def truncate(f: LowRankFactor, k: int) -> LowRankFactor:

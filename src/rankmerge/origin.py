@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyInput, InsufficientTasks, NumericError, ShapeError
-from .kernels import RANK_EPS, LowRankFactor, _gram_top, svd
+from .kernels import LowRankFactor, _gram_top, svd
 from .pool import run_jobs
 from .tensor_store import Classifier, TensorMap, _write_csv, classify, validate_aligned
 
@@ -39,6 +39,7 @@ __all__ = [
 
 _KINDS = ("pretrained", "mean", "rankmin")
 
+RANK_EPS = 1e-10  # rankmin's smoothing δ, relative to the largest σ at the mean
 _GRAM_MIN_EIG = 1e-8  # rankmin's Gram route needs λ_min ≥ this·λ₁: see rankmin_origin
 
 
@@ -125,8 +126,7 @@ def rankmin_origin(layers: list[np.ndarray], steps: int = 20) -> tuple[np.ndarra
     Starts from the mean (the pairwise-similarity optimum) and takes
     ``steps`` steps of iteratively reweighted least squares (Fornasier,
     Rauhut and Ward 2011; Mohan and Fazel 2012). With each task vector
-    :math:`D_t = \theta_t - \theta = U_t \Sigma_t V_t^\top` of a tall
-    layer, a step is
+    :math:`D_t = \theta_t - \theta = U_t \Sigma_t V_t^\top`, a step is
 
     .. math::
         \theta \leftarrow \theta
@@ -135,29 +135,28 @@ def rankmin_origin(layers: list[np.ndarray], steps: int = 20) -> tuple[np.ndarra
         \qquad W_t = \operatorname{diag}\big(1/\sqrt{\sigma^2 + \delta^2}\big),
 
     with :math:`\delta` ``RANK_EPS`` times the largest singular value at the
-    mean; for a wide layer the weight acts on the left. Each step minimizes a
-    quadratic that touches the smoothed objective
-    :math:`\sum_t \operatorname{tr}(D_t^\top D_t + \delta^2 I)^{1/2}` from
-    above, so that objective never rises and there is no step size. The
-    weights are scaled by that singular value, which leaves the step as it
-    is and keeps them in range at any scale of the input.
+    mean. Each step minimizes a quadratic that touches the smoothed
+    objective :math:`\sum_t \operatorname{tr}(D_t^\top D_t + \delta^2 I)^{1/2}`
+    from above, so that objective never rises and there is no step size.
+    The weights are scaled by that singular value, which leaves the step as
+    it is and keeps them in range at any scale of the input. A wide layer
+    is solved as its transpose, which has the same objective and trace,
+    and the solution is transposed back.
 
     Each iterate factors its T task vectors in one stacked call: the
     singular values give the trace's objective and the factors the next
     step, which reads only :math:`\sigma` and :math:`V` as
     :math:`U_t \Sigma_t = D_t V_t`. While every slice's Gram matrix
-    (:math:`D_t^\top D_t`, or :math:`D_t D_t^\top` for a wide layer) is
-    finite with :math:`\lambda_{\min} \ge c\,\lambda_1 > 0`, the factor
-    comes from its ``eigh``: ``U = DV/σ`` (``Vᵀ = UᵀD/σ`` if wide). Forming
-    and factoring it errs by about :math:`\epsilon\lambda_1`, so
-    :math:`\sigma_i = \sqrt{\lambda_i}` errs by about
-    :math:`\epsilon\lambda_1/2\sigma_i \le \epsilon\sigma_1/2\sqrt{c}`:
+    :math:`D_t^\top D_t` is finite with :math:`\lambda_{\min} \ge c\,\lambda_1 > 0`,
+    the factor comes from its ``eigh``: ``U = DV/σ``. Forming and factoring
+    it errs by about :math:`\epsilon\lambda_1`, so :math:`\sigma_i = \sqrt{\lambda_i}`
+    errs by about :math:`\epsilon\lambda_1/2\sigma_i \le \epsilon\sigma_1/2\sqrt{c}`:
     :math:`1.1\times10^{-12}\,\sigma_1` at :math:`c = 10^{-8}`, and each weight
     is good to :math:`\epsilon/2c = 1.1\times10^{-8}` relative. ``U`` is
     orthonormal only to :math:`\epsilon/c`, but the step reads only
-    :math:`U\Sigma = DV`. An iterate that fails the gate, and every
-    later one of the layer, takes the full SVD: a layer that the solver
-    drives toward low rank pays for one ``eigh``, not one per step.
+    :math:`U\Sigma = DV`. An iterate that fails the gate, and every later
+    one of the layer, takes the full SVD: a layer that the solver drives
+    toward low rank pays for one ``eigh``, not one per step.
 
     The trace has one row per iterate; a sum of |FIP| that overflows float64
     is recorded as it comes, an infinity or NaN. Layers must be 2-D, or
@@ -172,6 +171,9 @@ def rankmin_origin(layers: list[np.ndarray], steps: int = 20) -> tuple[np.ndarra
     theta = mean_origin(thetas)
     if theta.ndim != 2:
         raise ShapeError(f"rankmin_origin needs 2-D layers, got shape {theta.shape}")
+    wide = theta.shape[0] < theta.shape[1]
+    if wide:
+        thetas, theta = [layer.T for layer in thetas], theta.T
     deltas = np.empty((len(thetas), *theta.shape))
     gram = True  # the route of the next iterate; the full SVD once one fails the gate
 
@@ -181,27 +183,26 @@ def rankmin_origin(layers: list[np.ndarray], steps: int = 20) -> tuple[np.ndarra
         nonlocal gram
         for t, layer in enumerate(thetas):
             np.subtract(layer, theta, out=deltas[t])
-        factors = _gram_top(deltas, min(theta.shape), _GRAM_MIN_EIG) if gram else None
+        factors = _gram_top(deltas, theta.shape[1], _GRAM_MIN_EIG) if gram else None
         gram = factors is not None
         f = svd(deltas) if factors is None else LowRankFactor(*factors)
         return f, sum(np.sum(f.singulars, axis=1).tolist()), sum(map(abs, _pair_fips(deltas)))
 
     f, objective, fip = factor(theta)
     trace = SolverTrace([(0, objective, fip)])
-    if objective == 0.0:
-        return theta, trace
-    top = float(np.max(f.singulars))
-    for step in range(1, steps + 1):
-        theta = theta + _majorize_minimize(f, top)
-        del f  # not held while the next iterate is factored
-        f, objective, fip = factor(theta)
-        trace.records.append((step, objective, fip))
-    return theta, trace
+    if objective > 0.0:
+        top = float(np.max(f.singulars))
+        for step in range(1, steps + 1):
+            theta = theta + _majorize_minimize(f, top)
+            del f  # not held while the next iterate is factored
+            f, objective, fip = factor(theta)
+            trace.records.append((step, objective, fip))
+    return (theta.T if wide else theta), trace
 
 
 def _majorize_minimize(f: LowRankFactor, top: float) -> np.ndarray:
-    """The step of :func:`rankmin_origin` from the stacked factor ``f`` of
-    the task vectors, with ``top`` the largest singular value at the mean.
+    """The step of :func:`rankmin_origin` from the stacked factor ``f`` of an
+    ``m >= n`` layer's task vectors, ``top`` the largest singular value at the mean.
 
     The tasks' triples are laid side by side, so each sum over tasks is one
     matrix product."""
@@ -211,9 +212,7 @@ def _majorize_minimize(f: LowRankFactor, top: float) -> np.ndarray:
     scaled = f.singulars.reshape(-1) * weights
     left = np.swapaxes(f.left, 0, 1).reshape(m, tasks * k)
     right = f.right.reshape(tasks * k, n)
-    if m >= n:
-        return np.linalg.solve((right.T * weights) @ right, (right.T * scaled) @ left.T).T
-    return np.linalg.solve((left * weights) @ left.T, (left * scaled) @ right)
+    return np.linalg.solve((right.T * weights) @ right, (right.T * scaled) @ left.T).T
 
 
 def select_origin(

@@ -7,8 +7,10 @@ runs auditable and reproducible.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -582,18 +584,20 @@ def test_outputs_are_hashed_as_they_are_written_not_reopened(command, checkpoint
     }
 
 
+def _files(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
 def test_failed_manifest_write_keeps_the_previous_one(checkpoints, tmp_path, capsys,
                                                       fail_writes_to):
     pretrained, tasks = checkpoints
     out = tmp_path / "merged"
     assert main(_merge_args(pretrained, tasks, out)) == 0
-    before = sorted(out.iterdir())
-    manifest = (out / "manifest.json").read_bytes()
+    before = _files(out)
     fail_writes_to("manifest.json")
     assert main(_merge_args(pretrained, tasks, out, ["--lam", "0.5"])) == 1
     capsys.readouterr()
-    assert (out / "manifest.json").read_bytes() == manifest
-    assert sorted(out.iterdir()) == before
+    assert _files(out) == before
 
 
 def test_failed_plan_write_keeps_the_previous_one(checkpoints, tmp_path, capsys,
@@ -601,12 +605,37 @@ def test_failed_plan_write_keeps_the_previous_one(checkpoints, tmp_path, capsys,
     pretrained, tasks = checkpoints
     out = tmp_path / "merged"
     assert main(_merge_args(pretrained, tasks, out)) == 0
-    plan = (out / "plan.json").read_bytes()
+    before = _files(out)
+    assert sorted(before) == ["manifest.json", "merged.ckpt", "plan.json"]
+    # merged.ckpt is written before plan.json fails, and differs at --lam 0.5.
     fail_writes_to("plan.json")
     assert main(_merge_args(pretrained, tasks, out, ["--lam", "0.5"])) == 1
     capsys.readouterr()
-    assert (out / "plan.json").read_bytes() == plan
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "merged.ckpt", "plan.json"]
+    assert _files(out) == before
+
+
+def test_failed_move_into_the_out_dir_leaves_no_stale_manifest(checkpoints, tmp_path, capsys,
+                                                              monkeypatch):
+    pretrained, tasks = checkpoints
+    out = tmp_path / "merged"
+    assert main(_merge_args(pretrained, tasks, out)) == 0
+    real_replace = os.replace
+    moves: list[str] = []
+
+    def second_move_fails(src, dst):
+        if Path(dst).parent == out:
+            moves.append(Path(dst).name)
+            if len(moves) == 2:
+                raise OSError(errno.EIO, "input/output error")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_move_fails)
+    assert main(_merge_args(pretrained, tasks, out, ["--lam", "0.5"])) == 1
+    assert "input/output error" in capsys.readouterr().err
+    assert moves == ["merged.ckpt", "plan.json"]
+    # The new merged.ckpt is in place; the old plan.json is left, but no
+    # manifest names it, and the staging directory is gone.
+    assert sorted(p.name for p in out.iterdir()) == ["merged.ckpt", "plan.json"]
 
 
 def _rankmin_checkpoints(tmp_path, layers: list[str]) -> list[str]:

@@ -257,15 +257,15 @@ def test_rankmin_gram_route_matches_the_full_svd_route(monkeypatch):
 
 
 def test_rankmin_of_the_transposed_layers_is_the_transposed_solution():
-    # The wide layers take the left weight. A square layer takes the right
-    # one, so its transpose would follow another path. These task vectors
-    # are full rank: where they share an exact null space, as criterion 5's
-    # do, the weights span 1e10 and the two solutions agree to ~1e-6 only.
-    layers = _planted_layers(1, (256, 64))
-    theta, trace = rankmin_origin(layers, steps=10)
-    theta_t, trace_t = rankmin_origin([l.T for l in layers], steps=10)
-    np.testing.assert_allclose(theta_t, theta.T, rtol=0, atol=1e-10 * np.max(np.abs(theta)))
-    np.testing.assert_allclose(np.array(trace_t.records), np.array(trace.records), rtol=1e-10)
+    # A wide layer is solved as its transpose, so the two agree bit for bit:
+    # on full-rank task vectors, and on criterion 5's wide rank-1 bumps
+    # around a shared matrix, whose shared null space makes the weights
+    # span 1e10.
+    for layers in (_planted_layers(1, (256, 64)), [l.T for l in _criterion_instance(5)]):
+        theta, trace = rankmin_origin(layers, steps=10)
+        theta_t, trace_t = rankmin_origin([l.T for l in layers], steps=10)
+        np.testing.assert_array_equal(theta_t, theta.T)
+        assert trace_t.records == trace.records
 
 
 def test_rankmin_stays_finite_where_the_squared_spectrum_overflows(rng):
