@@ -312,7 +312,8 @@ def _descend(tvs: TaskVectorSet, model: ToyClassifier, batches: Sequence[Batch],
     for step in range(steps):
         batch = batches[step % len(batches)]
         masked, soft_paths = _masked(tvs, logits)
-        loss, grid, projections = _coefficient_grads(values, masked, model, batch)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below, naming the step
+            loss, grid, projections = _coefficient_grads(values, masked, model, batch)
         if not np.isfinite(loss) or not np.all(np.isfinite(grid)):
             raise NumericError(f"non-finite entropy gradient at step {step}")
         history.append((step, loss, float(np.mean(values))))

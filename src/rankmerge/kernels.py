@@ -18,7 +18,6 @@ import numpy as np
 from .errors import NumericError, RankError, ShapeError
 
 __all__ = [
-    "GRAM_MIN_GAP",
     "LowRankFactor",
     "svd",
     "truncate",
@@ -29,7 +28,7 @@ __all__ = [
 # lambda_k - lambda_{k+1} is at least this fraction of lambda_1. The rank-k
 # reconstruction then errs by about eps * lambda_1 / gap <= 2.2e-10 relative
 # to the norm of the input; a smaller gap falls back to the full SVD.
-GRAM_MIN_GAP = 1e-6
+_GRAM_MIN_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,7 @@ def svd(a: np.ndarray, k: int | None = None) -> LowRankFactor:
     at every ``k``; ``k == 0`` factors nothing. For ``0 < k < min(m, n)``
     the triples come from ``np.linalg.eigh`` of the smaller Gram matrix, and
     from the full SVD when that matrix overflows float64 or its eigen-gap
-    at ``k`` is below ``GRAM_MIN_GAP`` of its largest eigenvalue (or that
+    at ``k`` is below ``_GRAM_MIN_GAP`` of its largest eigenvalue (or that
     is zero); in a stack, one such slice sends every slice to the full SVD.
     A stack is one LAPACK call, and slice ``i`` of the result is bit for bit
     the factor of ``a[i]`` by the same route. The signs of the singular
@@ -92,18 +91,22 @@ def svd(a: np.ndarray, k: int | None = None) -> LowRankFactor:
         return LowRankFactor(left=np.zeros((*lead, m, 0)), singulars=np.zeros((*lead, 0)),
                              right=np.zeros((*lead, 0, n)))
     wide = m < n
-    factors = _gram_top(np.swapaxes(a, -1, -2) if wide else a, k) if k < full else None
-    if wide and factors is not None:  # the transpose's factors, swapped back
-        v, s, ut = factors
-        factors = (np.swapaxes(ut, -1, -2), s, np.swapaxes(v, -1, -2))
-    f = LowRankFactor(*(np.linalg.svd(a, full_matrices=False) if factors is None else factors))
-    return truncate(f, k) if f.k > k else f
+    tall = np.swapaxes(a, -1, -2) if wide else a
+    top = _gram_top(tall, k, _GRAM_MIN_GAP) if k < full else None
+    if top is None:
+        f = LowRankFactor(*np.linalg.svd(a, full_matrices=False))
+        return truncate(f, k) if f.k > k else f
+    s, right = top
+    left = tall @ np.swapaxes(right, -1, -2)  # U = aV/σ
+    left /= s[..., None, :]
+    if wide:  # the transpose's factors, swapped back
+        return LowRankFactor(np.swapaxes(right, -1, -2), s, np.swapaxes(left, -1, -2))
+    return LowRankFactor(left, s, right)
 
 
-def _gram_top(a: np.ndarray, k: int,
-              min_gap: float = GRAM_MIN_GAP) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Top-``k`` ``(left, singulars, right)`` of each ``m >= n`` matrix of ``a``
-    from the eigenvectors of ``aᵀa``, with ``U = aV/σ``; None when a Gram
+def _gram_top(a: np.ndarray, k: int, min_gap: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Top-``k`` singular values and right singular vectors ``(σ, Vᵀ)`` of each
+    ``m >= n`` matrix of ``a`` from the eigenvectors of ``aᵀa``; None when a Gram
     matrix overflows float64 or any matrix's eigen-gap at ``k`` is below
     ``min_gap`` of its largest eigenvalue (at ``k = n`` the gap is the smallest eigenvalue)."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -116,11 +119,7 @@ def _gram_top(a: np.ndarray, k: int,
     below = values[..., k] if k < values.shape[-1] else 0.0
     if not np.all(top > 0.0) or np.any(values[..., k - 1] - below < min_gap * top):
         return None
-    s = np.sqrt(values[..., :k])
-    right = np.ascontiguousarray(np.swapaxes(vectors[..., :k], -1, -2))
-    left = a @ np.swapaxes(right, -1, -2)
-    left /= s[..., None, :]
-    return left, s, right
+    return np.sqrt(values[..., :k]), np.ascontiguousarray(np.swapaxes(vectors[..., :k], -1, -2))
 
 
 def truncate(f: LowRankFactor, k: int) -> LowRankFactor:

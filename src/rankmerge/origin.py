@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyInput, InsufficientTasks, NumericError, ShapeError
-from .kernels import LowRankFactor, _gram_top, svd
+from .kernels import _gram_top, svd
 from .pool import run_jobs
 from .tensor_store import Classifier, TensorMap, _write_csv, classify, validate_aligned
 
@@ -112,12 +112,12 @@ def simmin_objective(origin: np.ndarray, layers: list[np.ndarray]) -> float:
 
 def _pair_fips(deltas: list[np.ndarray] | np.ndarray) -> list[float]:
     """Frobenius inner product of every task pair (t, t') with t' < t, in
-    that order; the products share one buffer. A product that overflows
-    float64 gives an infinity or NaN, without a warning."""
-    product = np.empty_like(deltas[0])
+    that order, read off one product ``F Fᵀ`` of the flattened deltas ``F``.
+    A product that overflows float64 gives an infinity or NaN, without a warning."""
+    flat = np.reshape(deltas, (len(deltas), -1))
     with np.errstate(over="ignore", invalid="ignore"):
-        return [float(np.sum(np.multiply(deltas[t], deltas[t2], out=product)))
-                for t in range(len(deltas)) for t2 in range(t)]
+        fips = (flat @ flat.T).tolist()
+    return [fips[t][t2] for t in range(len(deltas)) for t2 in range(t)]
 
 
 def rankmin_origin(layers: list[np.ndarray], steps: int = 20) -> tuple[np.ndarray, SolverTrace]:
@@ -130,8 +130,8 @@ def rankmin_origin(layers: list[np.ndarray], steps: int = 20) -> tuple[np.ndarra
 
     .. math::
         \theta \leftarrow \theta
-        + \Big(\sum_t U_t \Sigma_t W_t V_t^\top\Big)
-          \Big(\sum_t V_t W_t V_t^\top\Big)^{-1},
+        + \Big(\sum_t D_t H_t\Big) \Big(\sum_t H_t\Big)^{-1},
+        \qquad H_t = V_t W_t V_t^\top,
         \qquad W_t = \operatorname{diag}\big(1/\sqrt{\sigma^2 + \delta^2}\big),
 
     with :math:`\delta` ``RANK_EPS`` times the largest singular value at the
@@ -143,20 +143,19 @@ def rankmin_origin(layers: list[np.ndarray], steps: int = 20) -> tuple[np.ndarra
     is solved as its transpose, which has the same objective and trace,
     and the solution is transposed back.
 
-    Each iterate factors its T task vectors in one stacked call: the
-    singular values give the trace's objective and the factors the next
-    step, which reads only :math:`\sigma` and :math:`V` as
-    :math:`U_t \Sigma_t = D_t V_t`. While every slice's Gram matrix
+    Each iterate factors its T task vectors in one stacked call and keeps
+    only :math:`\sigma` and :math:`V`, as :math:`U_t \Sigma_t = D_t V_t`: the
+    singular values give the trace's objective, and with the deltas they
+    give the next step. While every slice's Gram matrix
     :math:`D_t^\top D_t` is finite with :math:`\lambda_{\min} \ge c\,\lambda_1 > 0`,
-    the factor comes from its ``eigh``: ``U = DV/σ``. Forming and factoring
-    it errs by about :math:`\epsilon\lambda_1`, so :math:`\sigma_i = \sqrt{\lambda_i}`
-    errs by about :math:`\epsilon\lambda_1/2\sigma_i \le \epsilon\sigma_1/2\sqrt{c}`:
+    they come from its ``eigh``. Forming and factoring it errs by about
+    :math:`\epsilon\lambda_1`, so :math:`\sigma_i = \sqrt{\lambda_i}` errs by
+    about :math:`\epsilon\lambda_1/2\sigma_i \le \epsilon\sigma_1/2\sqrt{c}`:
     :math:`1.1\times10^{-12}\,\sigma_1` at :math:`c = 10^{-8}`, and each weight
-    is good to :math:`\epsilon/2c = 1.1\times10^{-8}` relative. ``U`` is
-    orthonormal only to :math:`\epsilon/c`, but the step reads only
-    :math:`U\Sigma = DV`. An iterate that fails the gate, and every later
-    one of the layer, takes the full SVD: a layer that the solver drives
-    toward low rank pays for one ``eigh``, not one per step.
+    is good to :math:`\epsilon/2c = 1.1\times10^{-8}` relative. An iterate
+    that fails the gate, and every later one of the layer, takes the full
+    SVD: a layer that the solver drives toward low rank pays for one
+    ``eigh``, not one per step.
 
     The trace has one row per iterate; a sum of |FIP| that overflows float64
     is recorded as it comes, an infinity or NaN. Layers must be 2-D, or
@@ -177,42 +176,42 @@ def rankmin_origin(layers: list[np.ndarray], steps: int = 20) -> tuple[np.ndarra
     deltas = np.empty((len(thetas), *theta.shape))
     gram = True  # the route of the next iterate; the full SVD once one fails the gate
 
-    def factor(theta: np.ndarray) -> tuple[LowRankFactor, float, float]:
-        """At ``theta``: the task vectors' stacked factor, the objective and
-        the summed |FIP|."""
+    def factor(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """At ``theta``: the task vectors' stacked singular values and right
+        singular vectors ``(σ, Vᵀ)``, the objective and the summed |FIP|."""
         nonlocal gram
         for t, layer in enumerate(thetas):
             np.subtract(layer, theta, out=deltas[t])
         factors = _gram_top(deltas, theta.shape[1], _GRAM_MIN_EIG) if gram else None
         gram = factors is not None
-        f = svd(deltas) if factors is None else LowRankFactor(*factors)
-        return f, sum(np.sum(f.singulars, axis=1).tolist()), sum(map(abs, _pair_fips(deltas)))
+        if factors is None:
+            f = svd(deltas)
+            factors = f.singulars, f.right
+        s, right = factors
+        return s, right, sum(np.sum(s, axis=1).tolist()), sum(map(abs, _pair_fips(deltas)))
 
-    f, objective, fip = factor(theta)
+    s, right, objective, fip = factor(theta)
     trace = SolverTrace([(0, objective, fip)])
     if objective > 0.0:
-        top = float(np.max(f.singulars))
+        top = float(np.max(s))
         for step in range(1, steps + 1):
-            theta = theta + _majorize_minimize(f, top)
-            del f  # not held while the next iterate is factored
-            f, objective, fip = factor(theta)
+            theta = theta + _majorize_minimize(deltas, s, right, top)
+            del s, right  # not held while the next iterate is factored
+            s, right, objective, fip = factor(theta)
             trace.records.append((step, objective, fip))
     return (theta.T if wide else theta), trace
 
 
-def _majorize_minimize(f: LowRankFactor, top: float) -> np.ndarray:
-    """The step of :func:`rankmin_origin` from the stacked factor ``f`` of an
-    ``m >= n`` layer's task vectors, ``top`` the largest singular value at the mean.
-
-    The tasks' triples are laid side by side, so each sum over tasks is one
-    matrix product."""
-    tasks, m, k = f.left.shape
-    n = f.right.shape[-1]
-    weights = (1.0 / np.hypot(f.singulars / top, RANK_EPS)).reshape(-1)
-    scaled = f.singulars.reshape(-1) * weights
-    left = np.swapaxes(f.left, 0, 1).reshape(m, tasks * k)
-    right = f.right.reshape(tasks * k, n)
-    return np.linalg.solve((right.T * weights) @ right, (right.T * scaled) @ left.T).T
+def _majorize_minimize(deltas: np.ndarray, singulars: np.ndarray, right: np.ndarray,
+                       top: float) -> np.ndarray:
+    """The step of :func:`rankmin_origin` from the ``(T, m, n)`` stack of an
+    ``m >= n`` layer's task vectors and their ``(σ, Vᵀ)``, ``top`` the largest
+    singular value at the mean. The deltas are laid side by side, so
+    ``Σ_t D_t H_t`` is one matrix product."""
+    weights = 1.0 / np.hypot(singulars / top, RANK_EPS)
+    h = (np.swapaxes(right, -1, -2) * weights[:, None, :]) @ right
+    rhs = np.hstack(deltas) @ h.reshape(-1, h.shape[-1])
+    return np.linalg.solve(h.sum(axis=0), rhs.T).T
 
 
 def select_origin(

@@ -34,6 +34,7 @@ from rankmerge import (
     interference_report,
     merge,
     prune_ranks,
+    reconstruct,
     signal_noise_suite,
     ste_masked_singulars,
     weight_average,
@@ -108,6 +109,12 @@ def test_classifier_rejects_broken_chains(rng):
         ToyClassifier(LAYERS, (np.zeros((5, 6)), np.zeros((4, 7))), (np.zeros((3, 4)),))
     with pytest.raises(ShapeError):
         ToyClassifier(LAYERS, (np.zeros((5, 6)), np.zeros((4, 5))), (np.zeros((3, 9)),))
+
+
+def test_classifier_needs_one_weight_per_layer_name():
+    model, _, _ = _bed(2)
+    with pytest.raises(ShapeError, match="one weight matrix per layer name required"):
+        ToyClassifier((*LAYERS, "net.2.weight"), model.weights, model.heads)
 
 
 def test_posteriors_are_distributions(rng):
@@ -216,12 +223,12 @@ def test_flipping_singular_pairs_changes_no_output_bit(seed):
                                   coefficient_gradient(values, tvs, model, batch))
     for name, f in tvs.deltas.items():
         top = float(np.max(f.singulars))
-        pair = (f, deltas[name])
-        if f.shape[0] < f.shape[1]:  # the step takes a wide layer's factor as its transpose's
-            pair = tuple(LowRankFactor(np.swapaxes(h.right, -1, -2), h.singulars,
-                                       np.swapaxes(h.left, -1, -2)) for h in pair)
-        np.testing.assert_array_equal(_majorize_minimize(pair[1], top),
-                                      _majorize_minimize(pair[0], top))
+        stack, rights = reconstruct(f), (f.right, deltas[name].right)
+        if f.shape[0] < f.shape[1]:  # the step takes a wide layer as its transpose
+            stack = np.swapaxes(stack, -1, -2)
+            rights = (np.swapaxes(f.left, -1, -2), np.swapaxes(deltas[name].left, -1, -2))
+        np.testing.assert_array_equal(_majorize_minimize(stack, f.singulars, rights[1], top),
+                                      _majorize_minimize(stack, f.singulars, rights[0], top))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +283,15 @@ def test_adapt_coefficients_flags_non_finite_losses():
     tvs.deltas[LAYERS[0]][0].singulars[0] = np.nan
     with pytest.raises(NumericError):
         adapt_coefficients(tvs, model, [batch], steps=3)
+
+
+def test_adapt_coefficients_names_the_step_of_a_non_finite_loss():
+    model, tvs, batch = _bed(8)
+    head = model.heads[0].copy()
+    head[0, 0] = np.inf
+    broken = dataclasses.replace(model, heads=(head, *model.heads[1:]))
+    with pytest.raises(NumericError, match="non-finite entropy gradient at step 0"):
+        adapt_coefficients(tvs, broken, [batch], steps=3)
 
 
 def test_adaptation_csv_round_trips(tmp_path):

@@ -189,6 +189,13 @@ def test_certify_rejects_an_all_zero_task_update():
         _certify(suite)
 
 
+def test_certify_rejects_a_task_update_of_rank_above_r():
+    suite = _suite(**ARGS)
+    suite.taus[1] = suite.taus[1] + 0.5 * np.eye(ARGS["d"])
+    with pytest.raises(InvariantError, match=r"tau 1 has rank 6 > r=2"):
+        _certify(suite)
+
+
 def test_certify_factors_each_task_update_once(svd_calls):
     suite = _suite(**{**ARGS, "T": 4})
     svd_calls.clear()

@@ -142,6 +142,7 @@ def test_samplesize_overflow_is_a_domain_error(tmp_path, capsys):
     [
         (["merge", "--lam", "nan"], None),
         (["merge", "--lam", "inf"], None),
+        (["merge", "--lam", "abc"], None),
         (["samplesize", "--z", "inf"], None),
         (["certify"], {"suites": 2.5}),
         (["index"], {"task_index": 1.7}),
@@ -159,7 +160,7 @@ def test_samplesize_overflow_is_a_domain_error(tmp_path, capsys):
         (["adapt"], {"iters": -2}),
         (["merge", "--origin", "rankmin", "--rankmin-steps", "0"], None),
     ],
-    ids=["lam-nan", "lam-inf", "z-inf", "config-suites-2.5", "config-task-index-1.7",
+    ids=["lam-nan", "lam-inf", "lam-abc", "z-inf", "config-suites-2.5", "config-task-index-1.7",
          "config-iters-true", "config-origin-bogus", "ks-1.5", "config-lam-nan",
          "config-ratio-list", "ratios-empty", "lambdas-blank", "ks-empty",
          "config-lambdas-empty", "suites-0", "iters-0", "config-iters-negative",
@@ -727,6 +728,14 @@ def test_config_that_repeats_a_key_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["samplesize", "--config", str(config), "--out-dir", str(out)]) == 2
     assert "'epsilon'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
+    config = _config(tmp_path, [0.5])
+    out = tmp_path / "out"
+    assert main(["samplesize", "--config", config, "--out-dir", str(out)]) == 2
+    assert f"config {config} does not hold a JSON object" in capsys.readouterr().err
     assert not out.exists()
 
 

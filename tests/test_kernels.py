@@ -14,6 +14,7 @@ from rankmerge import (
     svd,
     truncate,
 )
+from rankmerge import kernels
 from rankmerge.rng import orthonormal, stream
 
 from oracles import reference_singulars, reference_tail_energy
@@ -222,6 +223,16 @@ def test_top_k_falls_back_to_the_full_svd_where_the_gram_gap_closes(make, svd_ca
     f = svd(a, 4)
     assert len(svd_calls) == 1
     want = truncate(svd(a), 4)
+    for part in ("left", "singulars", "right"):
+        np.testing.assert_array_equal(getattr(f, part), getattr(want, part))
+
+
+def test_top_k_reads_the_gram_gate_at_each_call(monkeypatch, svd_calls, eigh_calls):
+    a = _planted((40, 40), 3.0 * 0.8 ** np.arange(40))
+    monkeypatch.setattr(kernels, "_GRAM_MIN_GAP", 2.0)  # no eigen-gap passes
+    f = svd(a, 6)
+    assert (svd_calls, eigh_calls) == ([(40, 40)], [(40, 40)])
+    want = truncate(svd(a), 6)
     for part in ("left", "singulars", "right"):
         np.testing.assert_array_equal(getattr(f, part), getattr(want, part))
 

@@ -700,6 +700,12 @@ def test_indexing_rejects_a_non_finite_bias_in_any_checkpoint(rng):
         cart_indexing(weight_average(finetuned), finetuned, 0.4, 0)
 
 
+def test_indexing_of_no_checkpoints_is_empty_input(rng):
+    _, finetuned = _fleet(rng)
+    with pytest.raises(EmptyInput, match="cart_indexing needs at least one checkpoint"):
+        cart_indexing(weight_average(finetuned), [], 0.5, 0)
+
+
 def test_indexing_rejects_bad_task_index(rng):
     pretrained, finetuned = _fleet(rng)
     with pytest.raises(IndexError):

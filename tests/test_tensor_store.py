@@ -155,6 +155,52 @@ def test_load_rejects_malformed_layout(tmp_path, header, data_len):
             load(path)
 
 
+@pytest.mark.parametrize(
+    "header, data_len, message",
+    [
+        ("[1]", 0, "header JSON must be an object"),
+        ('{"__metadata__":{"source":1}}', 0, "__metadata__ must map strings to strings"),
+        ('{"a":5}', 0, "entry 'a' is not an object"),
+        (f'{{"a":{_spec(0)},"b":{_spec(12)}}}', 20,
+         "tensor buffers overlap or leave a gap at byte 8"),
+    ],
+    ids=["array-header", "non-string-metadata", "non-object-entry", "gapped-offsets"],
+)
+def test_load_names_what_is_malformed(tmp_path, header, data_len, message):
+    path = tmp_path / "bad.ckpt"
+    raw = header.encode()
+    path.write_bytes(struct.pack("<Q", len(raw)) + raw + bytes(data_len))
+    with pytest.raises(FormatError) as excinfo:
+        load_checkpoint(path)
+    assert str(excinfo.value) == message
+
+
+def test_file_that_ends_while_a_tensor_is_read_is_truncated(tmap, tmp_path):
+    # The declared size passes the layout check; the bytes then run out in
+    # the last buffer, blocks.1.weight.
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tmap, path)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    with open(path, "rb") as fh, pytest.raises(TruncationError) as excinfo:
+        _read_container(fh, size)
+    assert str(excinfo.value) == "entry 'blocks.1.weight': the file ended while it was read"
+
+
+@pytest.mark.parametrize(
+    "array, message",
+    [
+        (np.array(1.0), "tensor 'w' must have at least one dimension"),
+        (np.zeros((2, 0)), "tensor 'w' has a non-positive dimension: (2, 0)"),
+    ],
+    ids=["0-d", "zero-length"],
+)
+def test_tensor_map_rejects_tensors_without_entries(array, message):
+    with pytest.raises(FormatError) as excinfo:
+        TensorMap({"w": array})
+    assert str(excinfo.value) == message
+
+
 def test_layout_is_checked_before_any_byte_is_read_or_hashed(tmap, tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(tmap, path)
@@ -218,6 +264,16 @@ def test_validate_aligned_reports_first_offender_by_name():
     with pytest.raises(ArchitectureMismatch) as excinfo:
         validate_aligned([first, second])
     assert "m.beta" in str(excinfo.value)
+
+
+def test_validate_aligned_names_a_tensor_missing_from_a_later_checkpoint():
+    g = stream(10, "store-tests")
+    first = random_tensor_map(g, {"a": (2, 2), "b": (2,)})
+    second = random_tensor_map(g, {"a": (2, 2)})
+    with pytest.raises(ArchitectureMismatch) as excinfo:
+        validate_aligned([first, first, second])
+    assert str(excinfo.value) == "b: missing from a checkpoint"
+    assert excinfo.value.tensor_name == "b"
 
 
 def test_validate_aligned_rejects_dtype_mismatch():
